@@ -259,9 +259,10 @@ def shortest_vector_oracle(
     """Certified minimum of max(T*|q*x1 - p1|, T*|q*x2 - p2|, |q|) over Z^3.
 
     Independent of the best-approximation machinery: scans heights q = 0,
-    1, 2, ... outward, choosing nearest numerators per coordinate, and
-    stops once q exceeds the best score seen (any unscanned vector then
-    scores more than the incumbent on its height coordinate alone).
+    1, 2, ... outward, taking each height's minimum from height_minimum
+    (the lexicographic tie choice), and stops once q exceeds the best
+    score seen (any unscanned vector then scores more than the incumbent
+    on its height coordinate alone).
     Raises RuntimeError when the scan would exceed the iteration budget.
 
     Returns (vector, score) with the score exact; vectors are canonicalised
@@ -270,7 +271,6 @@ def shortest_vector_oracle(
     T = Fraction(T)
     if T <= 0:
         raise ValueError("T must be positive")
-    n1, n2, d = x.common_denominator()
     best_val = T  # (1, 0, 0): purely horizontal unit vector
     best_vec = (1, 0, 0)
     q = 0
@@ -282,21 +282,11 @@ def shortest_vector_oracle(
             raise RuntimeError(
                 f"certification exceeded enumeration budget {budget}"
             )
-        ps = []
-        rmax = 0
-        for n in (n1, n2):
-            lo = (q * n) // d
-            r = q * n - lo * d
-            if 2 * r <= d:
-                ps.append(lo)
-                rmax = max(rmax, r)
-            else:
-                ps.append(lo + 1)
-                rmax = max(rmax, d - r)
-        val = max(T * Fraction(rmax, d), Fraction(q))
+        res, cands = height_minimum(x, q)
+        val = max(T * res, Fraction(q))
         if val < best_val:
             best_val = val
-            best_vec = (ps[0], ps[1], q)
+            best_vec = (*cands[0], q)
     return best_vec, best_val
 
 
@@ -495,14 +485,7 @@ def projective_sandwich_ok(x: RatPoint, u: PrimVec, v: PrimVec) -> bool:
 
 def record_tie_heights(x: RatPoint, height_bound: int) -> list[int]:
     """Record heights whose minimal residual is achieved by several numerators."""
-    out = []
-    record: Fraction | None = None
-    for q in range(1, height_bound + 1):
-        res, cands = height_minimum(x, q)
-        if record is None or res < record:
-            record = res
-            if len(cands) > 1:
-                out.append(q)
-            if res == 0:
-                break
-    return out
+    return [
+        v.q for v in best_approximations(x, height_bound).items
+        if len(height_minimum(x, v.q)[1]) > 1
+    ]

@@ -210,8 +210,8 @@ def cmd_psi_tree(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
         "depth1_children": len(root.children),
         "totals": rep["totals"],
         "fails": rep["fails"],
-        "min_spacing_ratio": float(rep["min_spacing_ratio"]),
-        "min_kappa": float(rep["min_kappa"]),
+        "min_spacing_ratio": rep["min_spacing_ratio"],
+        "min_kappa": rep["min_kappa"],
         "pass": rep["ok"],
     }
     rows = [
@@ -553,7 +553,6 @@ def item_domain_sandwich(seed: int, fault: str | None) -> ItemResult:
 
 
 def item_domain_band(seed: int, fault: str | None) -> ItemResult:
-    rng = _rng_for(seed, "domain-band")
     checks = failures = 0
     witness = None
     eps = Fraction(1, 8)
@@ -570,7 +569,6 @@ def item_domain_band(seed: int, fault: str | None) -> ItemResult:
 
 
 def item_sibling_spacing(seed: int, fault: str | None) -> ItemResult:
-    rng = _rng_for(seed, "sibling-spacing")
     checks = failures = 0
     witness = None
     eps = Fraction(1, 8)

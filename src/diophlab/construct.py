@@ -29,37 +29,19 @@ from typing import Callable
 
 from .bestapprox import shortest_vector_reduced
 from .core import PrimVec, RatPoint, Wedge2, residual, seminorm, wedge
-from .latinv import canonical_sign, distortion_below, invariants, wedge_constraint_ok
-from .util import extgcd, frac_str, gcd3, ln_fraction
+from .latinv import (
+    canonical_sign,
+    distortion_below,
+    invariants,
+    vector_with_wedge,
+    wedge_constraint_ok,
+    wedge_residue,
+)
+from .util import frac_str, gcd3, ln_fraction
 
 # Height slots are sampled on this arithmetic progression; the stride
 # guarantees distinct slots produce children whose domains cannot meet.
 SLOT_STRIDE = 20
-
-
-def _wedge_residue(u: PrimVec, target: Wedge2) -> int:
-    """Height residue class (mod |u|) forced by the wedge equation.
-
-    A height h admits a vector v with wedge(v, u) = target exactly when
-    h lies in this class; the numerators are then determined.
-    """
-    d, s, t = extgcd(u.p1, u.p2)
-    g, e, _ = extgcd(d, u.q)
-    if g != 1:
-        raise ValueError(f"{u} is not primitive")
-    alpha, beta = e * s, e * t
-    return (-(alpha * target.m13 + beta * target.m23)) % u.q
-
-
-def _vector_with_wedge(u: PrimVec, target: Wedge2, h: int) -> PrimVec:
-    """The vector v of height h with wedge(v, u) = target, exactly."""
-    num1 = target.m13 + h * u.p1
-    num2 = target.m23 + h * u.p2
-    if num1 % u.q or num2 % u.q:
-        raise ValueError(f"height {h} is not in the residue class of the target")
-    v = PrimVec(num1 // u.q, num2 // u.q, h)
-    assert wedge(v, u).as_tuple() == target.as_tuple()
-    return v
 
 
 def coprime_pairs(n: int) -> list[tuple[int, int]]:
@@ -165,8 +147,8 @@ def child_vector(u: PrimVec, a: int, b: int, c: int, eps) -> PrimVec:
         )
     target = slot_sublattice(u, a, b)
     assert wedge_constraint_ok(target, u)
-    z = _wedge_residue(u, target)
-    v = _vector_with_wedge(u, target, c * u.q + z)
+    z = wedge_residue(u, target)
+    v = vector_with_wedge(u, target, c * u.q + z)
     assert v.q // u.q == c
     return v
 
@@ -654,9 +636,9 @@ def slow_step(u: PrimVec, eps_prime) -> tuple[PrimVec, dict]:
     target = inv.Lhat
     bound = Fraction(inv.absLhat**2) / eps_prime**3
     base = math.floor(bound) + 1
-    z = _wedge_residue(u, target)
+    z = wedge_residue(u, target)
     h = base + ((z - base) % u.q)
-    v = _vector_with_wedge(u, target, h)
+    v = vector_with_wedge(u, target, h)
     inv_v = invariants(v)
     log_eps_v = ln_fraction(inv_v.eps3) / 3
     log_eps_p = ln_fraction(eps_prime)
@@ -680,8 +662,14 @@ def slow_chain(
     the schedule dictates at the current clock reading.  The returned certificate
     samples the true profile of the limit point and checks it never dips
     below the target by more than the measured envelope
-    3 * (alignment bound) + (float defect).
+    3 * (alignment bound) + (float defect).  The sampled window runs from
+    the first child to the second-to-last node, so it needs steps >= 3;
+    the samples span it end to end, so they need samples >= 2.
     """
+    if steps < 3:
+        raise ValueError(f"slow chain needs steps >= 3, got {steps}")
+    if samples < 2:
+        raise ValueError(f"slow chain needs samples >= 2, got {samples}")
     chain = seed_chain(u0, kind="slow")
     inv0 = invariants(u0)
     f_third = lambda t: -w_target(t) / 3
@@ -818,7 +806,7 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
         inv = invariants(node.u)
         kappa = Fraction(inv.absLhat * inv.absL, node.u.q)
         min_kappa = kappa if min_kappa is None else min(min_kappa, kappa)
-        diam = 4 * Fraction(inv.absL, node.u.q**2)
+        diam = 4 * _domain_radius(node.u)
         floor_val = rho * diam
         balls = []
         for ch in node.children:

@@ -15,11 +15,12 @@ of L(v); ties are broken by the canonical key documented at `class_key`.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import NormChoice, PrimVec, Wedge2, wedge
+from .core import PrimVec, Wedge2, wedge
 from .util import extgcd, gcd3, ln_fraction
 
 Pair = tuple[int, int]
@@ -264,16 +265,13 @@ class LatticeBasis:
         return Fraction(abs(self.pair_det), self.v.q * self.v.q)
 
 
-def reduced_basis(v: PrimVec, norm: NormChoice = "sup") -> LatticeBasis:
+def reduced_basis(v: PrimVec) -> LatticeBasis:
     """Lagrange-reduced basis (b1, b2) = (L(v), Hhat(v)) of the wedge lattice.
 
     The two successive minima of a planar lattice always form a basis, and
-    that basis is Lagrange-reduced by minimality.  Only the sup norm is
-    implemented for the ordering; `norm` is accepted for interface
-    compatibility and validated.
+    that basis is Lagrange-reduced by minimality (in the sup-norm ordering
+    of `class_key`).
     """
-    if norm not in ("sup", "euclid"):
-        raise ValueError(f"unknown norm {norm!r}")
     L, H = lattice_minima(v)
     basis = LatticeBasis(v, L, H, reduced=True)
     assert wedge_constraint_ok(L, v) and wedge_constraint_ok(H, v)
@@ -308,11 +306,6 @@ class Invariants:
         return math.exp(ln_fraction(self.eps3) / 2)
 
     @property
-    def delta(self) -> float:
-        """delta(v) = |v|^{1/2} * absL/|v|; numerically equal to eps32."""
-        return self.eps32
-
-    @property
     def tau(self) -> float:
         return ln_fraction(self.exp3tau) / 3
 
@@ -326,12 +319,18 @@ class Invariants:
             "eps_cubed": f"{self.eps3.numerator}/{self.eps3.denominator}",
             "exp_3tau": f"{self.exp3tau.numerator}/{self.exp3tau.denominator}",
             "eps_float": self.eps,
-            "delta_float": self.delta,
+            "delta_float": self.eps32,
             "tau_float": self.tau,
         }
 
 
+@functools.cache
 def invariants(v: PrimVec) -> Invariants:
+    """Shortest-class data of v, computed once per vector.
+
+    The result is memoized for the life of the process and shared by every
+    caller; `Invariants` is frozen, so callers cannot alter it.
+    """
     L, H = lattice_minima(v)
     absL = max(abs(L.m13), abs(L.m23))
     absH = max(abs(H.m13), abs(H.m23))
@@ -348,9 +347,32 @@ def distortion_below(v: PrimVec, eps: Fraction) -> bool:
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    L, _ = lattice_minima(v)
-    absL = max(abs(L.m13), abs(L.m23))
-    return Fraction(absL * absL, v.q) < eps ** 3
+    return invariants(v).eps3 < eps ** 3
+
+
+def wedge_residue(u: PrimVec, target: Wedge2) -> int:
+    """Height residue class (mod |u|) forced by the wedge equation.
+
+    A height h admits a vector v with wedge(v, u) = target exactly when
+    h lies in this class; the numerators are then determined.
+    """
+    d, s, t = extgcd(u.p1, u.p2)
+    g, e, _ = extgcd(d, u.q)
+    if g != 1:
+        raise ValueError(f"{u} is not primitive")
+    alpha, beta = e * s, e * t
+    return (-(alpha * target.m13 + beta * target.m23)) % u.q
+
+
+def vector_with_wedge(u: PrimVec, target: Wedge2, h: int) -> PrimVec:
+    """The vector v of height h with wedge(v, u) = target, exactly."""
+    num1 = target.m13 + h * u.p1
+    num2 = target.m23 + h * u.p2
+    if num1 % u.q or num2 % u.q:
+        raise ValueError(f"height {h} is not in the residue class of the target")
+    v = PrimVec(num1 // u.q, num2 // u.q, h)
+    assert wedge(v, u).as_tuple() == target.as_tuple()
+    return v
 
 
 def companion_pair(v: PrimVec, L: Wedge2) -> tuple[PrimVec, PrimVec]:
@@ -361,23 +383,9 @@ def companion_pair(v: PrimVec, L: Wedge2) -> tuple[PrimVec, PrimVec]:
     """
     if not wedge_constraint_ok(L, v):
         raise ValueError(f"{L} is not a wedge with {v}")
-    d, s, t = extgcd(v.p1, v.p2)
-    g, e, f = extgcd(d, v.q)
-    assert g == 1
-    alpha, beta = e * s, e * t
-
-    def solve(T: Wedge2) -> PrimVec:
-        r = (-(alpha * T.m13 + beta * T.m23)) % v.q
-        h = r if r > 0 else v.q
-        num1 = T.m13 + h * v.p1
-        num2 = T.m23 + h * v.p2
-        assert num1 % v.q == 0 and num2 % v.q == 0
-        return PrimVec(num1 // v.q, num2 // v.q, h)
-
-    up = solve(L)
-    um = solve(L.neg())
-    assert wedge(up, v).as_tuple() == L.as_tuple()
-    assert wedge(um, v).as_tuple() == L.neg().as_tuple()
+    up, um = (
+        vector_with_wedge(v, T, wedge_residue(v, T) or v.q) for T in (L, L.neg())
+    )
     if up.q < v.q:
         assert (up.p1 + um.p1, up.p2 + um.p2, up.q + um.q) == v.as_tuple()
     else:

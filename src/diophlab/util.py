@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 import os
-import random
 from fractions import Fraction
 
 
@@ -63,7 +62,3 @@ def resolve_seed(cli_seed: int | None) -> int:
     if env is not None:
         return int(env)
     return 0
-
-
-def make_rng(seed: int) -> random.Random:
-    return random.Random(seed)

@@ -73,6 +73,10 @@ def test_usage_errors_exit_two(capsys):
     assert run(["invariants", "--v", "0,0,0"]) == 2
     assert run(["dims", "cantor"]) == 2  # missing --delta
     assert run(["dn", "--n", "10"]) == 2  # level below the supported floor
+    # a slow-chain certificate needs a nonempty window and two samples
+    for argv in (["--samples", "0"], ["--samples", "1"],
+                 ["--steps", "0"], ["--steps", "1"], ["--steps", "2"]):
+        assert run(["slow-chain", *argv]) == 2, argv
     capsys.readouterr()
 
 
@@ -218,6 +222,17 @@ def test_psi_tree_small_run(capsys):
     assert doc["depth1_children"] == 6
     assert doc["totals"]["nodes"] == 19
     assert all(v == 0 for v in doc["fails"].values())
+
+
+def test_psi_tree_without_sibling_pairs(capsys):
+    # one child per node: no spacing pair exists, so no spacing ratio
+    code, doc = run_json(
+        capsys, ["psi-tree", "--depth", "2", "--expand", "1", "--width", "1"]
+    )
+    assert code in (0, 1)
+    assert doc["totals"]["spacing_pairs"] == 0
+    assert doc["min_spacing_ratio"] is None
+    jsonschema.validate(doc, load_schema("psi-tree"))
 
 
 def test_slow_chain_certificate(capsys):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diophlab import latinv
+from diophlab.construct import expansion_tree, tree_audit
 from diophlab.core import PrimVec, Wedge2, pvec, wedge
 from diophlab.latinv import (
     Invariants,
@@ -97,7 +99,7 @@ def test_invariants_unit():
     assert inv.exp3tau == 1
     assert inv.eps == 1.0
     assert inv.tau == 0.0
-    assert inv.delta == 1.0
+    assert inv.eps32 == 1.0
 
 
 def test_invariants_psi_output_window():
@@ -108,6 +110,23 @@ def test_invariants_psi_output_window():
     assert Fraction(1, 8) ** 3 > inv.eps3 > Fraction(1, 16) ** 3
     assert distortion_below(pvec(0, 1, 520), Fraction(1, 8))
     assert not distortion_below(pvec(0, 1, 520), Fraction(1, 16))
+
+
+def test_tree_computes_each_vector_once(monkeypatch):
+    # every tree invariant comes from the memoized invariants(v), so the
+    # minima of each distinct vector are computed exactly once
+    seen = []
+
+    def counting(v):
+        seen.append(v)
+        return lattice_minima(v)
+
+    invariants.cache_clear()
+    monkeypatch.setattr(latinv, "lattice_minima", counting)
+    eps = Fraction(1, 8)
+    root = expansion_tree(pvec(0, 0, 1), eps, depth=2, expand=2, width=6)
+    assert tree_audit(root, eps)["ok"]
+    assert len(seen) == len(set(seen)) == 19
 
 
 def test_distortion_strictness():
