@@ -177,12 +177,25 @@ def _domain_radius(v: PrimVec) -> Fraction:
     return Fraction(invariants(v).absL, v.q * v.q)
 
 
+def _gap_bound(va: PrimVec, vb: PrimVec) -> tuple[int, int]:
+    """Exact lower bound num/den, den = |va|^2 |vb|^2, on the sup distance
+    between the domains of va and vb: the distance of their rational points
+    minus both outer radii 2|L(v)|/|v|^2."""
+    qa, qb = va.q, vb.q
+    num = (
+        seminorm(wedge(va, vb)) * qa * qb
+        - 2 * invariants(va).absL * qb * qb
+        - 2 * invariants(vb).absL * qa * qa
+    )
+    return num, qa * qa * qb * qb
+
+
 def verify_spacing(u: PrimVec, va: PrimVec, vb: PrimVec, eps, n: int = 1) -> dict:
     """Exact separation certificate for two children of u.
 
     Bounds the distance between the children's domains from below by
-    center distance minus both outer radii, and the parent domain's
-    diameter from above by four times its radius, then checks
+    center distance minus both outer radii (`_gap_bound`), and the parent
+    domain's diameter from above by four times its radius, then checks
 
         dist(domain(va), domain(vb)) >= rho * diam(domain(u))
 
@@ -193,11 +206,7 @@ def verify_spacing(u: PrimVec, va: PrimVec, vb: PrimVec, eps, n: int = 1) -> dic
         raise ValueError("spacing needs two distinct children")
     rho = spacing_floor(eps, n)
     diam = 4 * _domain_radius(u)
-    lower = (
-        _sup_dist(va.proj(), vb.proj())
-        - 2 * _domain_radius(va)
-        - 2 * _domain_radius(vb)
-    )
+    lower = Fraction(*_gap_bound(va, vb))
     floor_val = rho * diam
     return {
         "ok": lower > floor_val,
@@ -611,7 +620,10 @@ def regularize_schedule(f_target, delta, t0, steps: int = 8) -> Schedule:
     if delta <= 0:
         raise ValueError("delta must be positive")
     t0 = Fraction(t0)
-    y0 = Fraction(f_target(float(t0)))
+    y0 = f_target(float(t0))
+    if not math.isfinite(y0):
+        raise ValueError(f"target must be finite, got {y0}")
+    y0 = Fraction(y0)
     if y0 <= 0:
         raise ValueError("target must be positive at the start")
     sched = Schedule(delta, [(t0, y0)], f_target)
@@ -752,6 +764,10 @@ def expansion_tree(
     """Branching family: every expanded node materialises its lex-first
     `width` children (split evenly across sublattice pairs), and the
     lex-first `expand` of those recurse until `depth` levels."""
+    if min(depth, expand, width) < 0:
+        raise ValueError(
+            f"depth, expand and width must be nonnegative, got {depth}, {expand}, {width}"
+        )
     pairs = len(coprime_pairs(n))
     per_pair = max(1, width // pairs)
     root = TreeNode(seed, None, 0)
@@ -808,7 +824,6 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
         min_kappa = kappa if min_kappa is None else min(min_kappa, kappa)
         diam = 4 * _domain_radius(node.u)
         floor_val = rho * diam
-        balls = []
         for ch in node.children:
             totals["edges"] += 1
             if not admissible_successor(node.u, ch.u, eps)["ok"]:
@@ -822,19 +837,20 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
                 totals["growth_checked"] += 1
                 if not g["ok"]:
                     fails["growth"] += 1
-            pt = ch.u.proj()
-            balls.append((pt.x1, pt.x2, 2 * _domain_radius(ch.u)))
-        for i in range(len(balls)):
-            x1, y1, r1 = balls[i]
-            for j in range(i + 1, len(balls)):
-                x2, y2, r2 = balls[j]
+        kids = [ch.u for ch in node.children]
+        least = None  # least gap bound (num, den) over this node's sibling pairs
+        for i, va in enumerate(kids):
+            for vb in kids[i + 1:]:
                 totals["spacing_pairs"] += 1
-                lower = max(abs(x1 - x2), abs(y1 - y2)) - r1 - r2
-                if lower <= floor_val:
+                num, den = _gap_bound(va, vb)
+                if num * floor_val.denominator <= floor_val.numerator * den:
                     fails["spacing"] += 1
-                ratio = lower / floor_val
-                if min_spacing_ratio is None or ratio < min_spacing_ratio:
-                    min_spacing_ratio = ratio
+                if least is None or num * least[1] < least[0] * den:
+                    least = (num, den)
+        if least is not None:
+            ratio = Fraction(*least) / floor_val
+            if min_spacing_ratio is None or ratio < min_spacing_ratio:
+                min_spacing_ratio = ratio
     return {
         "totals": totals,
         "fails": fails,

@@ -8,7 +8,7 @@ wedge of two such vectors is kept as the integer triple of 2x2 minors
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal
 
@@ -23,21 +23,28 @@ class RatPoint:
 
     x1: Fraction
     x2: Fraction
+    _common: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "x1", Fraction(self.x1))
-        object.__setattr__(self, "x2", Fraction(self.x2))
+        x1, x2 = Fraction(self.x1), Fraction(self.x2)
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "x2", x2)
+        d = math.lcm(x1.denominator, x2.denominator)
+        object.__setattr__(self, "_common", (
+            x1.numerator * (d // x1.denominator),
+            x2.numerator * (d // x2.denominator), d))
 
     @property
     def coords(self) -> tuple[Fraction, Fraction]:
         return (self.x1, self.x2)
 
     def common_denominator(self) -> tuple[int, int, int]:
-        """Return (n1, n2, D) with x = (n1/D, n2/D), D > 0 minimal."""
-        d = self.x1.denominator * self.x2.denominator // math.gcd(
-            self.x1.denominator, self.x2.denominator)
-        return (self.x1.numerator * (d // self.x1.denominator),
-                self.x2.numerator * (d // self.x2.denominator), d)
+        """Return (n1, n2, D) with x = (n1/D, n2/D), D > 0 minimal.
+
+        Computed once, when the point is made; height scans ask for it at
+        every height.
+        """
+        return self._common
 
 
 @dataclass(frozen=True)

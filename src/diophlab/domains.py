@@ -103,6 +103,8 @@ def audit_ball_sandwich(v: PrimVec, rejects: int = 40) -> dict:
     every member found on a deterministic coarse sweep of the 4r box must
     lie within the outer ball.  All comparisons exact.
     """
+    if rejects < 0:
+        raise ValueError(f"rejects must be nonnegative, got {rejects}")
     bb = ball_bounds(v)
     c = bb.center
     inner_ok = all(in_domain(p, v) for p in domain_samples(v, bb.inner))

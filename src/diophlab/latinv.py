@@ -97,85 +97,34 @@ def _lagrange_reduce(b1: Pair, b2: Pair) -> tuple[Pair, Pair]:
 
 
 def _line_candidates(base: Pair, step: Pair) -> list[Pair]:
-    """Integer points base + n*step likely to carry the sup/Euclid minima.
+    """Every point of the line base + n*step that can rank first or second
+    on it by `class_key`.
 
-    Collects: the integer neighborhood of the exact sup-norm minimizer, the
-    endpoints of the flat sup-norm bottom, and the (clamped) Euclidean
-    minimizer.  The sup norm along the line is a max of two absolute linear
-    forms, so its sublevel sets are intervals and this set is exhaustive for
-    the purposes of the class ordering key.
+    The sup norm along the line is convex and piecewise linear in n, so its
+    integer minimum s lies next to one of the four breakpoints (the zeros
+    of the two forms and their two crossings), and {n : sup <= s} is an
+    interval [lo, hi].  Inside it the squared Euclidean norm, a convex
+    quadratic, ranks the points from its real minimizer outwards; outside
+    it the sup norm rises strictly, so lo - 1 and hi + 1 beat every other
+    point off the bottom.  All arithmetic is on integers.
     """
     A, B = base
     C, D = step
-    out: set[Pair] = set()
 
-    def add(n: int):
-        out.add((A + n * C, B + n * D))
+    def sup(n: int) -> int:
+        return max(abs(A + n * C), abs(B + n * D))
 
-    # exact sup-norm minimum over real n
-    #   f(n) = max(|A + nC|, |B + nD|)
-    # candidate minimizers: zeros of each form and the crossing points
-    cands: list[Fraction] = []
-    if C != 0:
-        cands.append(Fraction(-A, C))
-    if D != 0:
-        cands.append(Fraction(-B, D))
-    # crossings of |A+nC| = |B+nD|
-    for s in (1, -1):
-        den = C - s * D
-        if den != 0:
-            cands.append(Fraction(s * B - A, den))
-    if not cands:
-        return [(A, B)]
-    fmin = None
-    for t in cands:
-        val = max(abs(A + t * C), abs(B + t * D))
-        if fmin is None or val < fmin:
-            fmin = val
-    for t in cands:
-        n0 = math.floor(t)
-        for n in range(n0 - 2, n0 + 4):
-            add(n)
-    # integer sup-norm minimum s_min over the collected neighborhood
-    s_min = min(max(abs(x), abs(y)) for (x, y) in out)
-    # flat bottom {n : f(n) <= s_min} is an interval; its endpoints matter
-    # for the Euclidean tie-break when the Euclid minimizer falls outside.
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-
-    def intersect(lo, hi, l2, h2):
-        l = l2 if lo is None else max(lo, l2)
-        h = h2 if hi is None else min(hi, h2)
-        return l, h
-
-    feasible = True
-    for (K, S) in ((A, C), (B, D)):
-        if S == 0:
-            if abs(K) > s_min:
-                feasible = False
-                break
-            continue
-        l2 = Fraction(-s_min - K, S)
-        h2 = Fraction(s_min - K, S)
-        if l2 > h2:
-            l2, h2 = h2, l2
-        lo, hi = intersect(lo, hi, l2, h2)
-    if feasible and lo is not None and hi is not None and lo <= hi:
-        nlo = math.ceil(lo)
-        nhi = math.floor(hi)
-        for n in (nlo, nlo + 1, nhi - 1, nhi):
-            add(n)
-        # Euclidean minimizer clamped into the bottom
-        den = C * C + D * D
-        if den:
-            ne = Fraction(-(A * C + B * D), den)
-            ne = min(max(ne, Fraction(nlo)), Fraction(nhi))
-            n0 = math.floor(ne)
-            for n in range(n0 - 1, n0 + 3):
-                if nlo <= n <= nhi:
-                    add(n)
-    out.discard((0, 0))
-    return list(out)
+    breaks = ((-A, C), (-B, D), (B - A, C - D), (-B - A, C + D))
+    s = min(sup(n) for num, den in breaks if den
+            for n in (num // den, num // den + 1))
+    forms = [(K, S) if S > 0 else (-K, -S) for K, S in ((A, C), (B, D)) if S]
+    lo = max(-((s + K) // S) for K, S in forms)
+    hi = min((s - K) // S for K, S in forms)
+    # the floor of the Euclidean minimizer, clamped into the bottom: the
+    # best two points of the bottom lie in f-1..f+1
+    f = min(max(-(A * C + B * D) // (C * C + D * D), lo), hi)
+    ns = {lo - 1, hi + 1, *range(max(f - 1, lo), min(f + 1, hi) + 1)}
+    return [(A + n * C, B + n * D) for n in sorted(ns)]
 
 
 def lattice_minima(v: PrimVec) -> tuple[Wedge2, Wedge2]:
@@ -184,17 +133,15 @@ def lattice_minima(v: PrimVec) -> tuple[Wedge2, Wedge2]:
     Reduction plus a bounded slice enumeration: in a Lagrange-reduced basis
     (a, b) every point with sup norm up to the second minimum has b-coefficient
     in {-1, 0, 1}, because ||a|| ||b|| <= (2/sqrt3) covol and the orthogonal
-    part of b is covol/||a||.
+    part of b is covol/||a||.  The b-coefficient 0 contributes only a (its
+    multiples are longer).  The line -b + Z*a is the negation of b + Z*a,
+    and +-classes identify the two, so ranking a together with the best two
+    points of the single line b + Z*a finds both minima: whichever of L and
+    Hhat is not a lies on that line, and so does the runner-up when L does.
     """
     a, b = _lagrange_reduce(*pair_basis(v))
-    pts: set[Pair] = set()
-    for m in (-1, 0, 1):
-        base = (m * b[0], m * b[1])
-        if m == 0:
-            pts.add(_canonical_pair(*a))
-            continue
-        for p in _line_candidates(base, a):
-            pts.add(_canonical_pair(*p))
+    pts = {_canonical_pair(*a)}
+    pts.update(_canonical_pair(*p) for p in _line_candidates(b, a))
     ranked = sorted(pts, key=lambda p: class_key(*p))
     Lp = ranked[0]
     Hp = None

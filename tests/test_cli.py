@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface: exit codes, output
 formats, schema conformance, determinism, and the fault-injection path."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from diophlab.cli import AUDIT_ITEMS, build_parser, run
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+BENCH_GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
 
 
 def run_json(capsys, argv):
@@ -68,6 +70,18 @@ def test_dims_bounds(capsys):
     assert 0 < doc["gap"] < doc["density"] <= 1
 
 
+def test_readme_tree_matches_bench_golden(capsys):
+    # the README-shape tree prints exactly the bytes pinned by the benchmark
+    argv = ["psi-tree", "--seed-vec", "0,0,1", "--eps", "1/8", "--depth", "3",
+            "--width", "50", "--expand", "5"]
+    with open(BENCH_GOLDEN) as fh:
+        want = json.load(fh)[" ".join(argv)]
+    code = run(argv)
+    out = capsys.readouterr().out.encode()
+    assert code == want["exit"]
+    assert hashlib.sha256(out).hexdigest() == want["sha256"]
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(["best-approx", "--x", "bogus", "--qmax", "5"]) == 2
     assert run(["invariants", "--v", "0,0,0"]) == 2
@@ -77,6 +91,12 @@ def test_usage_errors_exit_two(capsys):
     for argv in (["--samples", "0"], ["--samples", "1"],
                  ["--steps", "0"], ["--steps", "1"], ["--steps", "2"]):
         assert run(["slow-chain", *argv]) == 2, argv
+    # a negative sweep size or tree size, and an infinite target level
+    assert run(["domain", "--v", "1,2,5", "--rejects", "-1"]) == 2
+    assert run(["slow-chain", "--target", "const", "--level", "inf"]) == 2
+    assert run(["psi-tree", "--expand", "-1"]) == 2
+    assert run(["psi-tree", "--width", "-1"]) == 2
+    assert run(["psi-tree", "--depth", "-1"]) == 2
     capsys.readouterr()
 
 

@@ -347,6 +347,25 @@ def test_spacing_adjacent_same_pair():
     assert verify_spacing(SEED, u1, u2, EIGHTH)["ok"]
 
 
+@pytest.mark.parametrize("eps, spacing_fails", [(EIGHTH, 0), (F(49, 100), 58)])
+def test_tree_audit_spacing_matches_verify_spacing(eps, spacing_fails):
+    # tree_audit and verify_spacing share one gap bound, so the audit of a
+    # tree gives the failure count and least ratio of the pairwise route,
+    # also at a loose eps where many sibling pairs miss the floor
+    root = expansion_tree(SEED, EIGHTH, depth=2, width=8)
+    rep = tree_audit(root, eps)
+    reports = [
+        verify_spacing(node.u, kids[i].u, kids[j].u, eps)
+        for node in iter_tree(root)
+        for kids in [node.children]
+        for i in range(len(kids))
+        for j in range(i + 1, len(kids))
+    ]
+    assert len(reports) == rep["totals"]["spacing_pairs"]
+    assert sum(not r["ok"] for r in reports) == rep["fails"]["spacing"] == spacing_fails
+    assert min(r["ratio"] for r in reports) == rep["min_spacing_ratio"]
+
+
 def test_spacing_rejects_equal():
     u1 = child_vector(SEED, 1, 0, 520, EIGHTH)
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from diophlab.construct import expansion_tree, tree_audit
 from diophlab.core import PrimVec, Wedge2, pvec, wedge
 from diophlab.latinv import (
     Invariants,
+    class_key,
     companion_pair,
     distortion_below,
     invariants,
@@ -196,6 +197,32 @@ def test_minima_match_class_scan():
         Ls, Hs = scan_minima(v)
         assert L.as_tuple() == Ls.as_tuple(), v
         assert H.as_tuple() == Hs.as_tuple(), v
+
+
+def test_line_candidates_hold_the_best_two_points():
+    # Brute force over |n| <= 3R + 1: past it the sup norm exceeds 2R, more
+    # than at n = 0 and n = 1, so the best two points and the whole flat
+    # bottom of the sup norm lie inside the window.
+    rng = random.Random(11)
+    R = 15
+    for _ in range(3000):
+        A, B, C, D = (rng.randint(-R, R) for _ in range(4))
+        if A * D - B * C == 0:  # the line must miss the origin
+            continue
+        line = [(A + n * C, B + n * D) for n in range(-3 * R - 1, 3 * R + 2)]
+        best = sorted(line, key=lambda p: class_key(*p))[:2]
+        assert set(best) <= set(latinv._line_candidates((A, B), (C, D))), (A, B, C, D)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 8), Fraction(3, 25)])
+def test_minima_routes_agree_on_tree_children(eps):
+    # the skewed lattices of the expansion trees, whose sup norm has a
+    # flat bottom about |v| wide along the enumerated line
+    root = expansion_tree(pvec(0, 0, 1), eps, depth=1)
+    assert len(root.children) == 50
+    for ch in root.children:
+        assert ch.u.q < 1100
+        assert lattice_minima(ch.u) == scan_minima(ch.u), ch.u
 
 
 @settings(max_examples=60, deadline=None)
