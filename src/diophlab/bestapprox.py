@@ -196,16 +196,6 @@ class PLProfile:
             for v, r in zip(self.seq.items, self.seq.residuals)
         )
 
-    def minimizer_at(self, T) -> PrimVec:
-        T = Fraction(T)
-        best = None
-        arg = None
-        for v, r in zip(self.seq.items, self.seq.residuals):
-            val = max(T * r, Fraction(v.q))
-            if best is None or val < best:
-                best, arg = val, v
-        return arg
-
     def log_length_at(self, T) -> float:
         """W value at time t = (1/3) log T, as a float."""
         T = Fraction(T)
@@ -290,18 +280,20 @@ def shortest_vector_oracle(
     return best_vec, best_val
 
 
-def _gso_from_gram(gram: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Gram-Schmidt coefficients mu and squared lengths from a Gram matrix."""
-    n = len(gram)
+def _gso(basis: list[tuple[int, int, int]]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Gram-Schmidt coefficients mu and squared lengths of integer rows."""
+    n = len(basis)
     mu = [[Fraction(0)] * n for _ in range(n)]
     bstar = [Fraction(0)] * n
     for i in range(n):
+        bi = basis[i]
         for j in range(i):
-            acc = gram[i][j]
+            bj = basis[j]
+            acc = Fraction(bi[0] * bj[0] + bi[1] * bj[1] + bi[2] * bj[2])
             for k in range(j):
                 acc -= mu[j][k] * mu[i][k] * bstar[k]
             mu[i][j] = acc / bstar[j]
-        acc = gram[i][i]
+        acc = Fraction(bi[0] * bi[0] + bi[1] * bi[1] + bi[2] * bi[2])
         for k in range(i):
             acc -= mu[i][k] ** 2 * bstar[k]
         bstar[i] = acc
@@ -319,45 +311,31 @@ def shortest_vector_reduced(x: RatPoint, T) -> tuple[tuple[int, int, int], Fract
 
     Same contract as shortest_vector_oracle, but runs in time polynomial in
     the bit sizes rather than linear in the answer, so it stays usable when
-    the minimum has dozens of digits.  Reduces the Euclidean form
+    the minimum has dozens of digits.  With T = a/b and x = (n1/D, n2/D),
+    the integer map
 
-        E(p1, p2, q) = T^2 (q x1 - p1)^2 + T^2 (q x2 - p2)^2 + q^2
+        phi(p1, p2, q) = (a (q n1 - D p1), a (q n2 - D p2), b D q)
 
-    with an exact rational LLL pass, then enumerates E <= 3 m0^2 where m0
-    is the best sup score among the reduced basis vectors.  Any sup
-    minimizer m satisfies E <= 3 m^2 <= 3 m0^2, so it lies inside the
-    enumerated ellipsoid and the exact sup comparison over the candidates
-    is a certificate.
+    carries Z^3 onto the lattice with rows (-aD, 0, 0), (0, -aD, 0),
+    (a n1, a n2, bD), and the sup score of v is ||phi(v)||_inf / (bD).  The
+    rows are LLL-reduced in exact integer arithmetic, then the enumeration
+    covers ||w||^2 <= 3 m0^2, where m0 is the least sup norm among the
+    reduced rows.  Any sup minimizer w satisfies ||w||^2 <= 3 ||w||_inf^2
+    <= 3 m0^2, so it lies inside the enumerated ball and the exact sup
+    comparison over the candidates is a certificate.
     """
     T = Fraction(T)
     if T <= 0:
         raise ValueError("T must be positive")
-    x1, x2 = x.coords
-    T2 = T * T
+    a, b = T.numerator, T.denominator
+    n1, n2, d = x.common_denominator()
+    bd = b * d
+    basis = [(-a * d, 0, 0), (0, -a * d, 0), (a * n1, a * n2, bd)]
 
-    def euclid(v: tuple[int, int, int]) -> Fraction:
-        a, b, q = v
-        return T2 * ((q * x1 - a) ** 2 + (q * x2 - b) ** 2) + q * q
-
-    def bil(u: tuple[int, int, int], v: tuple[int, int, int]) -> Fraction:
-        s = (u[0] + v[0], u[1] + v[1], u[2] + v[2])
-        return (euclid(s) - euclid(u) - euclid(v)) / 2
-
-    def supscore(v: tuple[int, int, int]) -> Fraction:
-        a, b, q = v
-        r = max(abs(q * x1 - a), abs(q * x2 - b))
-        return max(T * r, Fraction(abs(q)))
-
-    basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-
-    def gram() -> list[list[Fraction]]:
-        return [[bil(basis[i], basis[j]) for j in range(3)] for i in range(3)]
-
-    # LLL with the classical 3/4 parameter, Gram recomputed per step (the
-    # dimension is 3; clarity beats the incremental updates).
+    # LLL with the classical 3/4 parameter, Gram-Schmidt redone per step.
     k = 1
     while k < 3:
-        mu, bstar = _gso_from_gram(gram())
+        mu, bstar = _gso(basis)
         for j in range(k - 1, -1, -1):
             r = nearest_int(mu[k][j])
             if r:
@@ -367,19 +345,17 @@ def shortest_vector_reduced(x: RatPoint, T) -> tuple[tuple[int, int, int], Fract
                     basis[k][1] - r * bj[1],
                     basis[k][2] - r * bj[2],
                 )
-                mu, bstar = _gso_from_gram(gram())
+                mu, bstar = _gso(basis)
         if bstar[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1]:
             k += 1
         else:
             basis[k], basis[k - 1] = basis[k - 1], basis[k]
             k = max(k - 1, 1)
 
-    mu, bstar = _gso_from_gram(gram())
-    m0 = min(supscore(v) for v in basis)
+    mu, bstar = _gso(basis)
+    best_vec = min(basis, key=lambda w: max(map(abs, w)))
+    best = m0 = max(map(abs, best_vec))
     radius = 3 * m0 * m0
-
-    best_val = m0
-    best_vec = min((v for v in basis), key=supscore)
 
     s2 = _sqrt_upper(radius / bstar[2])
     for c2 in range(-math.floor(s2), math.floor(s2) + 1):
@@ -397,20 +373,22 @@ def shortest_vector_reduced(x: RatPoint, T) -> tuple[tuple[int, int, int], Fract
             for c0 in range(math.ceil(mid0 - s0), math.floor(mid0 + s0) + 1):
                 if c0 == 0 and c1 == 0 and c2 == 0:
                     continue
-                v = (
+                w = (
                     c0 * basis[0][0] + c1 * basis[1][0] + c2 * basis[2][0],
                     c0 * basis[0][1] + c1 * basis[1][1] + c2 * basis[2][1],
                     c0 * basis[0][2] + c1 * basis[1][2] + c2 * basis[2][2],
                 )
-                val = supscore(v)
-                if val < best_val:
-                    best_val = val
-                    best_vec = v
+                val = max(abs(w[0]), abs(w[1]), abs(w[2]))
+                if val < best:
+                    best = val
+                    best_vec = w
 
-    a, b, q = best_vec
-    if q < 0 or (q == 0 and (a < 0 or (a == 0 and b < 0))):
-        a, b, q = -a, -b, -q
-    return (a, b, q), best_val
+    q = best_vec[2] // bd
+    p1 = (a * q * n1 - best_vec[0]) // (a * d)
+    p2 = (a * q * n2 - best_vec[1]) // (a * d)
+    if q < 0 or (q == 0 and (p1 < 0 or (p1 == 0 and p2 < 0))):
+        p1, p2, q = -p1, -p2, -q
+    return (p1, p2, q), Fraction(best, bd)
 
 
 def accelerated_subsequence(seq: BestApproxSeq) -> list[PrimVec]:

@@ -70,11 +70,8 @@ class RunConfig:
     subcommand reports a root-finding residual to hold it against.
     """
 
-    subcommand: str
     fmt: str = "json"
     norm: NormChoice = "sup"
-    seed: int = 0
-    jobs: int = 1
     tolerance: float | None = None
 
     def __post_init__(self):
@@ -82,8 +79,6 @@ class RunConfig:
             raise ValueError(f"format must be one of {FORMATS}, got {self.fmt!r}")
         if self.norm not in ("sup", "euclid"):
             raise ValueError(f"unknown norm {self.norm!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
         if self.tolerance is not None and not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
 
@@ -94,11 +89,8 @@ class RunConfig:
 
 def config_from_args(args) -> RunConfig:
     return RunConfig(
-        subcommand=args.command,
         fmt=args.format,
         norm=getattr(args, "norm", "sup"),
-        seed=resolve_seed(args.seed),
-        jobs=args.jobs,
         tolerance=getattr(args, "tol", None),
     )
 
@@ -811,11 +803,13 @@ def _run_item(entry: tuple[int, int, str | None]) -> dict:
 
 
 def cmd_audit_all(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
-    seed = cfg.seed
+    seed = resolve_seed(args.seed)
+    if args.jobs < 1:
+        raise ValueError("jobs must be at least 1")
     fault = args.inject_fault
     entries = [(i, seed, fault) for i in range(len(AUDIT_ITEMS))]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_item, entries))
     else:
         results = [_run_item(e) for e in entries]
@@ -845,10 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=list(FORMATS), default="json",
         help="output format (default: json)",
     )
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed; DIOPHLAB_SEED overrides the default 0")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for batch audits")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("best-approx", parents=[common],
@@ -929,10 +919,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit-all", parents=[common],
                        help="run the consolidated invariant audit corpus")
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed; DIOPHLAB_SEED overrides the default 0")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers for batch audits")
     p.add_argument("--inject-fault", choices=["tie-break"], default=None,
                    help="corrupt one checked rule to prove the audit bites")
     p.set_defaults(handler=cmd_audit_all)
 
+    # exact option names only: '--seed' must not stand for '--seed-vec'
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return ap
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cfrac import DNNode
-from .util import frac_str
+from .util import frac_str, ln_fraction
 
 IV_REL_TOL = 1e-9
 
@@ -266,13 +266,17 @@ def cantor_tree(delta, depth: int) -> CoverNode:
 
 
 def cantor_exact_dim(delta) -> DimResult:
-    """Root of 2^s = 1 + delta^s in (0, 1]."""
-    d = float(delta)
-    if not 0 < d <= 1:
+    """Root of 2^s = 1 + delta^s in (0, 1].
+
+    delta^s is exp(s ln delta) with ln delta taken from the exact rational,
+    so a delta below the binary64 range still gives its root."""
+    delta = Fraction(delta)
+    if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
+    ln_d = ln_fraction(delta)
 
     def g(s: float) -> float:
-        return 2.0**s - 1.0 - d**s
+        return 2.0**s - 1.0 - math.exp(s * ln_d)
 
     lo, hi = 1e-15, 1.0
     for _ in range(200):
@@ -287,11 +291,11 @@ def cantor_exact_dim(delta) -> DimResult:
 
 def cantor_bounds(delta) -> tuple[float, float]:
     """Density and gap lower bounds (h_d, h_g) for the distorted Cantor set."""
-    d = float(delta)
-    if not 0 < d < 1:
+    delta = Fraction(delta)
+    if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    h_d = math.log1p(d) / math.log(2)
-    h_g = math.log(2) / math.log(2 / d)
+    h_d = math.log1p(float(delta)) / math.log(2)
+    h_g = math.log(2) / (math.log(2) - ln_fraction(delta))
     return h_d, h_g
 
 

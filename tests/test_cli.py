@@ -1,14 +1,19 @@
 """End-to-end checks of the command-line interface: exit codes, output
 formats, schema conformance, determinism, and the fault-injection path."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diophlab.cli import AUDIT_ITEMS, build_parser, run
 
@@ -70,6 +75,21 @@ def test_dims_bounds(capsys):
     assert 0 < doc["gap"] < doc["density"] <= 1
 
 
+def test_dims_delta_below_float_range(capsys):
+    # 1e-400 is in range though float() of it is 0.0; the root of
+    # 2^s = 1 + delta^s is near 0.006, where 10^(-400 s) is an ordinary float
+    code, doc = run_json(capsys, ["dims", "cantor", "--delta", "1e-400"])
+    assert code == 0 and doc["within_tolerance"]
+    s = doc["s"]
+    assert 0.005 < s < 0.007
+    assert abs((2**s - 1) - 10 ** (-400 * s)) < 1e-12
+    code, doc = run_json(capsys, ["dims", "bounds", "--delta", "1e-400"])
+    assert code == 0
+    gap = math.log(2) / (math.log(2) + 400 * math.log(10))
+    assert doc["gap"] == pytest.approx(gap, rel=1e-12)
+    assert 0 <= doc["density"] < doc["gap"] < s
+
+
 def test_readme_tree_matches_bench_golden(capsys):
     # the README-shape tree prints exactly the bytes pinned by the benchmark
     argv = ["psi-tree", "--seed-vec", "0,0,1", "--eps", "1/8", "--depth", "3",
@@ -97,7 +117,71 @@ def test_usage_errors_exit_two(capsys):
     assert run(["psi-tree", "--expand", "-1"]) == 2
     assert run(["psi-tree", "--width", "-1"]) == 2
     assert run(["psi-tree", "--depth", "-1"]) == 2
+    # --seed and --jobs belong to audit-all alone
+    assert run(["psi-tree", "--seed", "1"]) == 2
+    assert run(["cf", "--x", "1/2", "--jobs", "2"]) == 2
+    # a delta beyond float range is out of range, not an overflow
+    assert run(["dims", "cantor", "--delta", "1e400"]) == 2
+    assert run(["dims", "bounds", "--delta", "1e400"]) == 2
     capsys.readouterr()
+
+
+# Number fields mix plain values with ones that break float conversion or
+# parsing.
+NUMBER = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.fractions(max_denominator=10**4).map(str),
+    st.sampled_from(["1e400", "-1e400", "1e-400", "nan", "inf", "1/0", "0.5", "x"]),
+)
+
+
+def _csv(*fields):
+    return st.tuples(*fields).map(lambda t: ",".join(map(str, t)))
+
+
+POINT = _csv(NUMBER, NUMBER)
+SMALL_VEC = _csv(st.integers(-20, 20), st.integers(-20, 20), st.integers(-3, 60))
+BIG_VEC = _csv(*[st.integers(-10**6, 10**6)] * 3)
+
+
+def _argv(head, required=None, **optional):
+    """The head words, every required option, and each optional one drawn
+    or left out.  Values go in as '--opt=value' so negative ones reach the
+    handler rather than the option parser."""
+    def opt(name, values):
+        return values.map(lambda v: [f"--{name}={v}"])
+
+    optional = {"format": st.sampled_from(["json", "tsv", "table"]), **optional}
+    parts = [st.just(head)]
+    parts += [opt(k, s) for k, s in (required or {}).items()]
+    parts += [st.one_of(st.just([]), opt(k, s)) for k, s in optional.items()]
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+CHEAP_ARGV = st.one_of(
+    _argv(["dims", "cantor"], delta=NUMBER, depth=st.integers(-2, 6), tol=NUMBER),
+    _argv(["dims", "bounds"], delta=NUMBER, tol=NUMBER),
+    _argv(["dims", "crossing"], tol=NUMBER),
+    _argv(["cf"], {"x": NUMBER}, n=st.integers(-5, 2000)),
+    # N stays small: 'dn --root' builds about 2N children
+    _argv(["dn"], {"n": st.integers(-5, 2000)}, root=NUMBER, tol=NUMBER),
+    _argv(["invariants"], {"v": BIG_VEC}),
+    _argv(["best-approx"], {"x": POINT, "qmax": st.integers(-3, 12)},
+          norm=st.sampled_from(["sup", "euclid"])),
+    _argv(["profile"], {"x": POINT, "qmax": st.integers(-3, 12)},
+          samples=st.integers(-2, 6)),
+    _argv(["domain"], {"v": SMALL_VEC}, x=POINT, rejects=st.integers(-2, 40)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=CHEAP_ARGV)
+def test_run_ends_with_a_contract_exit_code(argv):
+    # every input ends in 0, 1 or 2; no exception escapes run()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -666,6 +666,15 @@ def test_chain_wedges_independent(chain4):
 # ------------------------------------------- reduced oracle cross-check
 
 
+def _assert_realises(x, t_val, vec, score):
+    # the returned vector is nonzero, canonical, and scores exactly `score`
+    p1, p2, q = vec
+    assert vec != (0, 0, 0)
+    assert q > 0 or (q == 0 and (p1, p2) > (0, 0))
+    x1, x2 = x.coords
+    assert max(t_val * abs(q * x1 - p1), t_val * abs(q * x2 - p2), abs(q)) == score
+
+
 def test_reduced_matches_scan_oracle():
     rng = random.Random(20260819)
     for _ in range(20):
@@ -673,8 +682,9 @@ def test_reduced_matches_scan_oracle():
         x = RatPoint(F(rng.randint(1, den - 1), den), F(rng.randint(1, den - 1), den))
         t_val = F(rng.randint(2, 4000))
         _, m_scan = shortest_vector_oracle(x, t_val)
-        _, m_red = shortest_vector_reduced(x, t_val)
+        vec, m_red = shortest_vector_reduced(x, t_val)
         assert m_scan == m_red
+        _assert_realises(x, t_val, vec, m_red)
 
 
 def test_reduced_handles_huge_scale():
@@ -683,3 +693,19 @@ def test_reduced_handles_huge_scale():
     assert minimum > 0
     # Minkowski-style upper bound for the sup score at scale T
     assert float(minimum) <= 2 * float(F(5) * 10**21) ** (1 / 3)
+    _assert_realises(x, F(5) * 10**21, value, minimum)
+    # far beyond the scanning oracle: 20-digit targets, T up to 10^30
+    rng = random.Random(20261018)
+    for _ in range(20):
+        den = rng.randint(10**19, 10**20)
+        x = RatPoint(F(rng.randint(0, den), den), F(rng.randint(0, den), den))
+        t_val = F(rng.randint(1, 10**30), rng.randint(1, 1000))
+        _assert_realises(x, t_val, *shortest_vector_reduced(x, t_val))
+    # a rational point is reached exactly: the vector (p1, p2, q) with
+    # x = (p1/q, p2/q) scores q once T is large enough
+    vec, minimum = shortest_vector_reduced(RatPoint(F(2, 7), F(3, 7)), 10**30)
+    assert vec == (2, 3, 7) and minimum == 7
+    # below T = 1 a horizontal vector wins, and the sign rule applies at q = 0
+    vec, minimum = shortest_vector_reduced(x, F(1, 3))
+    assert vec[2] == 0 and minimum == F(1, 3)
+    _assert_realises(x, F(1, 3), vec, minimum)
