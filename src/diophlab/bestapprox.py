@@ -21,12 +21,7 @@ from fractions import Fraction
 
 from .core import PrimVec, RatPoint, proj_dist, residual, seminorm, wedge
 from .latinv import wedge_constraint_ok
-from .util import frac_str, gcd3, ln_fraction, nearest_int
-
-# Heights above this determine their minimizing numerator uniquely
-# (ball-packing in the sup norm).  Audits measure the actual maximum tie
-# height rather than trusting the constant.
-TIE_HEIGHT_THRESHOLD = 64
+from .util import frac_str, gcd3, ln_fraction
 
 
 def height_minimum(x: RatPoint, q: int) -> tuple[Fraction, list[tuple[int, int]]]:
@@ -280,30 +275,30 @@ def shortest_vector_oracle(
     return best_vec, best_val
 
 
-def _gso(basis: list[tuple[int, int, int]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Gram-Schmidt coefficients mu and squared lengths of integer rows."""
+def _integral_gso(
+    basis: list[tuple[int, int, int]],
+) -> tuple[list[int], list[list[int]]]:
+    """Integral Gram-Schmidt data of independent integer rows.
+
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7:
+    d[i] is the Gram determinant of rows 0..i-1 (d[0] = 1), so the i-th
+    Gram-Schmidt vector has squared length d[i+1]/d[i], and
+    lam[i][j] = d[j+1] * mu[i][j] for j < i.  Every division is exact.
+    """
     n = len(basis)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    bstar = [Fraction(0)] * n
-    for i in range(n):
-        bi = basis[i]
-        for j in range(i):
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i, bi in enumerate(basis):
+        for j in range(i + 1):
             bj = basis[j]
-            acc = Fraction(bi[0] * bj[0] + bi[1] * bj[1] + bi[2] * bj[2])
+            u = bi[0] * bj[0] + bi[1] * bj[1] + bi[2] * bj[2]
             for k in range(j):
-                acc -= mu[j][k] * mu[i][k] * bstar[k]
-            mu[i][j] = acc / bstar[j]
-        acc = Fraction(bi[0] * bi[0] + bi[1] * bi[1] + bi[2] * bi[2])
-        for k in range(i):
-            acc -= mu[i][k] ** 2 * bstar[k]
-        bstar[i] = acc
-    return mu, bstar
-
-
-def _sqrt_upper(f: Fraction) -> Fraction:
-    """A rational upper bound on sqrt(f) for f >= 0."""
-    n, d = f.numerator, f.denominator
-    return Fraction(math.isqrt(n * d) + 1, d)
+                u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
+    return d, lam
 
 
 def shortest_vector_reduced(x: RatPoint, T) -> tuple[tuple[int, int, int], Fraction]:
@@ -328,16 +323,17 @@ def shortest_vector_reduced(x: RatPoint, T) -> tuple[tuple[int, int, int], Fract
     if T <= 0:
         raise ValueError("T must be positive")
     a, b = T.numerator, T.denominator
-    n1, n2, d = x.common_denominator()
-    bd = b * d
-    basis = [(-a * d, 0, 0), (0, -a * d, 0), (a * n1, a * n2, bd)]
+    n1, n2, den = x.common_denominator()
+    bd = b * den
+    basis = [(-a * den, 0, 0), (0, -a * den, 0), (a * n1, a * n2, bd)]
 
     # LLL with the classical 3/4 parameter, Gram-Schmidt redone per step.
+    # Size reduction rounds mu = lam/d to the nearest integer, halves up.
     k = 1
     while k < 3:
-        mu, bstar = _gso(basis)
+        d, lam = _integral_gso(basis)
         for j in range(k - 1, -1, -1):
-            r = nearest_int(mu[k][j])
+            r = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
             if r:
                 bj = basis[j]
                 basis[k] = (
@@ -345,32 +341,32 @@ def shortest_vector_reduced(x: RatPoint, T) -> tuple[tuple[int, int, int], Fract
                     basis[k][1] - r * bj[1],
                     basis[k][2] - r * bj[2],
                 )
-                mu, bstar = _gso(basis)
-        if bstar[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1]:
+                d, lam = _integral_gso(basis)
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
             k += 1
         else:
             basis[k], basis[k - 1] = basis[k - 1], basis[k]
             k = max(k - 1, 1)
 
-    mu, bstar = _gso(basis)
+    d, lam = _integral_gso(basis)
     best_vec = min(basis, key=lambda w: max(map(abs, w)))
     best = m0 = max(map(abs, best_vec))
     radius = 3 * m0 * m0
 
-    s2 = _sqrt_upper(radius / bstar[2])
-    for c2 in range(-math.floor(s2), math.floor(s2) + 1):
-        rem2 = radius - bstar[2] * c2 * c2
-        if rem2 < 0:
-            continue
-        mid1 = -mu[2][1] * c2
-        s1 = _sqrt_upper(rem2 / bstar[1])
-        for c1 in range(math.ceil(mid1 - s1), math.floor(mid1 + s1) + 1):
-            rem1 = rem2 - bstar[1] * (c1 + mu[2][1] * c2) ** 2
-            if rem1 < 0:
-                continue
-            mid0 = -(mu[1][0] * c1 + mu[2][0] * c2)
-            s0 = _sqrt_upper(rem1 / bstar[0])
-            for c0 in range(math.ceil(mid0 - s0), math.floor(mid0 + s0) + 1):
+    # The ball ||c0 b0 + c1 b1 + c2 b2||^2 <= radius is
+    #     d3 c2^2 / d2 + t1^2 / (d1 d2) + t0^2 / d1 <= radius
+    # with t1 = d2 c1 + lam21 c2 and t0 = d1 c0 + lam10 c1 + lam20 c2,
+    # so each coordinate range is an integer square root.
+    s2 = math.isqrt(d[2] * radius // d[3])
+    for c2 in range(-s2, s2 + 1):
+        r2 = d[2] * radius - d[3] * c2 * c2
+        s1 = math.isqrt(d[1] * r2)
+        off1 = lam[2][1] * c2
+        for c1 in range(-((s1 + off1) // d[2]), (s1 - off1) // d[2] + 1):
+            t1 = d[2] * c1 + off1
+            s0 = math.isqrt((d[1] * r2 - t1 * t1) // d[2])
+            off0 = lam[1][0] * c1 + lam[2][0] * c2
+            for c0 in range(-((s0 + off0) // d[1]), (s0 - off0) // d[1] + 1):
                 if c0 == 0 and c1 == 0 and c2 == 0:
                     continue
                 w = (
@@ -384,8 +380,8 @@ def shortest_vector_reduced(x: RatPoint, T) -> tuple[tuple[int, int, int], Fract
                     best_vec = w
 
     q = best_vec[2] // bd
-    p1 = (a * q * n1 - best_vec[0]) // (a * d)
-    p2 = (a * q * n2 - best_vec[1]) // (a * d)
+    p1 = (a * q * n1 - best_vec[0]) // (a * den)
+    p2 = (a * q * n2 - best_vec[1]) // (a * den)
     if q < 0 or (q == 0 and (p1 < 0 or (p1 == 0 and p2 < 0))):
         p1, p2, q = -p1, -p2, -q
     return (p1, p2, q), Fraction(best, bd)

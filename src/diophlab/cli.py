@@ -945,6 +945,10 @@ def run(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    except RuntimeError as ex:
+        # a construction failed its own audit: the message is the witness
+        print(f"error: {ex}", file=sys.stderr)
+        return 1
     sys.stdout.write(emit(payload, cfg.fmt, rows))
     return code
 

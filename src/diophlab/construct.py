@@ -23,6 +23,7 @@ exact arithmetic at each sample.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -287,20 +288,22 @@ def _audit_edge(
     was.  The eps^-6 growth bound is a property of the slotted height
     window, so callers stepping by the minimal-height rule skip it.
     """
+    edge = f"edge {u} -> {v}"
     member = admissible_successor(u, v, eps)
     if not member["ok"]:
-        raise RuntimeError(f"successor membership failed: {member}")
+        raise RuntimeError(f"{edge}: successor membership failed: {member}")
     if not nesting_ok(u, v)["ok"]:
-        raise RuntimeError("child domain does not nest inside the parent")
+        raise RuntimeError(f"{edge}: child domain does not nest inside the parent")
     if check_growth:
         growth = growth_ok(u, v, eps)
         if growth["applicable"] and not growth["ok"]:
             raise RuntimeError(
-                f"height grew by {Fraction(v.q, u.q)}, below the required {eps**-6}"
+                f"{edge}: height grew by {Fraction(v.q, u.q)}, "
+                f"below the required {eps**-6}"
             )
     w = wedge(v, u)
     if prev_wedge is not None and _proportional(prev_wedge, w):
-        raise RuntimeError("consecutive steps share a rational line")
+        raise RuntimeError(f"{edge}: consecutive steps share a rational line")
     return w
 
 
@@ -851,6 +854,8 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
             ratio = Fraction(*least) / floor_val
             if min_spacing_ratio is None or ratio < min_spacing_ratio:
                 min_spacing_ratio = ratio
+    if min_spacing_ratio is not None and min_spacing_ratio > sys.float_info.max:
+        raise ValueError("min_spacing_ratio exceeds the float range; eps is too small")
     return {
         "totals": totals,
         "fails": fails,

@@ -22,12 +22,6 @@ def extgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def nearest_int(fr: Fraction) -> int:
-    """Nearest integer to fr; exact halves round down (callers that care
-    about both choices enumerate them explicitly)."""
-    return (2 * fr.numerator + fr.denominator) // (2 * fr.denominator)
-
-
 def ln_fraction(fr: Fraction) -> float:
     """log of a positive rational without overflowing floats."""
     if fr <= 0:

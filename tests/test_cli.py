@@ -123,7 +123,20 @@ def test_usage_errors_exit_two(capsys):
     # a delta beyond float range is out of range, not an overflow
     assert run(["dims", "cantor", "--delta", "1e400"]) == 2
     assert run(["dims", "bounds", "--delta", "1e400"]) == 2
+    # a spacing ratio beyond float range is a usage error, not an overflow
+    assert run(["psi-tree", "--seed-vec", "0,0,1", "--eps", "1e-200",
+                "--depth", "1", "--width", "2"]) == 2
     capsys.readouterr()
+
+
+def test_failed_chain_edge_exits_one_naming_the_edge(capsys):
+    # the seed's first slow step does not nest: an audit failure, exit 1,
+    # reported as one line that names the edge, with no traceback
+    code = run(["slow-chain", "--seed-vec", "1,1,2", "--steps", "3", "--samples", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: edge ((1,1),2) -> ") and err.count("\n") == 1
 
 
 # Number fields mix plain values with ones that break float conversion or
@@ -171,6 +184,14 @@ CHEAP_ARGV = st.one_of(
     _argv(["profile"], {"x": POINT, "qmax": st.integers(-3, 12)},
           samples=st.integers(-2, 6)),
     _argv(["domain"], {"v": SMALL_VEC}, x=POINT, rejects=st.integers(-2, 40)),
+    # sizes are always drawn: the default trees and chains take seconds,
+    # and at eps 1e-400 the default tree takes minutes
+    _argv(["psi-tree"], {"seed-vec": SMALL_VEC, "depth": st.integers(0, 1),
+                         "width": st.integers(0, 4)}, eps=NUMBER),
+    # '--level' stays out: extreme levels run for minutes (ROADMAP D7)
+    _argv(["slow-chain", "--target", "log1p"],
+          {"seed-vec": SMALL_VEC, "steps": st.integers(3, 4),
+           "samples": st.integers(2, 3)}, delta=NUMBER),
 )
 
 

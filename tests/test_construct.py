@@ -687,6 +687,21 @@ def test_reduced_matches_scan_oracle():
         _assert_realises(x, t_val, vec, m_red)
 
 
+def test_reduced_matches_scan_oracle_at_larger_minima():
+    # minima near 10^3 exercise every enumeration bound of the reduction;
+    # a range one step too short loses the minimizer on a few percent of
+    # these inputs
+    rng = random.Random(20261018)
+    for _ in range(100):
+        den = rng.randint(10**2, 10**5)
+        x = RatPoint(F(rng.randint(1, den - 1), den), F(rng.randint(1, den - 1), den))
+        t_val = F(rng.randint(1, 10**7), rng.randint(1, 50))
+        _, m_scan = shortest_vector_oracle(x, t_val)
+        vec, m_red = shortest_vector_reduced(x, t_val)
+        assert m_scan == m_red, (x, t_val)
+        _assert_realises(x, t_val, vec, m_red)
+
+
 def test_reduced_handles_huge_scale():
     x = RatPoint(F(67, 97), F(31, 89))
     value, minimum = shortest_vector_reduced(x, F(5) * 10**21)
