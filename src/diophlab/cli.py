@@ -9,10 +9,12 @@ finds a violation, and 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,7 +57,7 @@ from .latinv import (
     scan_minima,
     wedge_constraint_ok,
 )
-from .util import frac_str, json_ready, parse_frac, resolve_seed
+from .util import frac_str, json_ready, resolve_seed
 
 
 FORMATS = ("json", "tsv", "table")
@@ -99,7 +101,7 @@ def parse_point(text: str) -> RatPoint:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"point must be 'x1,x2', got {text!r}")
-    return RatPoint(parse_frac(parts[0]), parse_frac(parts[1]))
+    return RatPoint(Fraction(parts[0]), Fraction(parts[1]))
 
 
 def parse_vec(text: str) -> PrimVec:
@@ -189,7 +191,7 @@ def cmd_domain(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
 
 def cmd_psi_tree(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
     seed_vec = parse_vec(args.seed_vec)
-    eps = parse_frac(args.eps)
+    eps = Fraction(args.eps)
     root = expansion_tree(
         seed_vec, eps, n=args.family, depth=args.depth,
         expand=args.expand, width=args.width,
@@ -220,7 +222,7 @@ def cmd_slow_chain(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
         level = args.level
         target = lambda t: level
     chain, cert = slow_chain(
-        u0, target, parse_frac(args.delta), steps=args.steps,
+        u0, target, Fraction(args.delta), steps=args.steps,
         samples=args.samples,
     )
     rows = chain.to_jsonable()
@@ -249,11 +251,11 @@ def cmd_dims(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
     if args.action == "cantor":
         if args.delta is None:
             raise ValueError("--delta is required for 'dims cantor'")
-        res = cantor_exact_dim(parse_frac(args.delta))
+        res = cantor_exact_dim(Fraction(args.delta))
         payload = {"action": "cantor", "delta": args.delta}
         payload.update(res.to_jsonable())
         if args.depth:
-            est = covering_s_estimate(cantor_tree(parse_frac(args.delta), args.depth))
+            est = covering_s_estimate(cantor_tree(Fraction(args.delta), args.depth))
             payload["covering_estimate"] = est.to_jsonable()
         payload["tolerance"] = tol
         payload["within_tolerance"] = res.residual <= tol
@@ -261,7 +263,7 @@ def cmd_dims(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
     if args.action == "bounds":
         if args.delta is None:
             raise ValueError("--delta is required for 'dims bounds'")
-        h_d, h_g = cantor_bounds(parse_frac(args.delta))
+        h_d, h_g = cantor_bounds(Fraction(args.delta))
         return 0, {
             "action": "bounds",
             "delta": args.delta,
@@ -292,7 +294,7 @@ def cmd_dn(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
     }
     code = 0 if payload["within_tolerance"] else 1
     if args.root is not None:
-        audit = dn_gap_audit(parse_frac(args.root), args.n)
+        audit = dn_gap_audit(Fraction(args.root), args.n)
         payload["gap_audit"] = audit
         if not (audit["nested"] and audit["disjoint"] and audit["gaps_ok"]):
             code = 1
@@ -300,7 +302,7 @@ def cmd_dn(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
 
 
 def cmd_cf(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
-    x = parse_frac(args.x)
+    x = Fraction(args.x)
     conv = convergents(x)
     payload = {"x": frac_str(x), "convergents": [frac_str(c) for c in conv]}
     if x.denominator >= 2:
@@ -319,9 +321,16 @@ def cmd_cf(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
 class ItemResult:
     name: str
     description: str
-    checks: int
-    failures: int
-    witness: str | None
+    checks: int = 0
+    failures: int = 0
+    witness: str | None = None
+
+    def check(self, ok: bool, witness: str) -> None:
+        """Count one check; on a failure keep the first witness."""
+        self.checks += 1
+        if not ok:
+            self.failures += 1
+            self.witness = self.witness or witness
 
     def to_jsonable(self) -> dict:
         return {
@@ -334,8 +343,29 @@ class ItemResult:
         }
 
 
-def _rng_for(seed: int, name: str) -> random.Random:
-    return random.Random(f"{seed}:{name}")
+AUDIT_ITEMS: list[Callable[[int, str | None], ItemResult]] = []
+
+
+def audit_item(name: str, description: str):
+    """Register the decorated body as the next line item of `audit-all`.
+
+    The body is called as body(t, rng, fault): t is the item's fresh
+    ItemResult, which each check goes through as t.check(ok, witness);
+    rng is seeded by "<seed>:<name>", so an item's draws depend on its
+    name and not on its place in the corpus.  The registered item takes
+    (seed, fault) and returns t.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def item(seed: int, fault: str | None) -> ItemResult:
+            t = ItemResult(name, description)
+            body(t, random.Random(f"{seed}:{name}"), fault)
+            return t
+
+        AUDIT_ITEMS.append(item)
+        return item
+
+    return register
 
 
 def _random_targets(rng: random.Random, count: int, den_max: int = 60):
@@ -361,33 +391,20 @@ def _random_vectors(rng: random.Random, count: int, q_max: int = 500):
     return out
 
 
-def item_best_approx_records(seed: int, fault: str | None) -> ItemResult:
-    rng = _rng_for(seed, "best-approx-records")
-    checks = failures = 0
-    witness = None
+@audit_item("best-approx-records",
+            "record heights strictly increase while residuals strictly decrease")
+def item_best_approx_records(t, rng, fault):
     for x in _random_targets(rng, 12):
         seq = best_approximations(x, 400)
         for a, b in zip(seq.items, seq.items[1:]):
-            checks += 1
-            if a.q >= b.q:
-                failures += 1
-                witness = witness or f"heights stall at {a} -> {b}"
+            t.check(not a.q >= b.q, f"heights stall at {a} -> {b}")
         for a, b in zip(seq.residuals, seq.residuals[1:]):
-            checks += 1
-            if a <= b:
-                failures += 1
-                witness = witness or f"residual rises near {frac_str(b)}"
-    return ItemResult(
-        "best-approx-records",
-        "record heights strictly increase while residuals strictly decrease",
-        checks, failures, witness,
-    )
+            t.check(not a <= b, f"residual rises near {frac_str(b)}")
 
 
-def item_best_approx_realiser(seed: int, fault: str | None) -> ItemResult:
-    rng = _rng_for(seed, "best-approx-realiser")
-    checks = failures = 0
-    witness = None
+@audit_item("best-approx-realiser",
+            "each record realises its height minimum with lexicographic ties")
+def item_best_approx_realiser(t, rng, fault):
     targets = [RatPoint(Fraction(1, 2), Fraction(1, 2))] + _random_targets(rng, 8)
     pick = max if fault == "tie-break" else min
     for x in targets:
@@ -395,334 +412,189 @@ def item_best_approx_realiser(seed: int, fault: str | None) -> ItemResult:
         for v in seq.items:
             _, realisers = height_minimum(x, v.q)
             expected = pick(realisers)
-            checks += 1
-            if (v.p1, v.p2) != expected:
-                failures += 1
-                if witness is None:
-                    witness = (
-                        f"target ({frac_str(x.x1)},{frac_str(x.x2)}) height "
-                        f"{v.q}: tie resolved to ({v.p1},{v.p2}), "
-                        f"expected ({expected[0]},{expected[1]})"
-                    )
-    return ItemResult(
-        "best-approx-realiser",
-        "each record realises its height minimum with lexicographic ties",
-        checks, failures, witness,
-    )
+            t.check(
+                (v.p1, v.p2) == expected,
+                f"target ({frac_str(x.x1)},{frac_str(x.x2)}) height "
+                f"{v.q}: tie resolved to ({v.p1},{v.p2}), "
+                f"expected ({expected[0]},{expected[1]})",
+            )
 
 
-def item_profile_alternation(seed: int, fault: str | None) -> ItemResult:
-    rng = _rng_for(seed, "profile-alternation")
-    checks = failures = 0
-    witness = None
+@audit_item("profile-alternation",
+            "profile breakpoints strictly interleave minima and crossings")
+def item_profile_alternation(t, rng, fault):
     for x in _random_targets(rng, 10):
         prof = wx_profile(best_approximations(x, 300))
         bps = prof.breakpoints
         for a, b in zip(bps, bps[1:]):
-            checks += 1
-            if not (a.T < b.T and a.kind != b.kind):
-                failures += 1
-                witness = witness or f"breakpoints collide at T={frac_str(b.T)}"
-    return ItemResult(
-        "profile-alternation",
-        "profile breakpoints strictly interleave minima and crossings",
-        checks, failures, witness,
-    )
+            t.check(a.T < b.T and a.kind != b.kind,
+                    f"breakpoints collide at T={frac_str(b.T)}")
 
 
-def item_profile_crossings(seed: int, fault: str | None) -> ItemResult:
-    rng = _rng_for(seed, "profile-crossings")
-    checks = failures = 0
-    witness = None
+@audit_item("profile-crossings",
+            "local maxima of the envelope sit exactly at successor heights")
+def item_profile_crossings(t, rng, fault):
     for x in _random_targets(rng, 10):
         prof = wx_profile(best_approximations(x, 300))
         for bp in prof.breakpoints:
-            if bp.kind != "max":
-                continue
-            checks += 1
-            if prof.value_at(bp.T) != Fraction(bp.height):
-                failures += 1
-                witness = witness or f"crossing value off at T={frac_str(bp.T)}"
-    return ItemResult(
-        "profile-crossings",
-        "local maxima of the envelope sit exactly at successor heights",
-        checks, failures, witness,
-    )
+            if bp.kind == "max":
+                t.check(prof.value_at(bp.T) == Fraction(bp.height),
+                        f"crossing value off at T={frac_str(bp.T)}")
 
 
-def item_lattice_minima_agreement(seed: int, fault: str | None) -> ItemResult:
-    rng = _rng_for(seed, "lattice-minima-agreement")
-    checks = failures = 0
-    witness = None
+@audit_item("lattice-minima-agreement",
+            "reduced shortest pair matches the brute-force scan")
+def item_lattice_minima_agreement(t, rng, fault):
     for v in _random_vectors(rng, 40):
-        checks += 1
-        if lattice_minima(v) != scan_minima(v):
-            failures += 1
-            witness = witness or f"reduced pair disagrees with scan at {v}"
-    return ItemResult(
-        "lattice-minima-agreement",
-        "reduced shortest pair matches the brute-force scan",
-        checks, failures, witness,
-    )
+        t.check(lattice_minima(v) == scan_minima(v),
+                f"reduced pair disagrees with scan at {v}")
 
 
-def item_wedge_constraint(seed: int, fault: str | None) -> ItemResult:
-    rng = _rng_for(seed, "wedge-constraint")
-    checks = failures = 0
-    witness = None
+@audit_item("wedge-constraint",
+            "both minima classes satisfy the defining linear constraint")
+def item_wedge_constraint(t, rng, fault):
     for v in _random_vectors(rng, 40):
         l, h = lattice_minima(v)
         for w in (l, h):
-            checks += 1
-            if not wedge_constraint_ok(w, v):
-                failures += 1
-                witness = witness or f"class {w} violates the constraint at {v}"
-    return ItemResult(
-        "wedge-constraint",
-        "both minima classes satisfy the defining linear constraint",
-        checks, failures, witness,
-    )
+            t.check(wedge_constraint_ok(w, v),
+                    f"class {w} violates the constraint at {v}")
 
 
-def item_distortion_identities(seed: int, fault: str | None) -> ItemResult:
-    rng = _rng_for(seed, "distortion-identities")
-    checks = failures = 0
-    witness = None
+@audit_item("distortion-identities",
+            "distortion and clock invariants satisfy their defining identities")
+def item_distortion_identities(t, rng, fault):
     for v in _random_vectors(rng, 40):
         iv = invariants(v)
-        checks += 1
-        ok = (
+        t.check(
             iv.eps3 == Fraction(iv.absL**2, v.q)
             and iv.exp3tau == Fraction(v.q**2, iv.absL)
             and iv.eps3 * iv.exp3tau == iv.absL * v.q
-            and iv.absL <= iv.absLhat
+            and iv.absL <= iv.absLhat,
+            f"invariant identities fail at {v}",
         )
-        if not ok:
-            failures += 1
-            witness = witness or f"invariant identities fail at {v}"
-    return ItemResult(
-        "distortion-identities",
-        "distortion and clock invariants satisfy their defining identities",
-        checks, failures, witness,
-    )
 
 
-def item_companion_pair(seed: int, fault: str | None) -> ItemResult:
-    rng = _rng_for(seed, "companion-pair")
-    checks = failures = 0
-    witness = None
+@audit_item("companion-pair",
+            "companions of the shortest class realise that class as a wedge")
+def item_companion_pair(t, rng, fault):
     for v in _random_vectors(rng, 25):
         l, _ = lattice_minima(v)
         um, up = companion_pair(v, l)
         for u in (um, up):
             w = wedge(v, u)
-            checks += 1
-            if abs(w.m13) != abs(l.m13) or abs(w.m23) != abs(l.m23):
-                failures += 1
-                witness = witness or f"companion wedge differs from class at {v}"
-    return ItemResult(
-        "companion-pair",
-        "companions of the shortest class realise that class as a wedge",
-        checks, failures, witness,
-    )
+            t.check(not (abs(w.m13) != abs(l.m13) or abs(w.m23) != abs(l.m23)),
+                    f"companion wedge differs from class at {v}")
 
 
-def item_domain_sandwich(seed: int, fault: str | None) -> ItemResult:
-    rng = _rng_for(seed, "domain-sandwich")
-    checks = failures = 0
-    witness = None
+@audit_item("domain-sandwich",
+            "inner and outer balls bracket domain membership on grids")
+def item_domain_sandwich(t, rng, fault):
     for v in _random_vectors(rng, 15, q_max=120):
         rep = audit_ball_sandwich(v)
-        checks += 1
-        if not rep["pass"]:
-            failures += 1
-            witness = witness or f"ball sandwich fails at {v}"
-    return ItemResult(
-        "domain-sandwich",
-        "inner and outer balls bracket domain membership on grids",
-        checks, failures, witness,
-    )
+        t.check(rep["pass"], f"ball sandwich fails at {v}")
 
 
-def item_domain_band(seed: int, fault: str | None) -> ItemResult:
-    checks = failures = 0
-    witness = None
+@audit_item("domain-band",
+            "descendant vectors land in the half-open distortion band")
+def item_domain_band(t, rng, fault):
     eps = Fraction(1, 8)
     for ch in cantor_children(pvec(0, 0, 1), eps):
-        checks += 1
-        if not (distortion_below(ch, eps) and not distortion_below(ch, eps / 2)):
-            failures += 1
-            witness = witness or f"child {ch} leaves the distortion band"
-    return ItemResult(
-        "domain-band",
-        "descendant vectors land in the half-open distortion band",
-        checks, failures, witness,
-    )
+        t.check(distortion_below(ch, eps) and not distortion_below(ch, eps / 2),
+                f"child {ch} leaves the distortion band")
 
 
-def item_sibling_spacing(seed: int, fault: str | None) -> ItemResult:
-    checks = failures = 0
-    witness = None
+@audit_item("sibling-spacing",
+            "all sibling domains clear the spacing floor pairwise")
+def item_sibling_spacing(t, rng, fault):
     eps = Fraction(1, 8)
     seed_vec = pvec(0, 0, 1)
     kids = cantor_children(seed_vec, eps)
     for i in range(len(kids)):
         for j in range(i + 1, len(kids)):
-            checks += 1
-            if not verify_spacing(seed_vec, kids[i], kids[j], eps)["ok"]:
-                failures += 1
-                witness = witness or f"siblings {kids[i]},{kids[j]} too close"
-    return ItemResult(
-        "sibling-spacing",
-        "all sibling domains clear the spacing floor pairwise",
-        checks, failures, witness,
-    )
+            t.check(verify_spacing(seed_vec, kids[i], kids[j], eps)["ok"],
+                    f"siblings {kids[i]},{kids[j]} too close")
 
 
-def item_nested_domains(seed: int, fault: str | None) -> ItemResult:
+@audit_item("nested-domains", "chain domains nest strictly with positive slack")
+def item_nested_domains(t, rng, fault):
     chain = fixed_chain(pvec(0, 0, 1), Fraction(1, 8), 3)
     vs = chain.vectors()
-    checks = failures = 0
-    witness = None
     for u, v in zip(vs, vs[1:]):
-        checks += 1
-        if not nesting_ok(u, v)["ok"]:
-            failures += 1
-            witness = witness or f"domain of {v} escapes {u}"
-    return ItemResult(
-        "nested-domains",
-        "chain domains nest strictly with positive slack",
-        checks, failures, witness,
-    )
+        t.check(nesting_ok(u, v)["ok"], f"domain of {v} escapes {u}")
 
 
-def item_height_growth(seed: int, fault: str | None) -> ItemResult:
+@audit_item("height-growth",
+            "distorted parents grow height by the sixth-power factor")
+def item_height_growth(t, rng, fault):
     chain = fixed_chain(pvec(0, 0, 1), Fraction(1, 8), 3)
     vs = chain.vectors()
-    checks = failures = 0
-    witness = None
     for u, v in zip(vs, vs[1:]):
         rep = growth_ok(u, v, Fraction(1, 8))
         if rep["applicable"]:
-            checks += 1
-            if not rep["ok"]:
-                failures += 1
-                witness = witness or f"edge {u}->{v} grows too slowly"
-    checks += 1
-    if not vs[2].q > 8**6 * vs[1].q:
-        failures += 1
-        witness = witness or "second extension misses the sixth-power factor"
-    return ItemResult(
-        "height-growth",
-        "distorted parents grow height by the sixth-power factor",
-        checks, failures, witness,
-    )
+            t.check(rep["ok"], f"edge {u}->{v} grows too slowly")
+    t.check(vs[2].q > 8**6 * vs[1].q,
+            "second extension misses the sixth-power factor")
 
 
-def item_schedule_regularity(seed: int, fault: str | None) -> ItemResult:
-    sched = regularize_schedule(lambda t: Fraction(t), 1, Fraction(2))
+@audit_item("schedule-regularity",
+            "regularised step schedules stay below target with bounded steps")
+def item_schedule_regularity(t, rng, fault):
+    sched = regularize_schedule(lambda s: Fraction(s), 1, Fraction(2))
     rep = sched.verify()
-    checks = 3
-    failures = sum(
-        0 if rep[k] else 1 for k in ("below_target", "nondecreasing", "slope_ok")
-    )
-    witness = None if failures == 0 else f"schedule verify flags: {rep}"
-    return ItemResult(
-        "schedule-regularity",
-        "regularised step schedules stay below target with bounded steps",
-        checks, failures, witness,
-    )
+    for k in ("below_target", "nondecreasing", "slope_ok"):
+        t.check(rep[k], f"schedule verify flags: {rep}")
 
 
-def item_slow_step_gaps(seed: int, fault: str | None) -> ItemResult:
-    checks = failures = 0
-    witness = None
+@audit_item("slow-step-gaps",
+            "minimal slow successors land at frozen heights with small gaps")
+def item_slow_step_gaps(t, rng, fault):
     for eps_p, q_expected in ((Fraction(1, 2), 9), (Fraction(1, 8), 513)):
         v, gaps = slow_step(pvec(0, 0, 1), eps_p)
-        checks += 1
-        if v.q != q_expected or abs(gaps["log_eps_gap"]) > 0.05:
-            failures += 1
-            witness = witness or f"slow step at {frac_str(eps_p)} lands on {v}"
-    return ItemResult(
-        "slow-step-gaps",
-        "minimal slow successors land at frozen heights with small gaps",
-        checks, failures, witness,
-    )
+        t.check(not (v.q != q_expected or abs(gaps["log_eps_gap"]) > 0.05),
+                f"slow step at {frac_str(eps_p)} lands on {v}")
 
 
-def item_cantor_dimension(seed: int, fault: str | None) -> ItemResult:
-    checks = failures = 0
-    witness = None
-    checks += 1
-    if abs(cantor_exact_dim(1).s - 1.0) > 1e-12:
-        failures += 1
-        witness = "undistorted construction misses dimension one"
+@audit_item("cantor-dimension",
+            "exact Cantor dimension is monotone and matches covering estimates")
+def item_cantor_dimension(t, rng, fault):
+    t.check(not abs(cantor_exact_dim(1).s - 1.0) > 1e-12,
+            "undistorted construction misses dimension one")
     prev = 0.0
     for k in range(1, 11):
         d = Fraction(k, 10)
         s = cantor_exact_dim(d).s
-        checks += 1
-        if s <= prev:
-            failures += 1
-            witness = witness or f"dimension not increasing at delta={d}"
+        t.check(not s <= prev, f"dimension not increasing at delta={d}")
         prev = s
     est = covering_s_estimate(cantor_tree(Fraction(1, 2), 4)).s
-    checks += 1
-    if abs(est - cantor_exact_dim(Fraction(1, 2)).s) > 1e-9:
-        failures += 1
-        witness = witness or "covering estimate drifts from the exact root"
-    return ItemResult(
-        "cantor-dimension",
-        "exact Cantor dimension is monotone and matches covering estimates",
-        checks, failures, witness,
-    )
+    t.check(not abs(est - cantor_exact_dim(Fraction(1, 2)).s) > 1e-9,
+            "covering estimate drifts from the exact root")
 
 
-def item_bounds_crossing(seed: int, fault: str | None) -> ItemResult:
+@audit_item("bounds-crossing",
+            "density and gap dimension bounds cross at the frozen point")
+def item_bounds_crossing(t, rng, fault):
     rep = bounds_crossing()
-    checks = 2
-    failures = 0
-    witness = None
-    if abs(rep["delta"] - 0.2726604) > 1e-6:
-        failures += 1
-        witness = f"crossing delta={rep['delta']!r}"
-    if abs(rep["h"] - 0.3478475) > 1e-6:
-        failures += 1
-        witness = witness or f"crossing height={rep['h']!r}"
-    return ItemResult(
-        "bounds-crossing",
-        "density and gap dimension bounds cross at the frozen point",
-        checks, failures, witness,
-    )
+    t.check(not abs(rep["delta"] - 0.2726604) > 1e-6,
+            f"crossing delta={rep['delta']!r}")
+    t.check(not abs(rep["h"] - 0.3478475) > 1e-6, f"crossing height={rep['h']!r}")
 
 
-def item_dn_brackets(seed: int, fault: str | None) -> ItemResult:
-    checks = failures = 0
-    witness = None
+@audit_item("dn-brackets",
+            "quotient-level dimension brackets order and shrink in the level")
+def item_dn_brackets(t, rng, fault):
     prev_minus = prev_plus = None
     for n in (72, 100, 1000, 10**6):
         s_minus, s_plus = dn_bounds(n)
-        checks += 1
-        if not (0.5 < s_minus.s < s_plus.s < 1.0):
-            failures += 1
-            witness = witness or f"brackets out of order at N={n}"
+        t.check(0.5 < s_minus.s < s_plus.s < 1.0, f"brackets out of order at N={n}")
         if prev_minus is not None:
-            checks += 1
-            if not (s_minus.s < prev_minus and s_plus.s < prev_plus):
-                failures += 1
-                witness = witness or f"brackets not shrinking at N={n}"
+            t.check(s_minus.s < prev_minus and s_plus.s < prev_plus,
+                    f"brackets not shrinking at N={n}")
         prev_minus, prev_plus = s_minus.s, s_plus.s
-    return ItemResult(
-        "dn-brackets",
-        "quotient-level dimension brackets order and shrink in the level",
-        checks, failures, witness,
-    )
 
 
-def item_quotient_intervals(seed: int, fault: str | None) -> ItemResult:
-    rng = _rng_for(seed, "quotient-intervals")
-    checks = failures = 0
-    witness = None
+@audit_item("quotient-intervals",
+            "neighbor fractions and quotient intervals satisfy exact identities")
+def item_quotient_intervals(t, rng, fault):
     for _ in range(12):
         den = rng.randint(3, 80)
         num = rng.randint(1, den - 1)
@@ -730,31 +602,20 @@ def item_quotient_intervals(seed: int, fault: str | None) -> ItemResult:
         if math.gcd(num, den) != 1:
             continue
         vm, vp = neighbors(v)
-        checks += 1
-        ok = (
+        t.check(
             vm.denominator + vp.denominator == den
             and vp.numerator * den - num * vp.denominator == 1
-            and quotient_interval(v, 72).contains_point(v)
+            and quotient_interval(v, 72).contains_point(v),
+            f"neighbor identities fail at {v}",
         )
-        if not ok:
-            failures += 1
-            witness = witness or f"neighbor identities fail at {v}"
     rep = dn_gap_audit(Fraction(1, 2), 72)
-    checks += 1
-    if not (rep["nested"] and rep["disjoint"] and rep["gaps_ok"]):
-        failures += 1
-        witness = witness or "gap audit fails for the half family"
-    return ItemResult(
-        "quotient-intervals",
-        "neighbor fractions and quotient intervals satisfy exact identities",
-        checks, failures, witness,
-    )
+    t.check(rep["nested"] and rep["disjoint"] and rep["gaps_ok"],
+            "gap audit fails for the half family")
 
 
-def item_shortest_vector_duality(seed: int, fault: str | None) -> ItemResult:
-    rng = _rng_for(seed, "shortest-vector-duality")
-    checks = failures = 0
-    witness = None
+@audit_item("shortest-vector-duality",
+            "reduction-based shortest vectors match the scanning oracle")
+def item_shortest_vector_duality(t, rng, fault):
     for _ in range(12):
         den = rng.randint(7, 120)
         x = RatPoint(
@@ -762,39 +623,10 @@ def item_shortest_vector_duality(seed: int, fault: str | None) -> ItemResult:
             Fraction(rng.randint(1, den - 1), den),
         )
         t_val = Fraction(rng.randint(2, 2500))
-        checks += 1
-        if shortest_vector_oracle(x, t_val)[1] != shortest_vector_reduced(x, t_val)[1]:
-            failures += 1
-            witness = witness or f"oracles disagree at T={t_val}"
-    return ItemResult(
-        "shortest-vector-duality",
-        "reduction-based shortest vectors match the scanning oracle",
-        checks, failures, witness,
-    )
-
-
-AUDIT_ITEMS = [
-    item_best_approx_records,
-    item_best_approx_realiser,
-    item_profile_alternation,
-    item_profile_crossings,
-    item_lattice_minima_agreement,
-    item_wedge_constraint,
-    item_distortion_identities,
-    item_companion_pair,
-    item_domain_sandwich,
-    item_domain_band,
-    item_sibling_spacing,
-    item_nested_domains,
-    item_height_growth,
-    item_schedule_regularity,
-    item_slow_step_gaps,
-    item_cantor_dimension,
-    item_bounds_crossing,
-    item_dn_brackets,
-    item_quotient_intervals,
-    item_shortest_vector_duality,
-]
+        t.check(
+            shortest_vector_oracle(x, t_val)[1] == shortest_vector_reduced(x, t_val)[1],
+            f"oracles disagree at T={t_val}",
+        )
 
 
 def _run_item(entry: tuple[int, int, str | None]) -> dict:

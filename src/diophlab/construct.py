@@ -43,6 +43,9 @@ from .util import frac_str, gcd3, ln_fraction
 # Height slots are sampled on this arithmetic progression; the stride
 # guarantees distinct slots produce children whose domains cannot meet.
 SLOT_STRIDE = 20
+# Caps that turn runaway slow-chain schedules into usage errors.
+MAX_SCHEDULE_KNOTS = 10**4
+MAX_EXP_ARG = 10**5
 
 
 def coprime_pairs(n: int) -> list[tuple[int, int]]:
@@ -314,7 +317,6 @@ class ChainNode:
     u: PrimVec
     eps: Fraction | None = None
     slot: tuple[int, int, int] | None = None
-    family_n: int | None = None
 
 
 @dataclass
@@ -363,7 +365,6 @@ class FixedPolicy:
 
     eps: Fraction
     n: int = 1
-    distortion_shrink: Fraction | None = None
 
     def params(self, step: int, prev_eps) -> tuple[Fraction, int]:
         return Fraction(self.eps), self.n
@@ -449,7 +450,7 @@ def extend_chain(chain: Chain, policy) -> Chain:
         wedge(u, chain.nodes[-2].u) if len(chain.nodes) >= 2 else None
     )
     _audit_edge(u, v, eps, prev_wedge)
-    chain.nodes.append(ChainNode(v, eps, slot, n))
+    chain.nodes.append(ChainNode(v, eps, slot))
     return chain
 
 
@@ -475,7 +476,13 @@ def limit_box(chain: Chain) -> tuple[RatPoint, Fraction]:
 
 
 def _exp_fraction(y: float) -> Fraction:
-    """exp(y) as an exact dyadic rational, safe for large y."""
+    """exp(y) as an exact dyadic rational, safe for large y.
+
+    Raises ValueError unless |y| <= MAX_EXP_ARG = 10^5: the result is a
+    power of a binary64 value, and its digits grow linearly in |y|.
+    """
+    if not abs(y) <= MAX_EXP_ARG:
+        raise ValueError(f"exponent {y} is outside [-{MAX_EXP_ARG}, {MAX_EXP_ARG}]")
     m = max(1, math.ceil(abs(y) / 350.0))
     return Fraction(math.exp(y / m)) ** m
 
@@ -564,7 +571,9 @@ class Schedule:
 
     Knots (t_k, y_k) satisfy t_{k+1} = t_k + y_k and
     y_{k+1} = min(F(t_{k+1}), y_k + delta); the function takes the value
-    y_k on [t_k, t_{k+1}).  Knots extend lazily on demand.
+    y_k on [t_k, t_{k+1}).  Knots extend lazily on demand, up to
+    MAX_SCHEDULE_KNOTS = 10^4 of them; a value_at that needs more raises
+    ValueError.
     """
 
     delta: Fraction
@@ -582,6 +591,11 @@ class Schedule:
         if t < self.knots[0][0]:
             raise ValueError(f"schedule starts at {self.knots[0][0]}, got {t}")
         while self.knots[-1][0] + self.knots[-1][1] <= t:
+            if len(self.knots) >= MAX_SCHEDULE_KNOTS:
+                raise ValueError(
+                    f"schedule needs more than {MAX_SCHEDULE_KNOTS} knots "
+                    f"to reach t = {float(t)}"
+                )
             self._extend()
         lo, hi = 0, len(self.knots) - 1
         while lo < hi:

@@ -109,6 +109,19 @@ class DimResult:
         return {"s": self.s, "residual": self.residual, "method": self.method}
 
 
+def _bisect(below, lo: float, hi: float) -> float:
+    """Where below turns false in [lo, hi]: 200 halvings, each moving lo
+    up to a midpoint where below holds and hi down to any other; the
+    final midpoint is returned."""
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 def _solve_sum_pow(ratios: list[float]) -> tuple[float, float]:
     """The s with sum(r^s) = 1 for ratios in (0,1), by bisection."""
     if len(ratios) == 1:
@@ -122,13 +135,7 @@ def _solve_sum_pow(ratios: list[float]) -> tuple[float, float]:
         hi *= 2
         if hi > 2**40:
             raise RuntimeError("covering sum does not drop below one")
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    s = (lo + hi) / 2
+    s = _bisect(lambda s: f(s) > 0, lo, hi)
     return s, abs(f(s))
 
 
@@ -278,14 +285,7 @@ def cantor_exact_dim(delta) -> DimResult:
     def g(s: float) -> float:
         return 2.0**s - 1.0 - math.exp(s * ln_d)
 
-    lo, hi = 1e-15, 1.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if g(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    s = (lo + hi) / 2
+    s = _bisect(lambda s: g(s) < 0, 1e-15, 1.0)
     return DimResult(s, abs(g(s)), "cantor")
 
 
@@ -301,15 +301,12 @@ def cantor_bounds(delta) -> tuple[float, float]:
 
 def bounds_crossing() -> dict:
     """Where the density and gap bounds cross, with the common value."""
-    lo, hi = 0.05, 0.9
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        h_d, h_g = cantor_bounds(mid)
-        if h_d < h_g:
-            lo = mid
-        else:
-            hi = mid
-    delta = (lo + hi) / 2
+
+    def density_below_gap(d: float) -> bool:
+        h_d, h_g = cantor_bounds(d)
+        return h_d < h_g
+
+    delta = _bisect(density_below_gap, 0.05, 0.9)
     h_d, h_g = cantor_bounds(delta)
     return {"delta": delta, "h": h_d, "residual": abs(h_d - h_g)}
 
@@ -329,14 +326,8 @@ def dn_bounds(N: int) -> tuple[DimResult, DimResult]:
     target = math.log(N)
     out = []
     for base, tag in ((1.0 / 6.0, "dn-minus"), (4.0, "dn-plus")):
-        lo, hi = 0.5 + 1e-15, 1.0 - 1e-15
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if _dn_equation(2 * mid - 1, base) > target:
-                lo = mid
-            else:
-                hi = mid
-        s = (lo + hi) / 2
+        s = _bisect(lambda s: _dn_equation(2 * s - 1, base) > target,
+                    0.5 + 1e-15, 1.0 - 1e-15)
         out.append(DimResult(s, abs(_dn_equation(2 * s - 1, base) - target), tag))
     return out[0], out[1]
 

@@ -200,7 +200,6 @@ class LatticeBasis:
     v: PrimVec
     b1: Wedge2
     b2: Wedge2
-    reduced: bool
 
     @property
     def pair_det(self) -> int:
@@ -220,7 +219,7 @@ def reduced_basis(v: PrimVec) -> LatticeBasis:
     of `class_key`).
     """
     L, H = lattice_minima(v)
-    basis = LatticeBasis(v, L, H, reduced=True)
+    basis = LatticeBasis(v, L, H)
     assert wedge_constraint_ok(L, v) and wedge_constraint_ok(H, v)
     assert abs(basis.pair_det) == v.q
     return basis

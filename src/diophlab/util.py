@@ -34,10 +34,6 @@ def frac_str(fr: Fraction | int) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def json_ready(obj):
     """Recursively convert Fractions (and tuples) for json.dumps."""
     if isinstance(obj, Fraction):

@@ -8,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -90,10 +91,15 @@ def test_dims_delta_below_float_range(capsys):
     assert 0 <= doc["density"] < doc["gap"] < s
 
 
-def test_readme_tree_matches_bench_golden(capsys):
-    # the README-shape tree prints exactly the bytes pinned by the benchmark
-    argv = ["psi-tree", "--seed-vec", "0,0,1", "--eps", "1/8", "--depth", "3",
-            "--width", "50", "--expand", "5"]
+@pytest.mark.parametrize("argv", [
+    ["psi-tree", "--seed-vec", "0,0,1", "--eps", "1/8", "--depth", "3",
+     "--width", "50", "--expand", "5"],
+    ["audit-all", "--seed", "0"],
+    ["audit-all", "--seed", "23"],
+], ids=["readme-tree", "audit-all-seed-0", "audit-all-seed-23"])
+def test_readme_tree_matches_bench_golden(capsys, argv):
+    # the README-shape tree and the audit corpus print exactly the bytes
+    # pinned by the benchmark: every count, witness and the item order
     with open(BENCH_GOLDEN) as fh:
         want = json.load(fh)[" ".join(argv)]
     code = run(argv)
@@ -127,6 +133,15 @@ def test_usage_errors_exit_two(capsys):
     assert run(["psi-tree", "--seed-vec", "0,0,1", "--eps", "1e-200",
                 "--depth", "1", "--width", "2"]) == 2
     capsys.readouterr()
+    # extreme constant levels: a schedule of too many knots, an exponent
+    # too large to raise exactly; each is one error line, within seconds
+    for level in ("-1e-300", "-1e300"):
+        start = time.perf_counter()
+        assert run(["slow-chain", "--target", "const", f"--level={level}",
+                    "--steps", "3", "--samples", "2"]) == 2
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_failed_chain_edge_exits_one_naming_the_edge(capsys):
@@ -187,10 +202,13 @@ CHEAP_ARGV = st.one_of(
     # sizes are always drawn: the default trees and chains take seconds,
     # and at eps 1e-400 the default tree takes minutes
     _argv(["psi-tree"], {"seed-vec": SMALL_VEC, "depth": st.integers(0, 1),
-                         "width": st.integers(0, 4)}, eps=NUMBER),
-    # '--level' stays out: extreme levels run for minutes (ROADMAP D7)
+                         "width": st.integers(0, 4), "expand": st.integers(0, 2),
+                         "family": st.integers(1, 2)}, eps=NUMBER),
     _argv(["slow-chain", "--target", "log1p"],
           {"seed-vec": SMALL_VEC, "steps": st.integers(3, 4),
+           "samples": st.integers(2, 3)}, delta=NUMBER),
+    _argv(["slow-chain", "--target", "const"],
+          {"seed-vec": SMALL_VEC, "level": NUMBER, "steps": st.integers(3, 4),
            "samples": st.integers(2, 3)}, delta=NUMBER),
 )
 
