@@ -90,15 +90,54 @@ class BestApproxSeq:
 def best_approximations(x: RatPoint, height_bound: int) -> BestApproxSeq:
     """All strict record-breakers of the per-height residual minimum.
 
-    Scans heights q = 1..height_bound, keeping q whenever its minimal
-    residual strictly beats every smaller height.  Equal-height ties are
-    resolved lexicographically on the numerator pair.  A residual of zero
-    terminates the scan: the target itself has been reached.
+    A height q up to height_bound is a record when its minimal residual
+    strictly beats every smaller height.  Equal-height ties are resolved
+    lexicographically on the numerator pair (the first pair of
+    height_minimum).  A residual of zero ends the sequence: the target
+    itself has been reached.
+
+    Records are found as lattice points, not by scanning heights.  Every
+    height between the record (q_j, r_j) and the next one has a residual
+    of at least r_j, so the next record is the least height whose own
+    residual is below r_j.  Minkowski's theorem bounds that height: the
+    body |q| <= 2/r_j^2, ||q x - p|| <= r_j/sqrt(2) has volume 8, so it
+    holds a nonzero integer point, whose q is nonzero and whose residual
+    is below r_j.  Hence the next record lies in box_points(x, Q, r_j)
+    with Q = min(height_bound, floor(2/r_j^2)): a box of volume at most 8,
+    whose enumerated ball holds about 44 lattice points.
+    best_approximations_scan is the height-by-height oracle.
 
     Record-breakers are automatically primitive: a common factor g > 1
     would put a strictly smaller residual at height q/g, contradicting the
     record property (and the first exact hit occurs at the reduced common
     denominator, which is coprime to the numerators).
+    """
+    if height_bound < 1:
+        raise ValueError(f"height_bound must be >= 1, got {height_bound}")
+    n1, n2, den = x.common_denominator()
+    res, cands = height_minimum(x, 1)
+    items = [PrimVec(*cands[0], 1)]
+    residuals = [res]
+    while res:
+        num = res.numerator * (den // res.denominator)  # res = num / den
+        box = box_points(x, min(height_bound, 2 * den * den // (num * num)), res)
+        q = min(
+            (h for p1, p2, h in box
+             if max(abs(h * n1 - den * p1), abs(h * n2 - den * p2)) < num),
+            default=None,
+        )
+        if q is None:
+            break
+        res, cands = height_minimum(x, q)
+        items.append(PrimVec(*cands[0], q))
+        residuals.append(res)
+    return BestApproxSeq(x, tuple(items), tuple(residuals), height_bound)
+
+
+def best_approximations_scan(x: RatPoint, height_bound: int) -> BestApproxSeq:
+    """best_approximations by scanning every height 1..height_bound.
+
+    The oracle that the lattice-box route is tested against.
     """
     if height_bound < 1:
         raise ValueError(f"height_bound must be >= 1, got {height_bound}")
@@ -301,6 +340,89 @@ def _integral_gso(
     return d, lam
 
 
+def _reduced_lattice(
+    x: RatPoint, T: Fraction,
+) -> tuple[list[tuple[int, int, int]], list[int], list[list[int]]]:
+    """LLL-reduced basis of phi(Z^3) at parameter T, with its integral
+    Gram-Schmidt data (d, lam) as _integral_gso defines them.
+
+    phi is the integer map of shortest_vector_reduced.  LLL uses the
+    classical 3/4 parameter; size reduction rounds mu = lam/d to the
+    nearest integer, halves up, over j = k-1, ..., 0 before the Lovasz
+    test.  The Gram-Schmidt data are computed once and then updated in
+    place: REDI on each size reduction, SWAPI on each swap (Cohen, Alg.
+    2.6.7), with every division exact.
+    """
+    a, b = T.numerator, T.denominator
+    n1, n2, den = x.common_denominator()
+    basis = [(-a * den, 0, 0), (0, -a * den, 0), (a * n1, a * n2, b * den)]
+    d, lam = _integral_gso(basis)
+    k = 1
+    while k < 3:
+        for j in range(k - 1, -1, -1):
+            dj = d[j + 1]
+            r = (2 * lam[k][j] + dj) // (2 * dj)
+            if r:
+                bk, bj = basis[k], basis[j]
+                basis[k] = (bk[0] - r * bj[0], bk[1] - r * bj[1], bk[2] - r * bj[2])
+                lam[k][j] -= r * dj
+                for i in range(j):
+                    lam[k][i] -= r * lam[j][i]
+        mu = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * mu * mu:
+            k += 1
+            continue
+        basis[k], basis[k - 1] = basis[k - 1], basis[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        dk = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+        for i in range(k + 1, 3):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+            lam[i][k - 1] = (dk * t + mu * lam[i][k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
+    return basis, d, lam
+
+
+def _ball_points(
+    basis: list[tuple[int, int, int]], d: list[int], lam: list[list[int]],
+    radius: int,
+):
+    """Yield every nonzero lattice point w with ||w||^2 <= radius.
+
+    The ball ||c0 b0 + c1 b1 + c2 b2||^2 <= radius is
+        d3 c2^2 / d2 + t1^2 / (d1 d2) + t0^2 / d1 <= radius
+    with t1 = d2 c1 + lam21 c2 and t0 = d1 c0 + lam10 c1 + lam20 c2,
+    so each coordinate range is an integer square root.
+    """
+    s2 = math.isqrt(d[2] * radius // d[3])
+    for c2 in range(-s2, s2 + 1):
+        r2 = d[2] * radius - d[3] * c2 * c2
+        s1 = math.isqrt(d[1] * r2)
+        off1 = lam[2][1] * c2
+        for c1 in range(-((s1 + off1) // d[2]), (s1 - off1) // d[2] + 1):
+            t1 = d[2] * c1 + off1
+            s0 = math.isqrt((d[1] * r2 - t1 * t1) // d[2])
+            off0 = lam[1][0] * c1 + lam[2][0] * c2
+            for c0 in range(-((s0 + off0) // d[1]), (s0 - off0) // d[1] + 1):
+                if c0 == 0 and c1 == 0 and c2 == 0:
+                    continue
+                yield (
+                    c0 * basis[0][0] + c1 * basis[1][0] + c2 * basis[2][0],
+                    c0 * basis[0][1] + c1 * basis[1][1] + c2 * basis[2][1],
+                    c0 * basis[0][2] + c1 * basis[1][2] + c2 * basis[2][2],
+                )
+
+
+def _preimage(x: RatPoint, T: Fraction, w: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The (p1, p2, q) that phi carries to the lattice point w."""
+    a, b = T.numerator, T.denominator
+    n1, n2, den = x.common_denominator()
+    q = w[2] // (b * den)
+    return (a * q * n1 - w[0]) // (a * den), (a * q * n2 - w[1]) // (a * den), q
+
+
 def shortest_vector_reduced(x: RatPoint, T) -> tuple[tuple[int, int, int], Fraction]:
     """Certified minimum of max(T*|q*x1 - p1|, T*|q*x2 - p2|, |q|) over Z^3.
 
@@ -322,69 +444,41 @@ def shortest_vector_reduced(x: RatPoint, T) -> tuple[tuple[int, int, int], Fract
     T = Fraction(T)
     if T <= 0:
         raise ValueError("T must be positive")
-    a, b = T.numerator, T.denominator
-    n1, n2, den = x.common_denominator()
-    bd = b * den
-    basis = [(-a * den, 0, 0), (0, -a * den, 0), (a * n1, a * n2, bd)]
-
-    # LLL with the classical 3/4 parameter, Gram-Schmidt redone per step.
-    # Size reduction rounds mu = lam/d to the nearest integer, halves up.
-    k = 1
-    while k < 3:
-        d, lam = _integral_gso(basis)
-        for j in range(k - 1, -1, -1):
-            r = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
-            if r:
-                bj = basis[j]
-                basis[k] = (
-                    basis[k][0] - r * bj[0],
-                    basis[k][1] - r * bj[1],
-                    basis[k][2] - r * bj[2],
-                )
-                d, lam = _integral_gso(basis)
-        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
-            k += 1
-        else:
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            k = max(k - 1, 1)
-
-    d, lam = _integral_gso(basis)
+    basis, d, lam = _reduced_lattice(x, T)
     best_vec = min(basis, key=lambda w: max(map(abs, w)))
     best = m0 = max(map(abs, best_vec))
-    radius = 3 * m0 * m0
+    for w in _ball_points(basis, d, lam, 3 * m0 * m0):
+        val = max(abs(w[0]), abs(w[1]), abs(w[2]))
+        if val < best:
+            best = val
+            best_vec = w
 
-    # The ball ||c0 b0 + c1 b1 + c2 b2||^2 <= radius is
-    #     d3 c2^2 / d2 + t1^2 / (d1 d2) + t0^2 / d1 <= radius
-    # with t1 = d2 c1 + lam21 c2 and t0 = d1 c0 + lam10 c1 + lam20 c2,
-    # so each coordinate range is an integer square root.
-    s2 = math.isqrt(d[2] * radius // d[3])
-    for c2 in range(-s2, s2 + 1):
-        r2 = d[2] * radius - d[3] * c2 * c2
-        s1 = math.isqrt(d[1] * r2)
-        off1 = lam[2][1] * c2
-        for c1 in range(-((s1 + off1) // d[2]), (s1 - off1) // d[2] + 1):
-            t1 = d[2] * c1 + off1
-            s0 = math.isqrt((d[1] * r2 - t1 * t1) // d[2])
-            off0 = lam[1][0] * c1 + lam[2][0] * c2
-            for c0 in range(-((s0 + off0) // d[1]), (s0 - off0) // d[1] + 1):
-                if c0 == 0 and c1 == 0 and c2 == 0:
-                    continue
-                w = (
-                    c0 * basis[0][0] + c1 * basis[1][0] + c2 * basis[2][0],
-                    c0 * basis[0][1] + c1 * basis[1][1] + c2 * basis[2][1],
-                    c0 * basis[0][2] + c1 * basis[1][2] + c2 * basis[2][2],
-                )
-                val = max(abs(w[0]), abs(w[1]), abs(w[2]))
-                if val < best:
-                    best = val
-                    best_vec = w
-
-    q = best_vec[2] // bd
-    p1 = (a * q * n1 - best_vec[0]) // (a * den)
-    p2 = (a * q * n2 - best_vec[1]) // (a * den)
+    p1, p2, q = _preimage(x, T, best_vec)
     if q < 0 or (q == 0 and (p1 < 0 or (p1 == 0 and p2 < 0))):
         p1, p2, q = -p1, -p2, -q
-    return (p1, p2, q), Fraction(best, bd)
+    return (p1, p2, q), Fraction(best, T.denominator * x.common_denominator()[2])
+
+
+def box_points(x: RatPoint, Q: int, r):
+    """Yield every (p1, p2, q) with 0 < q <= Q and ||q x - p|| <= r, r > 0.
+
+    At T = Q/r the map phi of shortest_vector_reduced scores these points
+    max(T ||q x - p||, |q|) <= Q, so they are the lattice points w with
+    q > 0 and ||w||_inf <= Q bD.  Each lies in the ball ||w||^2 <= 3 (Q bD)^2,
+    which is enumerated over the reduced basis: about 22 Q r^2 lattice
+    points, however few of them the box keeps.  The order is unspecified.
+    """
+    r = Fraction(r)
+    if r <= 0:
+        raise ValueError(f"box half-width must be positive, got {r}")
+    if Q < 1:
+        return
+    T = Q / r
+    basis, d, lam = _reduced_lattice(x, T)
+    m = Q * T.denominator * x.common_denominator()[2]
+    for w in _ball_points(basis, d, lam, 3 * m * m):
+        if 0 < w[2] <= m and abs(w[0]) <= m and abs(w[1]) <= m:
+            yield _preimage(x, T, w)
 
 
 def accelerated_subsequence(seq: BestApproxSeq) -> list[PrimVec]:

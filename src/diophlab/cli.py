@@ -221,10 +221,16 @@ def cmd_slow_chain(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
     else:
         level = args.level
         target = lambda t: level
-    chain, cert = slow_chain(
-        u0, target, Fraction(args.delta), steps=args.steps,
-        samples=args.samples,
-    )
+    try:
+        chain, cert = slow_chain(
+            u0, target, Fraction(args.delta), steps=args.steps,
+            samples=args.samples,
+        )
+    except OverflowError as ex:
+        # the heights outgrow what prints: name the option that drove them
+        if args.target == "const":
+            raise ValueError(f"--level {args.level}: {ex}") from None
+        raise ValueError(f"--steps {args.steps}: {ex}") from None
     rows = chain.to_jsonable()
     payload = {
         "target": args.target,

@@ -46,6 +46,15 @@ SLOT_STRIDE = 20
 # Caps that turn runaway slow-chain schedules into usage errors.
 MAX_SCHEDULE_KNOTS = 10**4
 MAX_EXP_ARG = 10**5
+# A slow step may not make a height of more digits than this, the
+# interpreter's default limit on printing an integer.
+MAX_HEIGHT_DIGITS = 4300
+# A slot's height multiplier may not exceed this.  Each tree level
+# multiplies heights by about the multiplier, and the exact audits slow
+# down with their digits: on a 2-core x86-64 host the default depth-3
+# psi-tree from (-5,-4,13) took 7 s at eps = 10^-33 (multiplier near
+# 10^100) and 548 s at eps = 10^-400 (near 10^1200).
+MAX_SLOT_MULTIPLIER = 10**100
 
 
 def coprime_pairs(n: int) -> list[tuple[int, int]]:
@@ -78,13 +87,20 @@ def height_window(u: PrimVec, a: int, b: int, eps) -> tuple[Fraction, Fraction]:
     """Open interval (M, 2M - 1) of admissible height multipliers.
 
     M is the distortion threshold for the slot's sublattice: any child
-    of height above M * |u| lands strictly below distortion eps.
+    of height above M * |u| lands strictly below distortion eps.  Raises
+    ValueError when M exceeds MAX_SLOT_MULTIPLIER = 10^100, which bounds
+    the work of a tree at tiny eps.
     """
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 2):
         raise ValueError("distortion bound must lie in (0, 1/2)")
     target = slot_sublattice(u, a, b)
     m = Fraction(seminorm(target) ** 2, u.q) / eps**3
+    if m > MAX_SLOT_MULTIPLIER:
+        raise ValueError(
+            "distortion bound too small: a slot's height multiplier "
+            f"exceeds {MAX_SLOT_MULTIPLIER:.0e}"
+        )
     return m, 2 * m - 1
 
 
@@ -291,22 +307,23 @@ def _audit_edge(
     was.  The eps^-6 growth bound is a property of the slotted height
     window, so callers stepping by the minimal-height rule skip it.
     """
-    edge = f"edge {u} -> {v}"
+    def fail(why: str) -> RuntimeError:
+        return RuntimeError(f"edge {u} -> {v}: {why}")
+
     member = admissible_successor(u, v, eps)
     if not member["ok"]:
-        raise RuntimeError(f"{edge}: successor membership failed: {member}")
+        raise fail(f"successor membership failed: {member}")
     if not nesting_ok(u, v)["ok"]:
-        raise RuntimeError(f"{edge}: child domain does not nest inside the parent")
+        raise fail("child domain does not nest inside the parent")
     if check_growth:
         growth = growth_ok(u, v, eps)
         if growth["applicable"] and not growth["ok"]:
-            raise RuntimeError(
-                f"{edge}: height grew by {Fraction(v.q, u.q)}, "
-                f"below the required {eps**-6}"
+            raise fail(
+                f"height grew by {Fraction(v.q, u.q)}, below the required {eps**-6}"
             )
     w = wedge(v, u)
     if prev_wedge is not None and _proportional(prev_wedge, w):
-        raise RuntimeError(f"{edge}: consecutive steps share a rational line")
+        raise fail("consecutive steps share a rational line")
     return w
 
 
@@ -656,7 +673,8 @@ def slow_step(u: PrimVec, eps_prime) -> tuple[PrimVec, dict]:
     The child is the minimal height in the forced residue class strictly
     above eps_prime^-3 |Hhat(u)|^2.  Returns the child plus float gaps
     measuring how closely the child's distortion tracks eps_prime and
-    how the log-height clock advanced.
+    how the log-height clock advanced.  Raises OverflowError when that
+    height has more than MAX_HEIGHT_DIGITS = 4300 digits.
     """
     eps_prime = Fraction(eps_prime)
     if not 0 < eps_prime < 1:
@@ -667,6 +685,11 @@ def slow_step(u: PrimVec, eps_prime) -> tuple[PrimVec, dict]:
     base = math.floor(bound) + 1
     z = wedge_residue(u, target)
     h = base + ((z - base) % u.q)
+    if h >= 10**MAX_HEIGHT_DIGITS:
+        raise OverflowError(
+            f"a slow step needs a height of more than {MAX_HEIGHT_DIGITS} "
+            "digits, the integer output limit"
+        )
     v = vector_with_wedge(u, target, h)
     inv_v = invariants(v)
     log_eps_v = ln_fraction(inv_v.eps3) / 3
@@ -780,7 +803,9 @@ def expansion_tree(
 ) -> TreeNode:
     """Branching family: every expanded node materialises its lex-first
     `width` children (split evenly across sublattice pairs), and the
-    lex-first `expand` of those recurse until `depth` levels."""
+    lex-first `expand` of those recurse until `depth` levels.  Raises
+    ValueError when eps is so small that a slot's height multiplier
+    exceeds MAX_SLOT_MULTIPLIER = 10^100."""
     if min(depth, expand, width) < 0:
         raise ValueError(
             f"depth, expand and width must be nonnegative, got {depth}, {expand}, {width}"

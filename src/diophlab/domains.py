@@ -3,7 +3,8 @@
 For a primitive vector v the domain is the set of x that admit v as a
 best approximation.  It is sandwiched between two sup-norm balls around
 the rational point of v, with exactly computable radii, and membership
-itself is decidable by a finite exact scan over lower heights.
+itself is decidable exactly, by enumerating the lattice points of one box
+of lower heights.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bestapprox import BestApproxSeq, Breakpoint, height_minimum
+from .bestapprox import BestApproxSeq, Breakpoint, box_points, height_minimum
 from .core import PrimVec, RatPoint, residual, seminorm, wedge
 from .latinv import invariants
 from .util import frac_str
@@ -55,11 +56,34 @@ def ball_bounds(v: PrimVec) -> BallBounds:
 def in_domain(x: RatPoint, v: PrimVec) -> bool:
     """Exact membership: is v a best approximation to x?
 
-    Scans every height below |v| (strict comparison required) and height
-    |v| itself (weak comparison), using the exact per-height residual
-    minimum.  Heights in between that the candidate beats only weakly
-    disqualify it when they are strictly smaller.
+    No height below |v| may reach v's residual (strict comparison), and
+    no numerator pair at height |v| may beat it (weak comparison).  The
+    lower heights are searched as lattice points: any of them that
+    reaches the residual shows up in box_points(x, |v| - 1, res_v).
+
+    A zero residual puts x at v's rational point, whose reduced
+    denominator is |v| because v is primitive, so no lower height
+    reaches it.  Minkowski's theorem settles large boxes without a
+    search: the body |q| <= 1/r^2, ||q x - p|| <= r has volume 8, so for
+    r < 1 it holds an integer point with 0 < q <= 1/r^2 and residual at
+    most r (and for r >= 1/2 height 1 already reaches r).  So v is no
+    member once (|v| - 1) res_v^2 >= 1, and a box that is searched has
+    volume 4 (|v| - 1) res_v^2 < 4.  in_domain_scan is the
+    height-by-height oracle.
     """
+    res_v = residual(x, v)
+    if res_v == 0:
+        return True
+    if (v.q - 1) * res_v * res_v >= 1:
+        return False
+    if next(box_points(x, v.q - 1, res_v), None) is not None:
+        return False
+    return height_minimum(x, v.q)[0] >= res_v
+
+
+def in_domain_scan(x: RatPoint, v: PrimVec) -> bool:
+    """in_domain by scanning every height up to |v|: the oracle that the
+    lattice-box route is tested against."""
     res_v = residual(x, v)
     for q in range(1, v.q):
         if height_minimum(x, q)[0] <= res_v:

@@ -12,6 +12,9 @@ tending to 0.  The assertion states the claim as made and reports both
 values; see the red test at the bottom.
 """
 
+import contextlib
+import io
+import json
 import math
 import random
 import time
@@ -20,12 +23,14 @@ from fractions import Fraction as F
 from diophlab.bestapprox import (
     audit_best_inequalities,
     best_approximations,
+    best_approximations_scan,
     height_minimum,
     projective_sandwich_ok,
     shortest_vector_oracle,
     wx_profile,
 )
 from diophlab.cfrac import dn_tree
+from diophlab.cli import run
 from diophlab.construct import fixed_chain, sandwich_audit, slow_chain
 from diophlab.construct import expansion_tree, tree_audit
 from diophlab.core import RatPoint, pvec
@@ -40,6 +45,7 @@ from diophlab.dimension import (
     dn_exact_inversion,
     lower_cert,
 )
+from diophlab.util import frac_str
 
 README = __file__.rsplit("/", 2)[0] + "/README.md"
 
@@ -124,6 +130,21 @@ def test_best_approximation_audit_hundred_targets():
         for u, v in zip(seq.items, seq.items[1:]):
             assert projective_sandwich_ok(x, u, v)
     assert time.perf_counter() - start < 60.0
+
+
+def test_best_approx_at_a_million_heights_within_two_seconds():
+    argv = ["best-approx", "--x", "1/1000003,2/1000003", "--qmax", "1000003"]
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    items = json.loads(out.getvalue())["items"]
+    seq = best_approximations_scan(RatPoint(F(1, 1000003), F(2, 1000003)), 1000003)
+    assert [(r["p1"], r["p2"], r["q"], r["residual"]) for r in items] == [
+        (v.p1, v.p2, v.q, frac_str(r)) for v, r in zip(seq.items, seq.residuals)
+    ]
 
 
 def test_profile_matches_shortest_vector_oracle():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,9 +8,13 @@ from hypothesis import strategies as st
 
 from diophlab.bestapprox import (
     Breakpoint,
+    _integral_gso,
+    _reduced_lattice,
     accelerated_subsequence,
     audit_best_inequalities,
     best_approximations,
+    best_approximations_scan,
+    box_points,
     crossing_eps_cubed,
     height_minimum,
     projective_sandwich_ok,
@@ -297,3 +302,62 @@ def test_sequence_invariants_property(d, a, b):
     for v, r in zip(seq.items, seq.residuals):
         assert height_minimum(x, v.q)[0] == r
         assert gcd3(v.p1, v.p2, v.q) == 1
+
+
+def test_box_points_match_bruteforce():
+    rng = random.Random(16)
+    for _ in range(60):
+        x = random_target(rng, 40)
+        big_q = rng.randint(0, 30)
+        r = F(rng.randint(1, 12), rng.randint(2, 40))
+        want = set()
+        for q in range(1, big_q + 1):
+            for p1 in range(math.floor(q * x.x1 - r), math.ceil(q * x.x1 + r) + 1):
+                for p2 in range(math.floor(q * x.x2 - r), math.ceil(q * x.x2 + r) + 1):
+                    if max(abs(q * x.x1 - p1), abs(q * x.x2 - p2)) <= r:
+                        want.add((p1, p2, q))
+        got = list(box_points(x, big_q, r))
+        assert len(got) == len(set(got))
+        assert set(got) == want, (x, big_q, r)
+
+
+def test_box_points_rejects_empty_box():
+    with pytest.raises(ValueError):
+        list(box_points(RatPoint(F(1, 3), F(1, 5)), 10, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=3000),
+    a=st.integers(min_value=-4000, max_value=4000),
+    b=st.integers(min_value=-4000, max_value=4000),
+    half=st.booleans(),
+    bound=st.one_of(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=4000),
+    ),
+)
+def test_best_approximations_match_scan(d, a, b, half, bound):
+    # half=True puts x1 on a half-integer tie at every odd height; bounds
+    # below, at and above the denominator cover cut-off and exact hits
+    x = RatPoint(F(1, 2) if half else F(a, d), F(b, d))
+    assert best_approximations(x, bound) == best_approximations_scan(x, bound)
+
+
+def test_reduced_lattice_is_lll_reduced():
+    # the in-place REDI/SWAPI data must equal a fresh Gram-Schmidt pass,
+    # and that pass must show a size-reduced basis passing the Lovasz test
+    rng = random.Random(17)
+    for _ in range(300):
+        digits = rng.choice([1, 3, 8, 20])
+        d = rng.randint(2, 10**digits)
+        x = RatPoint(F(rng.randrange(d), d), F(rng.randrange(d), d))
+        t = F(rng.randint(1, 10**rng.randint(1, 2 * digits)), rng.randint(1, 1000))
+        basis, dd, lam = _reduced_lattice(x, t)
+        fresh_d, fresh_lam = _integral_gso(basis)
+        assert (dd, lam) == (fresh_d, fresh_lam)
+        for k in range(1, 3):
+            for j in range(k):
+                assert -fresh_d[j + 1] <= 2 * fresh_lam[k][j] < fresh_d[j + 1]
+            assert (4 * fresh_d[k + 1] * fresh_d[k - 1]
+                    >= 3 * fresh_d[k] ** 2 - 4 * fresh_lam[k][k - 1] ** 2)

@@ -129,19 +129,32 @@ def test_usage_errors_exit_two(capsys):
     # a delta beyond float range is out of range, not an overflow
     assert run(["dims", "cantor", "--delta", "1e400"]) == 2
     assert run(["dims", "bounds", "--delta", "1e400"]) == 2
-    # a spacing ratio beyond float range is a usage error, not an overflow
+    # a tiny eps is a usage error, not an overflow or a runaway tree
     assert run(["psi-tree", "--seed-vec", "0,0,1", "--eps", "1e-200",
                 "--depth", "1", "--width", "2"]) == 2
     capsys.readouterr()
     # extreme constant levels: a schedule of too many knots, an exponent
-    # too large to raise exactly; each is one error line, within seconds
-    for level in ("-1e-300", "-1e300"):
+    # too large to raise exactly, heights too long to print; and a tree
+    # whose heights would run to thousands of digits.  Each is one error
+    # line, within seconds
+    errs = []
+    for argv in (
+        ["slow-chain", "--target", "const", "--level=-1e-300", "--steps", "3",
+         "--samples", "2"],
+        ["slow-chain", "--target", "const", "--level=-1e300", "--steps", "3",
+         "--samples", "2"],
+        ["slow-chain", "--target", "const", "--level=-3000", "--steps", "3",
+         "--samples", "2"],
+        ["psi-tree", "--seed-vec=-5,-4,13", "--eps=1e-400"],
+    ):
         start = time.perf_counter()
-        assert run(["slow-chain", "--target", "const", f"--level={level}",
-                    "--steps", "3", "--samples", "2"]) == 2
-        assert time.perf_counter() - start < 2
+        assert run(argv) == 2, argv
+        assert time.perf_counter() - start < 2, argv
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        errs.append(err)
+    # the heights too long to print are blamed on the option, not on int
+    assert "--level" in errs[2] and "4300 digits" in errs[2], errs[2]
 
 
 def test_failed_chain_edge_exits_one_naming_the_edge(capsys):
@@ -194,9 +207,9 @@ CHEAP_ARGV = st.one_of(
     # N stays small: 'dn --root' builds about 2N children
     _argv(["dn"], {"n": st.integers(-5, 2000)}, root=NUMBER, tol=NUMBER),
     _argv(["invariants"], {"v": BIG_VEC}),
-    _argv(["best-approx"], {"x": POINT, "qmax": st.integers(-3, 12)},
+    _argv(["best-approx"], {"x": POINT, "qmax": st.integers(-3, 10**9)},
           norm=st.sampled_from(["sup", "euclid"])),
-    _argv(["profile"], {"x": POINT, "qmax": st.integers(-3, 12)},
+    _argv(["profile"], {"x": POINT, "qmax": st.integers(-3, 10**9)},
           samples=st.integers(-2, 6)),
     _argv(["domain"], {"v": SMALL_VEC}, x=POINT, rejects=st.integers(-2, 40)),
     # sizes are always drawn: the default trees and chains take seconds,

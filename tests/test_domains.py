@@ -14,6 +14,7 @@ from diophlab.domains import (
     domain_samples,
     half_domain_witness_ok,
     in_domain,
+    in_domain_scan,
 )
 
 F = Fraction
@@ -71,6 +72,31 @@ def test_in_domain_matches_best_sequences():
         seq = best_approximations(x, 40)
         for v in seq.items:
             assert in_domain(x, v)
+
+
+def test_in_domain_matches_scan_on_grids():
+    # grids around v at several scales: the center (res_v = 0), members,
+    # non-members near v and far from it (where Minkowski's bound decides),
+    # and height-one vectors, whose box of lower heights is empty
+    rng = random.Random(23)
+    vecs = [pvec(0, 0, 1), pvec(1, 0, 1), pvec(1, 1, 2), pvec(3, 2, 7)]
+    while len(vecs) < 40:
+        q = rng.randint(2, 80)
+        p1, p2 = rng.randint(-1, q + 1), rng.randint(-1, q + 1)
+        if gcd3(p1, p2, q) == 1:
+            vecs.append(PrimVec(p1, p2, q))
+    seen = {True: 0, False: 0}
+    for v in vecs:
+        c = v.proj()
+        for scale in (F(1, 4), 1, 4, 16):
+            s = F(1, scale * v.q * v.q)
+            for i in range(-3, 4):
+                for j in range(-3, 4):
+                    x = RatPoint(c.x1 + i * s, c.x2 + j * s)
+                    member = in_domain(x, v)
+                    assert member == in_domain_scan(x, v), (x, v)
+                    seen[member] += 1
+    assert min(seen.values()) > 500, seen
 
 
 def test_crossing_frozen():
