@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import random
 import sys
 from collections.abc import Callable
@@ -39,7 +40,7 @@ from .construct import (
     tree_audit,
     verify_spacing,
 )
-from .core import NormChoice, PrimVec, RatPoint, pvec, residual, wedge
+from .core import PrimVec, RatPoint, pvec, residual, wedge
 from .dimension import (
     bounds_crossing,
     cantor_bounds,
@@ -57,44 +58,23 @@ from .latinv import (
     scan_minima,
     wedge_constraint_ok,
 )
-from .util import frac_str, json_ready, resolve_seed
+from .util import frac_str, json_ready
 
 
 FORMATS = ("json", "tsv", "table")
 DEFAULT_ROOT_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run settings, resolved once before dispatch.
+def positive(kind):
+    """An argparse type: the text read as `kind`, which must exceed zero."""
+    def convert(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
 
-    Every subcommand shares these; the tolerance only binds where a
-    subcommand reports a root-finding residual to hold it against.
-    """
-
-    fmt: str = "json"
-    norm: NormChoice = "sup"
-    tolerance: float | None = None
-
-    def __post_init__(self):
-        if self.fmt not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}, got {self.fmt!r}")
-        if self.norm not in ("sup", "euclid"):
-            raise ValueError(f"unknown norm {self.norm!r}")
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-
-    @property
-    def root_tolerance(self) -> float:
-        return DEFAULT_ROOT_TOLERANCE if self.tolerance is None else self.tolerance
-
-
-def config_from_args(args) -> RunConfig:
-    return RunConfig(
-        fmt=args.format,
-        norm=getattr(args, "norm", "sup"),
-        tolerance=getattr(args, "tol", None),
-    )
+    convert.__name__ = kind.__name__  # argparse names the type in its errors
+    return convert
 
 
 def parse_point(text: str) -> RatPoint:
@@ -140,11 +120,11 @@ def emit(payload: dict, fmt: str, rows: list[dict] | None = None) -> str:
 # --------------------------------------------------------------- handlers
 
 
-def cmd_best_approx(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
+def cmd_best_approx(args) -> tuple[int, dict, list[dict] | None]:
     x = parse_point(args.x)
     seq = best_approximations(x, args.qmax)
     payload = seq.to_jsonable()
-    payload["norm"] = cfg.norm
+    payload["norm"] = args.norm
     payload["exact_hit"] = seq.exact_hit
     rows = []
     for v, r in zip(seq.items, seq.residuals):
@@ -154,14 +134,14 @@ def cmd_best_approx(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]
                 "p2": v.p2,
                 "q": v.q,
                 "residual": frac_str(r),
-                "residual_float": float(residual(x, v, cfg.norm)),
+                "residual_float": float(residual(x, v, args.norm)),
             }
         )
     payload["items"] = rows
     return 0, payload, rows
 
 
-def cmd_profile(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
+def cmd_profile(args) -> tuple[int, dict, list[dict] | None]:
     x = parse_point(args.x)
     prof = wx_profile(best_approximations(x, args.qmax))
     payload = prof.to_jsonable()
@@ -173,12 +153,12 @@ def cmd_profile(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
     return 0, payload, rows
 
 
-def cmd_invariants(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
+def cmd_invariants(args) -> tuple[int, dict, list[dict] | None]:
     iv = invariants(parse_vec(args.v))
     return 0, iv.to_jsonable(), None
 
 
-def cmd_domain(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
+def cmd_domain(args) -> tuple[int, dict, list[dict] | None]:
     v = parse_vec(args.v)
     bb = ball_bounds(v)
     audit = audit_ball_sandwich(v, rejects=args.rejects)
@@ -189,7 +169,7 @@ def cmd_domain(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
     return (0 if audit["pass"] else 1), payload, None
 
 
-def cmd_psi_tree(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
+def cmd_psi_tree(args) -> tuple[int, dict, list[dict] | None]:
     seed_vec = parse_vec(args.seed_vec)
     eps = Fraction(args.eps)
     root = expansion_tree(
@@ -214,7 +194,7 @@ def cmd_psi_tree(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
     return (0 if rep["ok"] else 1), payload, rows
 
 
-def cmd_slow_chain(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
+def cmd_slow_chain(args) -> tuple[int, dict, list[dict] | None]:
     u0 = parse_vec(args.seed_vec)
     if args.target == "log1p":
         target = lambda t: -math.log1p(t)
@@ -252,8 +232,8 @@ def cmd_slow_chain(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
     return (0 if cert["ok"] else 1), payload, rows
 
 
-def cmd_dims(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
-    tol = cfg.root_tolerance
+def cmd_dims(args) -> tuple[int, dict, list[dict] | None]:
+    tol = args.tol
     if args.action == "cantor":
         if args.delta is None:
             raise ValueError("--delta is required for 'dims cantor'")
@@ -288,9 +268,9 @@ def cmd_dims(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
     return (0 if rep["residual"] <= tol else 1), payload, None
 
 
-def cmd_dn(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
+def cmd_dn(args) -> tuple[int, dict, list[dict] | None]:
     s_minus, s_plus = dn_bounds(args.n)
-    tol = cfg.root_tolerance
+    tol = args.tol
     payload = {
         "n": args.n,
         "s_minus": s_minus.to_jsonable(),
@@ -307,7 +287,7 @@ def cmd_dn(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
     return code, payload, None
 
 
-def cmd_cf(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
+def cmd_cf(args) -> tuple[int, dict, list[dict] | None]:
     x = Fraction(args.x)
     conv = convergents(x)
     payload = {"x": frac_str(x), "convergents": [frac_str(c) for c in conv]}
@@ -640,21 +620,19 @@ def _run_item(entry: tuple[int, int, str | None]) -> dict:
     return AUDIT_ITEMS[idx](seed, fault).to_jsonable()
 
 
-def cmd_audit_all(args, cfg: RunConfig) -> tuple[int, dict, list[dict] | None]:
-    seed = resolve_seed(args.seed)
-    if args.jobs < 1:
-        raise ValueError("jobs must be at least 1")
+def cmd_audit_all(args) -> tuple[int, dict, list[dict] | None]:
     fault = args.inject_fault
-    entries = [(i, seed, fault) for i in range(len(AUDIT_ITEMS))]
+    entries = [(i, args.seed, fault) for i in range(len(AUDIT_ITEMS))]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a fork pool starts every worker at the first submit: one per item at most
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(entries))) as pool:
             results = list(pool.map(_run_item, entries))
     else:
         results = [_run_item(e) for e in entries]
     total_checks = sum(r["checks"] for r in results)
     total_failures = sum(r["failures"] for r in results)
     payload = {
-        "seed": seed,
+        "seed": args.seed,
         "fault": fault,
         "items": results,
         "total_checks": total_checks,
@@ -735,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", default=None, help="distortion parameter in (0,1]")
     p.add_argument("--depth", type=int, default=0,
                    help="also estimate from a covering tree of this depth")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=positive(float), default=DEFAULT_ROOT_TOLERANCE,
                    help="residual ceiling for root finding (default 1e-9)")
     p.set_defaults(handler=cmd_dims)
 
@@ -744,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="quotient level N >= 72")
     p.add_argument("--root", default=None,
                    help="optionally audit the interval family at this fraction")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=positive(float), default=DEFAULT_ROOT_TOLERANCE,
                    help="residual ceiling for root finding (default 1e-9)")
     p.set_defaults(handler=cmd_dn)
 
@@ -757,9 +735,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit-all", parents=[common],
                        help="run the consolidated invariant audit corpus")
-    p.add_argument("--seed", type=int, default=None,
+    # a string default goes through type only when --seed is absent
+    p.add_argument("--seed", type=int, default=os.environ.get("DIOPHLAB_SEED", "0"),
                    help="RNG seed; DIOPHLAB_SEED overrides the default 0")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=positive(int), default=1,
                    help="parallel workers for batch audits")
     p.add_argument("--inject-fault", choices=["tie-break"], default=None,
                    help="corrupt one checked rule to prove the audit bites")
@@ -778,8 +757,7 @@ def run(argv=None) -> int:
     except SystemExit as ex:
         return ex.code if isinstance(ex.code, int) else 2
     try:
-        cfg = config_from_args(args)
-        code, payload, rows = args.handler(args, cfg)
+        code, payload, rows = args.handler(args)
     except (ValueError, ZeroDivisionError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
@@ -787,7 +765,7 @@ def run(argv=None) -> int:
         # a construction failed its own audit: the message is the witness
         print(f"error: {ex}", file=sys.stderr)
         return 1
-    sys.stdout.write(emit(payload, cfg.fmt, rows))
+    sys.stdout.write(emit(payload, args.format, rows))
     return code
 
 

@@ -22,6 +22,7 @@ exact arithmetic at each sample.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -106,20 +107,17 @@ def height_window(u: PrimVec, a: int, b: int, eps) -> tuple[Fraction, Fraction]:
 
 def slot_heights(u: PrimVec, a: int, b: int, eps, limit: int | None = None) -> list[int]:
     """Sampled height multipliers for the slot pair: the first
-    floor((M - 1)/stride) multiples of the stride strictly above M,
-    kept only while they stay inside the open window (M, 2M - 1).
-    A limit returns just the first that many."""
-    m, hi = height_window(u, a, b, eps)
+    floor((M - 1)/stride) multiples of the stride strictly above M.
+    That count keeps every one inside the open window (M, 2M - 1): the
+    first lies at most a stride above M, and exactly a stride only when
+    M is a multiple of the stride, where the count falls short of
+    (M - 1)/stride.  A limit returns just the first that many."""
+    m, _ = height_window(u, a, b, eps)
     count = max(0, (m - 1) // SLOT_STRIDE)
     if limit is not None:
         count = min(count, limit)
     first = SLOT_STRIDE * (m // SLOT_STRIDE + 1)
-    cs = []
-    for i in range(count):
-        c = int(first + SLOT_STRIDE * i)
-        if m < c < hi:
-            cs.append(c)
-    return cs
+    return list(range(first, first + SLOT_STRIDE * count, SLOT_STRIDE))
 
 
 def admissible_slots(
@@ -614,14 +612,8 @@ class Schedule:
                     f"to reach t = {float(t)}"
                 )
             self._extend()
-        lo, hi = 0, len(self.knots) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.knots[mid][0] <= t:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self.knots[lo][1]
+        i = bisect.bisect_right(self.knots, t, key=lambda k: k[0])
+        return self.knots[i - 1][1]
 
     def verify(self) -> dict:
         """Check the defining properties on the materialised knots: values

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 
@@ -43,12 +42,3 @@ def json_ready(obj):
     if isinstance(obj, (list, tuple)):
         return [json_ready(v) for v in obj]
     return obj
-
-
-def resolve_seed(cli_seed: int | None) -> int:
-    if cli_seed is not None:
-        return cli_seed
-    env = os.environ.get("DIOPHLAB_SEED")
-    if env is not None:
-        return int(env)
-    return 0

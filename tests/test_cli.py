@@ -126,6 +126,14 @@ def test_usage_errors_exit_two(capsys):
     # --seed and --jobs belong to audit-all alone
     assert run(["psi-tree", "--seed", "1"]) == 2
     assert run(["cf", "--x", "1/2", "--jobs", "2"]) == 2
+    # a tolerance and a worker count must be positive
+    for argv in (["dims", "crossing", "--tol=0"], ["dims", "crossing", "--tol=nan"],
+                 ["dn", "--n", "72", "--tol=-1"], ["audit-all", "--jobs", "0"]):
+        assert run(argv) == 2, argv
+    capsys.readouterr()
+    # the parser's error names the type it expected, not its converter
+    assert run(["dims", "crossing", "--tol=x"]) == 2
+    assert "invalid float value: 'x'" in capsys.readouterr().err
     # a delta beyond float range is out of range, not an overflow
     assert run(["dims", "cantor", "--delta", "1e400"]) == 2
     assert run(["dims", "bounds", "--delta", "1e400"]) == 2
@@ -254,6 +262,39 @@ def test_cli_seed_beats_env(capsys, monkeypatch):
     monkeypatch.setenv("DIOPHLAB_SEED", "7")
     _, doc = run_json(capsys, ["audit-all", "--seed", "3"])
     assert doc["seed"] == 3
+
+
+def test_bad_env_seed_exits_two_unless_seed_given(capsys, monkeypatch):
+    monkeypatch.setenv("DIOPHLAB_SEED", "abc")
+    assert run(["audit-all"]) == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    _, doc = run_json(capsys, ["audit-all", "--seed", "3"])
+    assert doc["seed"] == 3
+
+
+def test_audit_all_pool_has_at_most_one_worker_per_item(capsys, monkeypatch):
+    # records the pool size and maps in process, so no worker is started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, entries):
+            return map(fn, entries)
+
+    run(["audit-all", "--seed", "0"])
+    serial = capsys.readouterr().out
+    monkeypatch.setattr("diophlab.cli.ProcessPoolExecutor", SerialPool)
+    assert run(["audit-all", "--seed", "0", "--jobs", "1000"]) == 0
+    assert sizes and max(sizes) <= len(AUDIT_ITEMS), sizes
+    assert capsys.readouterr().out == serial
 
 
 def test_audit_all_passes_and_reruns_identically(capsys):

@@ -113,6 +113,20 @@ def test_slot_heights_seed():
     assert slot_heights(SEED, 1, 0, EIGHTH, limit=1) == [520]
 
 
+def test_slot_heights_stay_inside_the_window():
+    # eps 1/10 and 1/20 put the window's lower end M on a multiple of the
+    # stride, where the first height sits a full stride above M
+    lows = []
+    for eps in (EIGHTH, F(3, 25), F(1, 10), F(1, 20)):
+        for a, b in coprime_pairs(1):
+            m, hi = height_window(SEED, a, b, eps)
+            cs = slot_heights(SEED, a, b, eps)
+            assert hi == 2 * m - 1 and cs, (eps, a, b)
+            assert all(m < c < hi for c in cs), (eps, a, b)
+            lows.append(m)
+    assert 1000 in lows and 8000 in lows, lows
+
+
 def test_admissible_slots_seed_fifty():
     slots = admissible_slots(SEED, EIGHTH)
     assert len(slots) == 50
