@@ -15,18 +15,15 @@ from .bestapprox import (
 )
 from .construct import (
     Chain,
-    FixedPolicy,
     Schedule,
-    SingPolicy,
     cantor_children,
     child_vector,
     expansion_tree,
-    extend_chain,
     fixed_chain,
     limit_box,
     regularize_schedule,
     sandwich_audit,
-    seed_chain,
+    sing_chain,
     slow_chain,
     slow_step,
     tree_audit,
@@ -37,20 +34,17 @@ from .latinv import Invariants, distortion_below, invariants, lattice_minima
 
 __all__ = [
     "Chain",
-    "FixedPolicy",
     "Invariants",
     "NormChoice",
     "PrimVec",
     "RatPoint",
     "Schedule",
-    "SingPolicy",
     "Wedge2",
     "best_approximations",
     "cantor_children",
     "child_vector",
     "distortion_below",
     "expansion_tree",
-    "extend_chain",
     "fixed_chain",
     "invariants",
     "lattice_minima",
@@ -60,10 +54,10 @@ __all__ = [
     "regularize_schedule",
     "residual",
     "sandwich_audit",
-    "seed_chain",
     "seminorm",
     "shortest_vector_oracle",
     "shortest_vector_reduced",
+    "sing_chain",
     "slow_chain",
     "slow_step",
     "tree_audit",

@@ -173,16 +173,7 @@ class DNNode:
 
     v: Fraction
     interval: IntervalIN
-    depth: int
     children: list["DNNode"] = field(default_factory=list)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "v": frac_str(self.v),
-            "interval": self.interval.to_jsonable(),
-            "depth": self.depth,
-            "children": [c.to_jsonable() for c in self.children],
-        }
 
 
 def dn_tree(
@@ -202,10 +193,10 @@ def dn_tree(
     root = Fraction(root)
 
     def build(v: Fraction, d: int) -> DNNode:
-        node = DNNode(v, quotient_interval(v, N), d)
+        node = DNNode(v, quotient_interval(v, N))
         if d < depth:
             kids = dn_children(v, N, a_max)
-            node.children = [DNNode(c, quotient_interval(c, N), d + 1) for c in kids]
+            node.children = [DNNode(c, quotient_interval(c, N)) for c in kids]
             if d + 1 < depth:
                 if descend is None or descend >= len(kids):
                     picks = range(len(kids))

@@ -42,6 +42,7 @@ from .construct import (
 )
 from .core import PrimVec, RatPoint, pvec, residual, wedge
 from .dimension import (
+    MAX_TREE_DEPTH,
     bounds_crossing,
     cantor_bounds,
     cantor_exact_dim,
@@ -712,7 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["cantor", "bounds", "crossing"])
     p.add_argument("--delta", default=None, help="distortion parameter in (0,1]")
     p.add_argument("--depth", type=int, default=0,
-                   help="also estimate from a covering tree of this depth")
+                   help="also estimate from a covering tree of this depth "
+                   f"(at most {MAX_TREE_DEPTH})")
     p.add_argument("--tol", type=positive(float), default=DEFAULT_ROOT_TOLERANCE,
                    help="residual ceiling for root finding (default 1e-9)")
     p.set_defaults(handler=cmd_dims)

@@ -8,12 +8,14 @@ shortest class, the height clears the distortion window, the child's
 domain nests strictly inside the parent's, and (when the parent is
 already distorted) the height grows by the required factor.
 
-Three flavours of chain are built here.  Fixed-distortion chains take the
+Three flavours of chain are built here, each by a plain loop that adjoins
+every node through one audited append.  Fixed-distortion chains take the
 lexicographically first admissible slot at a constant distortion bound.
-Spaced families enumerate every admissible slot, giving the Cantor-type
-branching whose sibling domains repel each other.  Slow chains follow a
-regularised step schedule so that the minima profile of the limit point
-tracks a prescribed decay target.
+Singular-type chains shrink the bound slowly along a fixed schedule.  Slow
+chains follow a regularised step schedule so that the minima profile of
+the limit point tracks a prescribed decay target.  Spaced families
+enumerate every admissible slot, giving the Cantor-type branching whose
+sibling domains repel each other.
 
 The sandwich audit closes the loop: it compares the chain's own minima
 envelope against a from-scratch lattice minimum at sampled times, in
@@ -30,7 +32,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .bestapprox import shortest_vector_reduced
-from .core import PrimVec, RatPoint, Wedge2, residual, seminorm, wedge
+from .core import PrimVec, RatPoint, Wedge2, proj_dist, residual, seminorm, wedge
 from .latinv import (
     canonical_sign,
     distortion_below,
@@ -56,6 +58,13 @@ MAX_HEIGHT_DIGITS = 4300
 # psi-tree from (-5,-4,13) took 7 s at eps = 10^-33 (multiplier near
 # 10^100) and 548 s at eps = 10^-400 (near 10^1200).
 MAX_SLOT_MULTIPLIER = 10**100
+# The singular-type schedule (see sing_chain): the constant c, the family
+# size at step 0, the cap on every bound, and the factor by which each
+# node's distortion cube must undercut its parent's.
+SING_C = 1e-4
+SING_START = 16
+SING_EPS_CAP = Fraction(1, 4)
+SING_SHRINK = Fraction(1023, 1024)
 
 
 def coprime_pairs(n: int) -> list[tuple[int, int]]:
@@ -136,15 +145,6 @@ def admissible_slots(
     return out
 
 
-def first_admissible_slot(u: PrimVec, eps, n: int = 1) -> tuple[int, int, int] | None:
-    """Lex-least admissible slot, or None when every window is empty."""
-    for a, b in coprime_pairs(n):
-        cs = slot_heights(u, a, b, eps, limit=1)
-        if cs:
-            return (a, b, cs[0])
-    return None
-
-
 def child_vector(u: PrimVec, a: int, b: int, c: int, eps) -> PrimVec:
     """The child of u in slot (a, b, c) at distortion bound eps.
 
@@ -183,10 +183,6 @@ def spacing_floor(eps, n: int) -> Fraction:
     if n < 1:
         raise ValueError("need n >= 1")
     return eps**9 / (2**11 * n**3)
-
-
-def _sup_dist(x: RatPoint, y: RatPoint) -> Fraction:
-    return max(abs(x.x1 - y.x1), abs(x.x2 - y.x2))
 
 
 def _domain_radius(v: PrimVec) -> Fraction:
@@ -267,7 +263,7 @@ def nesting_ok(u: PrimVec, v: PrimVec) -> dict:
     if v.q < 2:
         raise ValueError("child height must exceed 1 for the outer bound")
     r_u = _domain_radius(u)
-    slack = r_u / 2 - _sup_dist(u.proj(), v.proj()) - 2 * _domain_radius(v)
+    slack = r_u / 2 - proj_dist(u, v) - 2 * _domain_radius(v)
     return {"ok": slack > 0, "slack": slack}
 
 
@@ -294,37 +290,6 @@ def _proportional(w1: Wedge2, w2: Wedge2) -> bool:
     )
 
 
-def _audit_edge(
-    u: PrimVec, v: PrimVec, eps, prev_wedge: Wedge2 | None,
-    check_growth: bool = True,
-) -> Wedge2:
-    """Enforce the chain invariants on one parent-child edge, exactly.
-
-    Returns the edge's wedge for the caller's independence bookkeeping.
-    Raises RuntimeError on any failure, leaving the caller's chain as it
-    was.  The eps^-6 growth bound is a property of the slotted height
-    window, so callers stepping by the minimal-height rule skip it.
-    """
-    def fail(why: str) -> RuntimeError:
-        return RuntimeError(f"edge {u} -> {v}: {why}")
-
-    member = admissible_successor(u, v, eps)
-    if not member["ok"]:
-        raise fail(f"successor membership failed: {member}")
-    if not nesting_ok(u, v)["ok"]:
-        raise fail("child domain does not nest inside the parent")
-    if check_growth:
-        growth = growth_ok(u, v, eps)
-        if growth["applicable"] and not growth["ok"]:
-            raise fail(
-                f"height grew by {Fraction(v.q, u.q)}, below the required {eps**-6}"
-            )
-    w = wedge(v, u)
-    if prev_wedge is not None and _proportional(prev_wedge, w):
-        raise fail("consecutive steps share a rational line")
-    return w
-
-
 @dataclass
 class ChainNode:
     """One link: the vector plus the parameters that admitted it."""
@@ -339,7 +304,6 @@ class Chain:
     """A nested chain of approximation vectors."""
 
     nodes: list[ChainNode]
-    kind: str = "fixed"
 
     def vectors(self) -> list[PrimVec]:
         return [n.u for n in self.nodes]
@@ -347,10 +311,6 @@ class Chain:
     @property
     def tip(self) -> PrimVec:
         return self.nodes[-1].u
-
-    @property
-    def depth(self) -> int:
-        return len(self.nodes) - 1
 
     def to_jsonable(self) -> list[dict]:
         rows = []
@@ -370,59 +330,71 @@ class Chain:
         return rows
 
 
-def seed_chain(u0: PrimVec, kind: str = "fixed") -> Chain:
-    return Chain([ChainNode(u0)], kind=kind)
+def _append(chain: Chain, v: PrimVec, eps, slot=None, check_growth: bool = True) -> None:
+    """Adjoin v to the chain once the edge from its tip passes every chain
+    invariant, exactly.
 
-
-@dataclass(frozen=True)
-class FixedPolicy:
-    """Constant distortion bound, lex-first slot each step."""
-
-    eps: Fraction
-    n: int = 1
-
-    def params(self, step: int, prev_eps) -> tuple[Fraction, int]:
-        return Fraction(self.eps), self.n
-
-
-@dataclass(frozen=True)
-class SingPolicy:
-    """Shrinking distortion bounds for singular-type chains.
-
-    Step k targets eps_k^6 * loglog(n_k) > c with n_k = start + k, using
-    the doubled constant as headroom, clamped to stay nonincreasing.
-    Feasible bounds need c well below (1/2)^6 * loglog(start); the
-    default keeps eps_k near 1/4 for small k.  The slot rule also forces
-    each node's distortion cube below distortion_shrink times its
-    parent's, so the node distortions decrease strictly by construction
-    rather than by the band position of whichever slot comes first (the
-    schedule's own decrement is smaller than the slot granularity).
-    Each node lands just under the bound used for its edge while the
-    next bound shrinks further, so parents sit above the later bounds
-    and the conditional height-growth clause stays dormant; the slot
-    rule enforces it anyway whenever it does apply.
+    Raises RuntimeError on any failure, leaving the chain unchanged.  The
+    eps^-6 growth bound is a property of the slotted height window, so
+    callers stepping by the minimal-height rule skip it.
     """
+    u = chain.tip
+    nodes = chain.nodes
 
-    c: float = 1e-4
-    start: int = 16
-    eps_cap: Fraction = Fraction(1, 4)
-    distortion_shrink: Fraction = Fraction(1023, 1024)
+    def fail(why: str) -> RuntimeError:
+        return RuntimeError(f"edge {u} -> {v}: {why}")
 
-    def params(self, step: int, prev_eps) -> tuple[Fraction, int]:
-        n_k = self.start + step
-        loglog = math.log(math.log(n_k))
-        if loglog <= 0:
-            raise ValueError("family size too small for the schedule")
-        raw = (2 * self.c / loglog) ** (1 / 6)
-        eps = Fraction(raw)
-        if eps**6 * Fraction(loglog) <= Fraction(self.c):
-            raise ValueError("rounded bound lost the schedule margin")
-        eps = min(eps, Fraction(self.eps_cap))
-        if prev_eps is not None:
-            eps = min(eps, prev_eps)
-            if eps < prev_eps / 2:
-                raise ValueError("schedule step shrinks faster than ratio 1/2")
-        return eps, n_k
+    member = admissible_successor(u, v, eps)
+    if not member["ok"]:
+        raise fail(f"successor membership failed: {member}")
+    if not nesting_ok(u, v)["ok"]:
+        raise fail("child domain does not nest inside the parent")
+    if check_growth:
+        growth = growth_ok(u, v, eps)
+        if growth["applicable"] and not growth["ok"]:
+            raise fail(
+                f"height grew by {Fraction(v.q, u.q)}, below the required {eps**-6}"
+            )
+    if len(nodes) >= 2 and _proportional(wedge(u, nodes[-2].u), wedge(v, u)):
+        raise fail("consecutive steps share a rational line")
+    nodes.append(ChainNode(v, eps, slot))
+
+
+def fixed_chain(u0: PrimVec, eps, depth: int, n: int = 1) -> Chain:
+    """Depth many lex-first extensions at a constant distortion bound;
+    depth 0 gives the chain of the seed alone.  Raises RuntimeError when
+    no slot is admissible or an edge fails its audit."""
+    eps = Fraction(eps)
+    chain = Chain([ChainNode(u0)])
+    for _ in range(depth):
+        u = chain.tip
+        slots = admissible_slots(u, eps, n, per_pair=1)
+        if not slots:
+            raise RuntimeError(f"no admissible slots at distortion {eps}")
+        _append(chain, child_vector(u, *slots[0], eps), eps, slots[0])
+    return chain
+
+
+def sing_params(step: int, prev_eps) -> tuple[Fraction, int]:
+    """Distortion bound and family size for step k of a singular chain.
+
+    The bound targets eps_k^6 * loglog(n_k) > SING_C with n_k =
+    SING_START + k, using the doubled constant as headroom, capped at
+    SING_EPS_CAP and clamped to stay nonincreasing.  Raises ValueError
+    when the rounded bound loses the margin or would fall below half the
+    previous one.
+    """
+    n_k = SING_START + step
+    loglog = math.log(math.log(n_k))
+    eps = Fraction((2 * SING_C / loglog) ** (1 / 6))
+    if eps**6 * Fraction(loglog) <= Fraction(SING_C):
+        raise ValueError("rounded bound lost the schedule margin")
+    eps = min(eps, SING_EPS_CAP)
+    if prev_eps is not None:
+        eps = min(eps, prev_eps)
+        if eps < prev_eps / 2:
+            raise ValueError("schedule step shrinks faster than ratio 1/2")
+    return eps, n_k
 
 
 def shrinking_slot(u: PrimVec, eps, n: int, eps3_cap: Fraction):
@@ -432,49 +404,41 @@ def shrinking_slot(u: PrimVec, eps, n: int, eps3_cap: Fraction):
     the floor and the child's shortest class is at most the slot wedge.
     When the parent sits below the working bound, the slot is also kept
     above the height-growth threshold that nested domains require."""
-    growth = Fraction(eps) ** -6 if distortion_below(u, eps) else Fraction(0)
+    eps = Fraction(eps)
+    growth = eps**-6 if distortion_below(u, eps) else Fraction(0)
     for a, b in coprime_pairs(n):
         m, hi = height_window(u, a, b, eps)
-        floor2 = Fraction(seminorm(slot_sublattice(u, a, b)) ** 2, u.q) / eps3_cap
-        lo = max(m, floor2, growth)
+        lo = max(m, m * eps**3 / eps3_cap, growth)
         c = SLOT_STRIDE * (lo // SLOT_STRIDE + 1)
         if lo < c < hi:
             return (a, b, int(c))
     return None
 
 
-def extend_chain(chain: Chain, policy) -> Chain:
-    """Adjoin the lex-first admissible child under the policy's current
-    parameters, enforcing every chain invariant exactly.
+def sing_chain(u0: PrimVec, depth: int) -> Chain:
+    """Singular-type chain of depth many steps with shrinking bounds.
 
-    Raises RuntimeError when an invariant fails; the chain is unchanged
-    in that case.
+    Step k uses the bound and family size of sing_params(k, eps_{k-1}),
+    which keeps eps_k near 1/4 for small k.  The slot rule also forces
+    each node's distortion cube below SING_SHRINK times its parent's, so
+    the node distortions decrease strictly by construction rather than by
+    the band position of whichever slot comes first (the schedule's own
+    decrement is smaller than the slot granularity).  Each node lands just
+    under the bound used for its edge while the next bound shrinks
+    further, so parents sit above the later bounds and the conditional
+    height-growth clause stays dormant; the slot rule enforces it anyway
+    whenever it does apply.  Raises RuntimeError when no slot is
+    admissible or an edge fails its audit.
     """
-    u = chain.tip
-    prev_eps = chain.nodes[-1].eps
-    eps, n = policy.params(chain.depth, prev_eps)
-    shrink = getattr(policy, "distortion_shrink", None)
-    if shrink is None:
-        slot = first_admissible_slot(u, eps, n)
-    else:
-        slot = shrinking_slot(u, eps, n, shrink * invariants(u).eps3)
-    if slot is None:
-        raise RuntimeError(f"no admissible slots at distortion {eps}")
-    v = child_vector(u, *slot, eps)
-    prev_wedge = (
-        wedge(u, chain.nodes[-2].u) if len(chain.nodes) >= 2 else None
-    )
-    _audit_edge(u, v, eps, prev_wedge)
-    chain.nodes.append(ChainNode(v, eps, slot))
-    return chain
-
-
-def fixed_chain(u0: PrimVec, eps, depth: int, n: int = 1) -> Chain:
-    """Depth many lex-first extensions at a constant distortion bound."""
-    chain = seed_chain(u0, kind="fixed")
-    policy = FixedPolicy(Fraction(eps), n)
-    for _ in range(depth):
-        extend_chain(chain, policy)
+    chain = Chain([ChainNode(u0)])
+    eps = None
+    for step in range(depth):
+        u = chain.tip
+        eps, n = sing_params(step, eps)
+        slot = shrinking_slot(u, eps, n, SING_SHRINK * invariants(u).eps3)
+        if slot is None:
+            raise RuntimeError(f"no admissible slots at distortion {eps}")
+        _append(chain, child_vector(u, *slot, eps), eps, slot)
     return chain
 
 
@@ -714,13 +678,12 @@ def slow_chain(
         raise ValueError(f"slow chain needs steps >= 3, got {steps}")
     if samples < 2:
         raise ValueError(f"slow chain needs samples >= 2, got {samples}")
-    chain = seed_chain(u0, kind="slow")
+    chain = Chain([ChainNode(u0)])
     inv0 = invariants(u0)
     f_third = lambda t: -w_target(t) / 3
     sched = regularize_schedule(f_third, delta, Fraction(inv0.tau))
     aligns = []
     eps_used = []
-    prev_wedge = None
     for _ in range(steps):
         u = chain.tip
         inv_u = invariants(u)
@@ -730,10 +693,9 @@ def slow_chain(
         if not eps_p < 1:
             raise ValueError("schedule produced a non-shrinking distortion")
         v, _gaps = slow_step(u, eps_p)
-        prev_wedge = _audit_edge(u, v, eps_p, prev_wedge, check_growth=False)
+        _append(chain, v, eps_p, check_growth=False)
         aligns.append(abs(float(sched.value_at(Fraction(inv_u.tau))) + log_eps_u))
         eps_used.append(eps_p)
-        chain.nodes.append(ChainNode(v, eps_p))
 
     vecs = chain.vectors()
     invs = [invariants(v) for v in vecs]
@@ -784,7 +746,6 @@ class TreeNode:
 
     u: PrimVec
     slot: tuple[int, int, int] | None
-    depth: int
     children: list = field(default_factory=list)
     expanded: bool = False
 
@@ -804,14 +765,14 @@ def expansion_tree(
         )
     pairs = len(coprime_pairs(n))
     per_pair = max(1, width // pairs)
-    root = TreeNode(seed, None, 0)
+    root = TreeNode(seed, None)
     frontier = [root]
-    for level in range(depth):
+    for _ in range(depth):
         nxt = []
         for node in frontier:
             slots = admissible_slots(node.u, eps, n, per_pair)[:width]
             node.children = [
-                TreeNode(child_vector(node.u, *s, eps), s, level + 1) for s in slots
+                TreeNode(child_vector(node.u, *s, eps), s) for s in slots
             ]
             node.expanded = True
             nxt.extend(node.children[:expand])

@@ -111,18 +111,14 @@ def wedge(u: PrimVec, v: PrimVec) -> Wedge2:
     )
 
 
-def seminorm(w: Wedge2, norm: NormChoice = "sup") -> int | float:
-    """Size of the pair part (m13, m23).
+def seminorm(w: Wedge2) -> int:
+    """Sup size of the pair part (m13, m23).
 
     This vanishes only on multiples of a common direction, and for wedges of
-    distinct primitive vectors it is a genuine positive integer under "sup".
-    The "euclid" variant returns a float; use seminorm_sq for exact work.
+    distinct primitive vectors it is a genuine positive integer.  Use
+    seminorm_sq for the squared Euclidean size.
     """
-    if norm == "sup":
-        return max(abs(w.m13), abs(w.m23))
-    if norm == "euclid":
-        return math.hypot(w.m13, w.m23)
-    raise ValueError(f"unknown norm {norm!r}")
+    return max(abs(w.m13), abs(w.m23))
 
 
 def seminorm_sq(w: Wedge2) -> int:
@@ -152,15 +148,10 @@ def residual_sq(x: RatPoint, v: PrimVec) -> Fraction:
     return d1 * d1 + d2 * d2
 
 
-def proj_dist(u: PrimVec, v: PrimVec, norm: NormChoice = "sup") -> Fraction | float:
-    """Distance between the projective points of u and v.
+def proj_dist(u: PrimVec, v: PrimVec) -> Fraction:
+    """Sup distance between the projective points of u and v.
 
     In the affine chart both points live in, this is exactly
     seminorm(u ^ v) / (q_u * q_v), which is how it is computed.
     """
-    w = wedge(u, v)
-    if norm == "sup":
-        return Fraction(seminorm(w), u.q * v.q)
-    if norm == "euclid":
-        return seminorm(w, "euclid") / (u.q * v.q)
-    raise ValueError(f"unknown norm {norm!r}")
+    return Fraction(seminorm(wedge(u, v)), u.q * v.q)

@@ -142,9 +142,10 @@ def test_usage_errors_exit_two(capsys):
                 "--depth", "1", "--width", "2"]) == 2
     capsys.readouterr()
     # extreme constant levels: a schedule of too many knots, an exponent
-    # too large to raise exactly, heights too long to print; and a tree
-    # whose heights would run to thousands of digits.  Each is one error
-    # line, within seconds
+    # too large to raise exactly, heights too long to print; a tree whose
+    # heights would run to thousands of digits; and a covering tree that
+    # doubles with each of its 40 levels.  Each is one error line, within
+    # seconds
     errs = []
     for argv in (
         ["slow-chain", "--target", "const", "--level=-1e-300", "--steps", "3",
@@ -154,6 +155,7 @@ def test_usage_errors_exit_two(capsys):
         ["slow-chain", "--target", "const", "--level=-3000", "--steps", "3",
          "--samples", "2"],
         ["psi-tree", "--seed-vec=-5,-4,13", "--eps=1e-400"],
+        ["dims", "cantor", "--delta", "1/2", "--depth", "40"],
     ):
         start = time.perf_counter()
         assert run(argv) == 2, argv
@@ -208,7 +210,9 @@ def _argv(head, required=None, **optional):
 
 
 CHEAP_ARGV = st.one_of(
-    _argv(["dims", "cantor"], delta=NUMBER, depth=st.integers(-2, 6), tol=NUMBER),
+    # depths past the tree cap must end as usage errors, not run away
+    _argv(["dims", "cantor"], delta=NUMBER,
+          depth=st.one_of(st.integers(-2, 6), st.integers(13, 60)), tol=NUMBER),
     _argv(["dims", "bounds"], delta=NUMBER, tol=NUMBER),
     _argv(["dims", "crossing"], tol=NUMBER),
     _argv(["cf"], {"x": NUMBER}, n=st.integers(-5, 2000)),

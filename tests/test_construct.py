@@ -8,17 +8,14 @@ from diophlab.bestapprox import shortest_vector_oracle, shortest_vector_reduced
 from diophlab.core import RatPoint, pvec, wedge
 from diophlab.latinv import distortion_below, invariants, lattice_minima
 from diophlab.construct import (
+    SING_C,
     Chain,
-    FixedPolicy,
-    SingPolicy,
     admissible_slots,
     admissible_successor,
     cantor_children,
     child_vector,
     coprime_pairs,
     expansion_tree,
-    extend_chain,
-    first_admissible_slot,
     fixed_chain,
     growth_ok,
     height_window,
@@ -27,8 +24,9 @@ from diophlab.construct import (
     nesting_ok,
     regularize_schedule,
     sandwich_audit,
-    seed_chain,
     shrinking_slot,
+    sing_chain,
+    sing_params,
     slot_heights,
     slow_chain,
     slow_step,
@@ -56,11 +54,7 @@ def slow15():
 
 @pytest.fixture(scope="module")
 def sing6():
-    chain = seed_chain(SEED, kind="sing")
-    policy = SingPolicy()
-    for _ in range(6):
-        extend_chain(chain, policy)
-    return chain
+    return sing_chain(SEED, 6)
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +130,7 @@ def test_admissible_slots_seed_fifty():
 
 
 def test_first_admissible_slot():
-    assert first_admissible_slot(SEED, EIGHTH) == (1, 0, 520)
+    assert admissible_slots(SEED, EIGHTH, per_pair=1)[:1] == [(1, 0, 520)]
 
 
 # ------------------------------------------------------- child vectors
@@ -240,9 +234,8 @@ def test_kappa_of_diagonal_child():
 
 
 def test_seed_chain_singleton():
-    ch = seed_chain(SEED)
-    assert ch.depth == 0
-    assert ch.tip == SEED
+    ch = fixed_chain(SEED, EIGHTH, 0)
+    assert ch.vectors() == [SEED]
     rows = ch.to_jsonable()
     assert len(rows) == 1
     assert rows[0]["eps"] is None and rows[0]["slot"] is None
@@ -260,14 +253,6 @@ def test_chain_jsonable_rows(chain4):
         "eps_cubed": "1/520",
         "tau": pytest.approx(4.169219207716982),
     }
-
-
-def test_extend_chain_matches_fixed_chain(chain4):
-    ch = seed_chain(SEED, kind="fixed")
-    policy = FixedPolicy(EIGHTH)
-    for _ in range(4):
-        extend_chain(ch, policy)
-    assert ch.vectors() == chain4.vectors()
 
 
 # --------------------------------------------- successor predicates
@@ -386,22 +371,19 @@ def test_spacing_rejects_equal():
         verify_spacing(SEED, u1, u1, EIGHTH)
 
 
-# ----------------------------------------------------------- policies
+# ------------------------------------------------- singular schedule
 
 
 def test_sing_policy_values():
-    pol = SingPolicy()
-    eps0, n0 = pol.params(0, None)
+    eps0, n0 = sing_params(0, None)
     assert n0 == 16
-    assert eps0**6 * F(math.log(math.log(16))) > F(pol.c)
+    assert eps0**6 * F(math.log(math.log(16))) > F(SING_C)
     assert abs(float(eps0) - 0.241039) < 1e-5
 
 
 def test_sing_policy_rejects():
     with pytest.raises(ValueError):
-        SingPolicy(start=2).params(0, None)
-    with pytest.raises(ValueError):
-        SingPolicy().params(0, F(1))  # would shrink below half the previous
+        sing_params(0, F(1))  # would shrink below half the previous
 
 
 def test_sing_chain_frozen(sing6):
@@ -468,7 +450,7 @@ def test_limit_box_frozen(chain4):
 
 def test_limit_box_needs_depth():
     with pytest.raises(ValueError):
-        limit_box(seed_chain(SEED))
+        limit_box(fixed_chain(SEED, EIGHTH, 0))
 
 
 # ---------------------------------------------------------- schedules
@@ -582,7 +564,6 @@ def test_slow_chain_certificate(slow15):
 
 def test_slow_chain_flags(slow15):
     chain, cert = slow15
-    assert chain.kind == "slow"
     assert cert["sing_like"] and not cert["di_like"]
 
 
@@ -612,7 +593,7 @@ def test_sandwich_depth4(chain4):
 
 
 def test_sandwich_vacuous_and_short():
-    rep = sandwich_audit(seed_chain(SEED))
+    rep = sandwich_audit(fixed_chain(SEED, EIGHTH, 0))
     assert rep["ok"] and rep["vacuous"]
     for depth in (1, 2):
         with pytest.raises(ValueError):

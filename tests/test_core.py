@@ -63,7 +63,6 @@ def test_proj_dist_exact():
     v = pvec(1, 1, 2)
     # points (0,0) and (1/2,1/2): sup distance 1/2
     assert proj_dist(u, v) == Fraction(1, 2)
-    assert abs(proj_dist(u, v, "euclid") - math.sqrt(2) / 2) < 1e-12
 
 
 def random_primvec(rng, hmax):
