@@ -21,7 +21,11 @@ from fractions import Fraction
 
 from .core import PrimVec, RatPoint, proj_dist, residual, seminorm, wedge
 from .latinv import wedge_constraint_ok
-from .util import frac_str, gcd3, ln_fraction
+from .util import frac_str, ln_fraction
+
+# Largest box volume Q r^2 that box_points enumerates; its callers stay at
+# most 2 (best_approximations) and below 1 (in_domain).
+MAX_BOX_VOLUME = 2**10
 
 
 def height_minimum(x: RatPoint, q: int) -> tuple[Fraction, list[tuple[int, int]]]:
@@ -69,9 +73,6 @@ class BestApproxSeq:
             if a <= b:
                 raise ValueError("residuals must strictly decrease")
 
-    def __len__(self) -> int:
-        return len(self.items)
-
     @property
     def exact_hit(self) -> bool:
         return self.residuals[-1] == 0
@@ -80,10 +81,6 @@ class BestApproxSeq:
         return {
             "target": [frac_str(c) for c in self.target.coords],
             "height_bound": self.height_bound,
-            "items": [
-                {"p": [v.p1, v.p2], "q": v.q, "residual": frac_str(r)}
-                for v, r in zip(self.items, self.residuals)
-            ],
         }
 
 
@@ -467,10 +464,13 @@ def box_points(x: RatPoint, Q: int, r):
     q > 0 and ||w||_inf <= Q bD.  Each lies in the ball ||w||^2 <= 3 (Q bD)^2,
     which is enumerated over the reduced basis: about 22 Q r^2 lattice
     points, however few of them the box keeps.  The order is unspecified.
+    Raises ValueError when Q r^2 exceeds MAX_BOX_VOLUME = 2^10.
     """
     r = Fraction(r)
     if r <= 0:
         raise ValueError(f"box half-width must be positive, got {r}")
+    if Q * r * r > MAX_BOX_VOLUME:
+        raise ValueError(f"box volume Q r^2 exceeds {MAX_BOX_VOLUME}")
     if Q < 1:
         return
     T = Q / r
@@ -529,7 +529,7 @@ def audit_best_inequalities(seq: BestApproxSeq) -> dict:
                 "distance": frac_str(mid),
                 "lower_ok": lower <= mid,
                 "upper_ok": mid <= upper,
-                "primitive": gcd3(w.m12, w.m13, w.m23) == 1,
+                "primitive": math.gcd(w.m12, w.m13, w.m23) == 1,
             }
         )
     return {

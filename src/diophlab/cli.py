@@ -16,7 +16,6 @@ import os
 import random
 import sys
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -367,13 +366,11 @@ def _random_targets(rng: random.Random, count: int, den_max: int = 60):
 
 
 def _random_vectors(rng: random.Random, count: int, q_max: int = 500):
-    from .util import gcd3
-
     out = []
     while len(out) < count:
         q = rng.randint(2, q_max)
         p1, p2 = rng.randint(0, q), rng.randint(0, q)
-        if gcd3(p1, p2, q) == 1:
+        if math.gcd(p1, p2, q) == 1:
             out.append(PrimVec(p1, p2, q))
     return out
 
@@ -625,6 +622,8 @@ def cmd_audit_all(args) -> tuple[int, dict, list[dict] | None]:
     fault = args.inject_fault
     entries = [(i, args.seed, fault) for i in range(len(AUDIT_ITEMS))]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # a fork pool starts every worker at the first submit: one per item at most
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(entries))) as pool:
             results = list(pool.map(_run_item, entries))

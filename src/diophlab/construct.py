@@ -41,7 +41,7 @@ from .latinv import (
     wedge_constraint_ok,
     wedge_residue,
 )
-from .util import frac_str, gcd3, ln_fraction
+from .util import frac_str, ln_fraction
 
 # Height slots are sampled on this arithmetic progression; the stride
 # guarantees distinct slots produce children whose domains cannot meet.
@@ -178,8 +178,11 @@ def cantor_children(u: PrimVec, eps, n: int = 1) -> list[PrimVec]:
 
 def spacing_floor(eps, n: int) -> Fraction:
     """Separation constant rho: sibling domains under a common parent
-    stay at least rho * diam apart, where diam bounds the parent domain."""
+    stay at least rho * diam apart, where diam bounds the parent domain.
+    Raises ValueError unless eps > 0 and n >= 1."""
     eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("distortion bound must be positive")
     if n < 1:
         raise ValueError("need n >= 1")
     return eps**9 / (2**11 * n**3)
@@ -191,43 +194,48 @@ def _domain_radius(v: PrimVec) -> Fraction:
     return Fraction(invariants(v).absL, v.q * v.q)
 
 
-def _gap_bound(va: PrimVec, vb: PrimVec) -> tuple[int, int]:
-    """Exact lower bound num/den, den = |va|^2 |vb|^2, on the sup distance
-    between the domains of va and vb: the distance of their rational points
-    minus both outer radii 2|L(v)|/|v|^2."""
-    qa, qb = va.q, vb.q
-    num = (
-        seminorm(wedge(va, vb)) * qa * qb
-        - 2 * invariants(va).absL * qb * qb
-        - 2 * invariants(vb).absL * qa * qa
-    )
-    return num, qa * qa * qb * qb
+def _sibling_spacing(u: PrimVec, kids: list[PrimVec], eps, n: int):
+    """Check every pair of u's children kids against the spacing floor.
+
+    A pair's gap bound, the sup distance of its rational points minus both
+    outer radii 2|L(v)|/|v|^2, must exceed rho * diam, with rho =
+    spacing_floor(eps, n) and diam = 4 * radius(u) >= diam(domain(u)); the
+    comparisons are exact integer cross-multiplications.  Returns the pair
+    count, the count at or below the floor, and the least gap bound over
+    the floor (a Fraction, None without pairs).
+    """
+    floor_val = spacing_floor(eps, n) * 4 * _domain_radius(u)
+    fn, fd = floor_val.numerator, floor_val.denominator
+    rows = [(v.p1, v.p2, v.q, 2 * invariants(v).absL) for v in kids]
+    pairs = failures = 0
+    least = None  # least gap bound (num, den), den = |va|^2 |vb|^2
+    for i, (a1, a2, qa, ra) in enumerate(rows):
+        for b1, b2, qb, rb in rows[i + 1:]:
+            pairs += 1
+            # seminorm(wedge(va, vb)) inlined: this loop dominates tree_audit
+            dist = max(abs(a1 * qb - qa * b1), abs(a2 * qb - qa * b2))
+            num, den = dist * qa * qb - ra * qb * qb - rb * qa * qa, (qa * qb) ** 2
+            if num * fd <= fn * den:
+                failures += 1
+            if least is None or num * least[1] < least[0] * den:
+                least = (num, den)
+    return pairs, failures, None if least is None else Fraction(*least) / floor_val
 
 
 def verify_spacing(u: PrimVec, va: PrimVec, vb: PrimVec, eps, n: int = 1) -> dict:
-    """Exact separation certificate for two children of u.
-
-    Bounds the distance between the children's domains from below by
-    center distance minus both outer radii (`_gap_bound`), and the parent
-    domain's diameter from above by four times its radius, then checks
+    """Exact separation certificate for two children of u:
 
         dist(domain(va), domain(vb)) >= rho * diam(domain(u))
 
-    with rho = eps^9 / (2^11 n^3).  Both bounds err on the safe side, so
-    a pass is a proof.  Raises ValueError when the children coincide.
+    with rho = eps^9 / (2^11 n^3), checked by `_sibling_spacing`.  Both of
+    its bounds err on the safe side, so a pass is a proof.  Returns the
+    pass flag and the gap bound over the floor.  Raises ValueError when
+    the children coincide or eps <= 0.
     """
     if va.as_tuple() == vb.as_tuple():
         raise ValueError("spacing needs two distinct children")
-    rho = spacing_floor(eps, n)
-    diam = 4 * _domain_radius(u)
-    lower = Fraction(*_gap_bound(va, vb))
-    floor_val = rho * diam
-    return {
-        "ok": lower > floor_val,
-        "lower": lower,
-        "floor": floor_val,
-        "ratio": float(lower / floor_val) if floor_val else math.inf,
-    }
+    _, failures, ratio = _sibling_spacing(u, [va, vb], eps, n)
+    return {"ok": not failures, "ratio": float(ratio)}
 
 
 def admissible_successor(u: PrimVec, v: PrimVec, eps) -> dict:
@@ -242,7 +250,7 @@ def admissible_successor(u: PrimVec, v: PrimVec, eps) -> dict:
     if w.is_zero():
         return {"wedge_primitive": False, "avoids_shortest": False,
                 "height_ok": False, "ok": False}
-    prim = gcd3(w.m12, w.m13, w.m23) == 1
+    prim = math.gcd(w.m12, w.m13, w.m23) == 1
     inv = invariants(u)
     avoids = canonical_sign(w).as_tuple() != canonical_sign(inv.L).as_tuple()
     height_ok = Fraction(v.q) * eps**3 > seminorm(w) ** 2
@@ -798,7 +806,6 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
     Reports the worst margins alongside the pass flags.
     """
     eps = Fraction(eps)
-    rho = spacing_floor(eps, n)
     totals = {
         "nodes": 0,
         "expanded": 0,
@@ -817,8 +824,6 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
         inv = invariants(node.u)
         kappa = Fraction(inv.absLhat * inv.absL, node.u.q)
         min_kappa = kappa if min_kappa is None else min(min_kappa, kappa)
-        diam = 4 * _domain_radius(node.u)
-        floor_val = rho * diam
         for ch in node.children:
             totals["edges"] += 1
             if not admissible_successor(node.u, ch.u, eps)["ok"]:
@@ -832,20 +837,13 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
                 totals["growth_checked"] += 1
                 if not g["ok"]:
                     fails["growth"] += 1
-        kids = [ch.u for ch in node.children]
-        least = None  # least gap bound (num, den) over this node's sibling pairs
-        for i, va in enumerate(kids):
-            for vb in kids[i + 1:]:
-                totals["spacing_pairs"] += 1
-                num, den = _gap_bound(va, vb)
-                if num * floor_val.denominator <= floor_val.numerator * den:
-                    fails["spacing"] += 1
-                if least is None or num * least[1] < least[0] * den:
-                    least = (num, den)
-        if least is not None:
-            ratio = Fraction(*least) / floor_val
-            if min_spacing_ratio is None or ratio < min_spacing_ratio:
-                min_spacing_ratio = ratio
+        pairs, failed, least = _sibling_spacing(
+            node.u, [ch.u for ch in node.children], eps, n
+        )
+        totals["spacing_pairs"] += pairs
+        fails["spacing"] += failed
+        if least is not None and (min_spacing_ratio is None or least < min_spacing_ratio):
+            min_spacing_ratio = least
     if min_spacing_ratio is not None and min_spacing_ratio > sys.float_info.max:
         raise ValueError("min_spacing_ratio exceeds the float range; eps is too small")
     return {

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal
 
-from .util import gcd3
-
 NormChoice = Literal["sup", "euclid"]
 
 
@@ -58,13 +56,8 @@ class PrimVec:
     def __post_init__(self):
         if self.q <= 0:
             raise ValueError(f"height must be positive, got {self.q}")
-        if gcd3(self.p1, self.p2, self.q) != 1:
+        if math.gcd(self.p1, self.p2, self.q) != 1:
             raise ValueError(f"vector {(self.p1, self.p2, self.q)} is not primitive")
-
-    @property
-    def height(self) -> int:
-        """The height |v| of an approximation vector is its denominator."""
-        return self.q
 
     def proj(self) -> RatPoint:
         return RatPoint(Fraction(self.p1, self.q), Fraction(self.p2, self.q))
@@ -115,15 +108,9 @@ def seminorm(w: Wedge2) -> int:
     """Sup size of the pair part (m13, m23).
 
     This vanishes only on multiples of a common direction, and for wedges of
-    distinct primitive vectors it is a genuine positive integer.  Use
-    seminorm_sq for the squared Euclidean size.
+    distinct primitive vectors it is a genuine positive integer.
     """
     return max(abs(w.m13), abs(w.m23))
-
-
-def seminorm_sq(w: Wedge2) -> int:
-    """Exact squared Euclidean size of the pair part."""
-    return w.m13 * w.m13 + w.m23 * w.m23
 
 
 def residual(x: RatPoint, v: PrimVec, norm: NormChoice = "sup") -> Fraction | float:
@@ -139,13 +126,6 @@ def residual(x: RatPoint, v: PrimVec, norm: NormChoice = "sup") -> Fraction | fl
     if norm == "euclid":
         return math.hypot(float(d1), float(d2))
     raise ValueError(f"unknown norm {norm!r}")
-
-
-def residual_sq(x: RatPoint, v: PrimVec) -> Fraction:
-    """Exact squared Euclidean residual."""
-    d1 = v.q * x.x1 - v.p1
-    d2 = v.q * x.x2 - v.p2
-    return d1 * d1 + d2 * d2
 
 
 def proj_dist(u: PrimVec, v: PrimVec) -> Fraction:

@@ -46,37 +46,33 @@ class CoverNode:
     """A node of a covering tree: a bounded set with its children.
 
     geom is ("interval", lo, hi) or ("ball", cx, cy, r) with sup-norm
-    balls; diam must match the geometry when both are given.  rho is the
-    optional per-node weight for the weighted certificate.
+    balls, and diam must match it; interval_node and ball_node build both.
+    rho is the optional per-node weight for the weighted certificate.
     """
 
     id: str
     diam: Fraction
+    geom: tuple
     children: list["CoverNode"] = field(default_factory=list)
     rho: Fraction | None = None
-    geom: tuple | None = None
 
 
 def interval_node(id: str, lo, hi, rho=None) -> CoverNode:
     lo, hi = Fraction(lo), Fraction(hi)
     if hi <= lo:
         raise ValueError("empty interval")
-    return CoverNode(id, hi - lo, rho=rho, geom=("interval", lo, hi))
+    return CoverNode(id, hi - lo, ("interval", lo, hi), rho=rho)
 
 
 def ball_node(id: str, cx, cy, r, rho=None) -> CoverNode:
     r = Fraction(r)
     if r <= 0:
         raise ValueError("ball radius must be positive")
-    return CoverNode(
-        id, 2 * r, rho=rho, geom=("ball", Fraction(cx), Fraction(cy), r)
-    )
+    return CoverNode(id, 2 * r, ("ball", Fraction(cx), Fraction(cy), r), rho=rho)
 
 
 def set_distance(a: CoverNode, b: CoverNode):
-    """Exact distance between the sets of two geometry-carrying nodes."""
-    if a.geom is None or b.geom is None:
-        raise ValueError("both nodes need geometry")
+    """Exact distance between the sets of two nodes."""
     if a.geom[0] == "interval" and b.geom[0] == "interval":
         _, alo, ahi = a.geom
         _, blo, bhi = b.geom
@@ -90,9 +86,6 @@ def set_distance(a: CoverNode, b: CoverNode):
 
 
 def set_contains(parent: CoverNode, child: CoverNode) -> bool:
-    if parent.geom is None or child.geom is None:
-        # fall back to the diameter comparison when geometry is absent
-        return child.diam <= parent.diam
     if parent.geom[0] == "interval" and child.geom[0] == "interval":
         _, plo, phi = parent.geom
         _, clo, chi = child.geom
@@ -208,7 +201,7 @@ def lower_cert(tree: CoverNode, s: float, rho=None) -> dict:
             r = None
         if r is not None and len(kids) >= 2:
             floor = r * node.diam
-            interval_kids = all(c.geom and c.geom[0] == "interval" for c in kids)
+            interval_kids = all(c.geom[0] == "interval" for c in kids)
             if interval_kids:
                 # disjoint intervals: adjacent gaps witness all pairs
                 srt = sorted(kids, key=lambda c: c.geom[1])

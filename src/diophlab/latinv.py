@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import PrimVec, Wedge2, wedge
-from .util import extgcd, gcd3, ln_fraction
+from .util import extgcd, ln_fraction
 
 Pair = tuple[int, int]
 
@@ -153,7 +153,7 @@ def lattice_minima(v: PrimVec) -> tuple[Wedge2, Wedge2]:
         raise RuntimeError(f"minima enumeration failed for {v}")
     L = canonical_sign(wedge_from_pair(v, *Lp))
     H = canonical_sign(wedge_from_pair(v, *Hp))
-    if gcd3(*L.as_tuple()) != 1 or gcd3(*H.as_tuple()) != 1:
+    if math.gcd(*L.as_tuple()) != 1 or math.gcd(*H.as_tuple()) != 1:
         # impossible: an imprimitive element at a minimum level would yield a
         # strictly shorter lattice point below that level
         raise RuntimeError(f"imprimitive minimum for {v}")
@@ -193,36 +193,6 @@ def scan_minima(v: PrimVec) -> tuple[Wedge2, Wedge2]:
     Hp = next(p for _, p in best if Lp[0] * p[1] - Lp[1] * p[0] != 0)
     return (canonical_sign(wedge_from_pair(v, *Lp)),
             canonical_sign(wedge_from_pair(v, *Hp)))
-
-
-@dataclass(frozen=True)
-class LatticeBasis:
-    v: PrimVec
-    b1: Wedge2
-    b2: Wedge2
-
-    @property
-    def pair_det(self) -> int:
-        return self.b1.m13 * self.b2.m23 - self.b1.m23 * self.b2.m13
-
-    @property
-    def covolume(self) -> Fraction:
-        """Covolume in the normalized lattice norm (seminorm / |v|)."""
-        return Fraction(abs(self.pair_det), self.v.q * self.v.q)
-
-
-def reduced_basis(v: PrimVec) -> LatticeBasis:
-    """Lagrange-reduced basis (b1, b2) = (L(v), Hhat(v)) of the wedge lattice.
-
-    The two successive minima of a planar lattice always form a basis, and
-    that basis is Lagrange-reduced by minimality (in the sup-norm ordering
-    of `class_key`).
-    """
-    L, H = lattice_minima(v)
-    basis = LatticeBasis(v, L, H)
-    assert wedge_constraint_ok(L, v) and wedge_constraint_ok(H, v)
-    assert abs(basis.pair_det) == v.q
-    return basis
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,6 @@ import math
 from fractions import Fraction
 
 
-def gcd3(a: int, b: int, c: int) -> int:
-    return math.gcd(math.gcd(abs(a), abs(b)), abs(c))
-
-
 def extgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
     x0, x1, y0, y1 = 1, 0, 0, 1

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,6 @@ from diophlab.bestapprox import (
     wx_profile,
 )
 from diophlab.core import PrimVec, RatPoint, residual
-from diophlab.util import gcd3
 
 F = Fraction
 
@@ -261,10 +261,10 @@ def test_projective_sandwich_random():
         pool = []
         for q in range(1, seq.items[-1].q):
             _, cands = height_minimum(x, q)
-            pool.extend(PrimVec(*p, q) for p in cands if gcd3(*p, q) == 1)
+            pool.extend(PrimVec(*p, q) for p in cands if math.gcd(*p, q) == 1)
             p1 = rng.randint(-q, 2 * q)
             p2 = rng.randint(-q, 2 * q)
-            if gcd3(p1, p2, q) == 1:
+            if math.gcd(p1, p2, q) == 1:
                 pool.append(PrimVec(p1, p2, q))
         for v in seq.items:
             if residual(x, v) == 0 and v.q == 1:
@@ -301,7 +301,7 @@ def test_sequence_invariants_property(d, a, b):
         assert r > s
     for v, r in zip(seq.items, seq.residuals):
         assert height_minimum(x, v.q)[0] == r
-        assert gcd3(v.p1, v.p2, v.q) == 1
+        assert math.gcd(v.p1, v.p2, v.q) == 1
 
 
 def test_box_points_match_bruteforce():
@@ -324,6 +324,15 @@ def test_box_points_match_bruteforce():
 def test_box_points_rejects_empty_box():
     with pytest.raises(ValueError):
         list(box_points(RatPoint(F(1, 3), F(1, 5)), 10, 0))
+
+
+def test_box_points_refuses_huge_box():
+    # a box of volume about 2*10^14 once ran past 20 s before its first
+    # point; past MAX_BOX_VOLUME it is refused before any reduction
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="box volume"):
+        next(box_points(RatPoint(10**6, F(5, 7)), 59, 10**6))
+    assert time.perf_counter() - start < 1
 
 
 @settings(max_examples=150, deadline=None)

@@ -96,10 +96,17 @@ def test_dims_delta_below_float_range(capsys):
      "--width", "50", "--expand", "5"],
     ["audit-all", "--seed", "0"],
     ["audit-all", "--seed", "23"],
-], ids=["readme-tree", "audit-all-seed-0", "audit-all-seed-23"])
+    ["psi-tree", "--seed-vec", "1,1,3", "--depth", "2"],
+    ["slow-chain", "--seed-vec", "103,233,541", "--target", "const",
+     "--samples", "40"],
+    ["best-approx", "--x", "208202/1000640,741375/1000640", "--qmax", "1000640"],
+    ["domain", "--v", "1395,10058,10448"],
+], ids=["readme-tree", "audit-all-seed-0", "audit-all-seed-23", "small-root-tree",
+        "slow-chain-const", "best-approx-million", "domain-ten-thousand"])
 def test_readme_tree_matches_bench_golden(capsys, argv):
-    # the README-shape tree and the audit corpus print exactly the bytes
-    # pinned by the benchmark: every count, witness and the item order
+    # one op from each benchmark pool prints exactly the bytes pinned by
+    # the benchmark: every count, witness and the item order (the small
+    # root tree exits 1 by defect D3, as recorded)
     with open(BENCH_GOLDEN) as fh:
         want = json.load(fh)[" ".join(argv)]
     code = run(argv)
@@ -295,7 +302,7 @@ def test_audit_all_pool_has_at_most_one_worker_per_item(capsys, monkeypatch):
 
     run(["audit-all", "--seed", "0"])
     serial = capsys.readouterr().out
-    monkeypatch.setattr("diophlab.cli.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     assert run(["audit-all", "--seed", "0", "--jobs", "1000"]) == 0
     assert sizes and max(sizes) <= len(AUDIT_ITEMS), sizes
     assert capsys.readouterr().out == serial

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from diophlab.bestapprox import shortest_vector_oracle, shortest_vector_reduced
-from diophlab.core import RatPoint, pvec, wedge
+from diophlab.core import RatPoint, proj_dist, pvec, wedge
 from diophlab.latinv import distortion_below, invariants, lattice_minima
 from diophlab.construct import (
     SING_C,
@@ -348,27 +348,39 @@ def test_spacing_adjacent_same_pair():
 
 @pytest.mark.parametrize("eps, spacing_fails", [(EIGHTH, 0), (F(49, 100), 58)])
 def test_tree_audit_spacing_matches_verify_spacing(eps, spacing_fails):
-    # tree_audit and verify_spacing share one gap bound, so the audit of a
-    # tree gives the failure count and least ratio of the pairwise route,
-    # also at a loose eps where many sibling pairs miss the floor
+    # an all-pairs Fraction reference apart from the library's integer
+    # routine: each gap bound, the point distance minus both outer radii
+    # 2|L(v)|/|v|^2, against rho * 4|L(u)|/|u|^2; at the loose eps many
+    # sibling pairs miss the floor
     root = expansion_tree(SEED, EIGHTH, depth=2, width=8)
     rep = tree_audit(root, eps)
-    reports = [
-        verify_spacing(node.u, kids[i].u, kids[j].u, eps)
-        for node in iter_tree(root)
-        for kids in [node.children]
-        for i in range(len(kids))
-        for j in range(i + 1, len(kids))
-    ]
-    assert len(reports) == rep["totals"]["spacing_pairs"]
-    assert sum(not r["ok"] for r in reports) == rep["fails"]["spacing"] == spacing_fails
-    assert min(r["ratio"] for r in reports) == rep["min_spacing_ratio"]
+
+    def radius(v):
+        return F(invariants(v).absL, v.q * v.q)
+
+    ratios = []
+    for node in iter_tree(root):
+        kids = [ch.u for ch in node.children]
+        floor_val = spacing_floor(eps, 1) * 4 * radius(node.u)
+        for i, va in enumerate(kids):
+            for vb in kids[i + 1:]:
+                ratio = (proj_dist(va, vb) - 2 * radius(va) - 2 * radius(vb)) / floor_val
+                ratios.append(ratio)
+                assert verify_spacing(node.u, va, vb, eps) == {
+                    "ok": ratio > 1, "ratio": float(ratio)}
+    assert len(ratios) == rep["totals"]["spacing_pairs"]
+    assert sum(r <= 1 for r in ratios) == rep["fails"]["spacing"] == spacing_fails
+    assert float(min(ratios)) == rep["min_spacing_ratio"]
 
 
 def test_spacing_rejects_equal():
     u1 = child_vector(SEED, 1, 0, 520, EIGHTH)
     with pytest.raises(ValueError):
         verify_spacing(SEED, u1, u1, EIGHTH)
+    # a zero distortion bound gives a zero floor, which no ratio can use
+    u2 = child_vector(SEED, 1, 0, 540, EIGHTH)
+    with pytest.raises(ValueError):
+        verify_spacing(SEED, u1, u2, 0)
 
 
 # ------------------------------------------------- singular schedule

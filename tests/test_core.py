@@ -11,9 +11,7 @@ from diophlab.core import (
     proj_dist,
     pvec,
     residual,
-    residual_sq,
     seminorm,
-    seminorm_sq,
     wedge,
 )
 
@@ -26,7 +24,6 @@ def test_primvec_validation():
     with pytest.raises(ValueError):
         PrimVec(1, 0, -3)
     v = PrimVec(3, 2, 7)
-    assert v.height == 7
     assert v.proj().coords == (Fraction(3, 7), Fraction(2, 7))
 
 
@@ -37,7 +34,6 @@ def test_wedge_basic():
     assert w.as_tuple() == (0, 0, 1)
     assert wedge(u, v).as_tuple() == (0, 0, -1)
     assert seminorm(w) == 1
-    assert seminorm_sq(w) == 1
 
 
 def test_wedge_antisymmetric():
@@ -52,7 +48,6 @@ def test_residual_examples():
     assert residual(x, pvec(0, 0, 1)) == Fraction(1, 2)
     assert residual(x, pvec(1, 1, 2)) == 0
     assert residual(x, pvec(1, 0, 1)) == Fraction(1, 2)
-    assert residual_sq(x, pvec(0, 0, 1)) == Fraction(1, 2)
     x2 = RatPoint(Fraction(3, 7), Fraction(2, 7))
     assert residual(x2, pvec(0, 0, 1)) == Fraction(3, 7)
     assert residual(x2, pvec(3, 2, 7)) == 0

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,6 @@ import pytest
 
 from diophlab.bestapprox import best_approximations
 from diophlab.core import PrimVec, RatPoint, pvec, residual
-from diophlab.util import gcd3
 from diophlab.domains import (
     audit_ball_sandwich,
     ball_bounds,
@@ -38,7 +38,7 @@ def test_outer_inner_ratio_and_diam_bound():
     for _ in range(40):
         q = rng.randint(2, 400)
         p1, p2 = rng.randint(0, q), rng.randint(0, q)
-        if gcd3(p1, p2, q) != 1:
+        if math.gcd(p1, p2, q) != 1:
             continue
         bb = ball_bounds(PrimVec(p1, p2, q))
         assert bb.outer == 4 * bb.inner
@@ -83,7 +83,7 @@ def test_in_domain_matches_scan_on_grids():
     while len(vecs) < 40:
         q = rng.randint(2, 80)
         p1, p2 = rng.randint(-1, q + 1), rng.randint(-1, q + 1)
-        if gcd3(p1, p2, q) == 1:
+        if math.gcd(p1, p2, q) == 1:
             vecs.append(PrimVec(p1, p2, q))
     seen = {True: 0, False: 0}
     for v in vecs:
@@ -132,7 +132,7 @@ def test_ball_sandwich_audit():
     while done < 8:
         q = rng.randint(2, 40)
         p1, p2 = rng.randint(0, q), rng.randint(0, q)
-        if gcd3(p1, p2, q) != 1:
+        if math.gcd(p1, p2, q) != 1:
             continue
         assert audit_ball_sandwich(PrimVec(p1, p2, q))["pass"]
         done += 1
@@ -154,7 +154,7 @@ def test_half_domain_witness_sampled():
             qu, qv = qv, qu
         pu = (rng.randint(0, qu), rng.randint(0, qu))
         pv = (rng.randint(0, qv), rng.randint(0, qv))
-        if gcd3(*pu, qu) != 1 or gcd3(*pv, qv) != 1:
+        if math.gcd(*pu, qu) != 1 or math.gcd(*pv, qv) != 1:
             continue
         u, v = PrimVec(*pu, qu), PrimVec(*pv, qv)
         if u == v or residual(x, u) <= residual(x, v):

@@ -18,7 +18,6 @@ from diophlab.latinv import (
     lattice_minima,
     pair_basis,
     pair_in_lattice,
-    reduced_basis,
     scan_minima,
     wedge_constraint_ok,
     wedge_from_pair,
@@ -53,22 +52,11 @@ def test_unit_lattice_minima():
     assert H.as_tuple() == (0, 0, 1)
 
 
-def test_basis_example_unit():
-    basis = reduced_basis(pvec(0, 0, 1))
-    assert basis.b1.as_tuple() == (0, 1, 0)
-    assert basis.b2.as_tuple() == (0, 0, 1)
-    assert abs(basis.pair_det) == 1
-    assert basis.covolume == 1
-
-
 def test_skew_node_minima():
     v = pvec(0, 1, 520)
     L, H = lattice_minima(v)
     assert L.as_tuple() == (0, 0, 1)
     assert H.as_tuple() == (1, 520, 0)
-    basis = reduced_basis(v)
-    assert abs(basis.pair_det) == 520
-    assert basis.covolume == Fraction(1, 520)
 
 
 def test_diagonal_node_second_minimum_half_covolume():
