@@ -29,13 +29,12 @@ from .construct import (
     tree_audit,
     verify_spacing,
 )
-from .core import NormChoice, PrimVec, RatPoint, Wedge2, pvec, proj_dist, residual, seminorm, wedge
+from .core import PrimVec, RatPoint, Wedge2, pvec, proj_dist, residual, seminorm, wedge
 from .latinv import Invariants, distortion_below, invariants, lattice_minima
 
 __all__ = [
     "Chain",
     "Invariants",
-    "NormChoice",
     "PrimVec",
     "RatPoint",
     "Schedule",

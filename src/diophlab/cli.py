@@ -39,7 +39,7 @@ from .construct import (
     tree_audit,
     verify_spacing,
 )
-from .core import PrimVec, RatPoint, pvec, residual, wedge
+from .core import PrimVec, RatPoint, pvec, wedge
 from .dimension import (
     MAX_TREE_DEPTH,
     bounds_crossing,
@@ -124,7 +124,7 @@ def cmd_best_approx(args) -> tuple[int, dict, list[dict] | None]:
     x = parse_point(args.x)
     seq = best_approximations(x, args.qmax)
     payload = seq.to_jsonable()
-    payload["norm"] = args.norm
+    payload["norm"] = "sup"
     payload["exact_hit"] = seq.exact_hit
     rows = []
     for v, r in zip(seq.items, seq.residuals):
@@ -134,7 +134,7 @@ def cmd_best_approx(args) -> tuple[int, dict, list[dict] | None]:
                 "p2": v.p2,
                 "q": v.q,
                 "residual": frac_str(r),
-                "residual_float": float(residual(x, v, args.norm)),
+                "residual_float": float(r),
             }
         )
     payload["items"] = rows
@@ -161,7 +161,7 @@ def cmd_invariants(args) -> tuple[int, dict, list[dict] | None]:
 def cmd_domain(args) -> tuple[int, dict, list[dict] | None]:
     v = parse_vec(args.v)
     bb = ball_bounds(v)
-    audit = audit_ball_sandwich(v, rejects=args.rejects)
+    audit = audit_ball_sandwich(v)
     payload = {"v": [v.p1, v.p2, v.q], "sandwich": audit}
     payload.update(bb.to_jsonable())
     if args.x is not None:
@@ -613,22 +613,9 @@ def item_shortest_vector_duality(t, rng, fault):
         )
 
 
-def _run_item(entry: tuple[int, int, str | None]) -> dict:
-    idx, seed, fault = entry
-    return AUDIT_ITEMS[idx](seed, fault).to_jsonable()
-
-
 def cmd_audit_all(args) -> tuple[int, dict, list[dict] | None]:
     fault = args.inject_fault
-    entries = [(i, args.seed, fault) for i in range(len(AUDIT_ITEMS))]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a fork pool starts every worker at the first submit: one per item at most
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(entries))) as pool:
-            results = list(pool.map(_run_item, entries))
-    else:
-        results = [_run_item(e) for e in entries]
+    results = [item(args.seed, fault).to_jsonable() for item in AUDIT_ITEMS]
     total_checks = sum(r["checks"] for r in results)
     total_failures = sum(r["failures"] for r in results)
     payload = {
@@ -661,7 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record-breaking approximations to a rational target")
     p.add_argument("--x", required=True, help="target point 'x1,x2', e.g. 1/2,1/2")
     p.add_argument("--qmax", type=int, required=True, help="height bound")
-    p.add_argument("--norm", choices=["sup", "euclid"], default="sup")
     p.set_defaults(handler=cmd_best_approx)
 
     p = sub.add_parser("profile", parents=[common],
@@ -681,7 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="approximation domain bounds and membership")
     p.add_argument("--v", required=True, help="vector 'p1,p2,q'")
     p.add_argument("--x", default=None, help="optional point to test membership")
-    p.add_argument("--rejects", type=int, default=40)
     p.set_defaults(handler=cmd_domain)
 
     p = sub.add_parser("psi-tree", parents=[common],
@@ -739,8 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
     # a string default goes through type only when --seed is absent
     p.add_argument("--seed", type=int, default=os.environ.get("DIOPHLAB_SEED", "0"),
                    help="RNG seed; DIOPHLAB_SEED overrides the default 0")
-    p.add_argument("--jobs", type=positive(int), default=1,
-                   help="parallel workers for batch audits")
     p.add_argument("--inject-fault", choices=["tie-break"], default=None,
                    help="corrupt one checked rule to prove the audit bites")
     p.set_defaults(handler=cmd_audit_all)

@@ -222,6 +222,14 @@ def _sibling_spacing(u: PrimVec, kids: list[PrimVec], eps, n: int):
     return pairs, failures, None if least is None else Fraction(*least) / floor_val
 
 
+def _ratio_float(ratio: Fraction) -> float:
+    """A spacing ratio as a float; ValueError when it leaves the float range,
+    which a tiny eps does by shrinking the floor it is divided by."""
+    if abs(ratio) > sys.float_info.max:
+        raise ValueError("spacing ratio exceeds the float range; eps is too small")
+    return float(ratio)
+
+
 def verify_spacing(u: PrimVec, va: PrimVec, vb: PrimVec, eps, n: int = 1) -> dict:
     """Exact separation certificate for two children of u:
 
@@ -230,12 +238,12 @@ def verify_spacing(u: PrimVec, va: PrimVec, vb: PrimVec, eps, n: int = 1) -> dic
     with rho = eps^9 / (2^11 n^3), checked by `_sibling_spacing`.  Both of
     its bounds err on the safe side, so a pass is a proof.  Returns the
     pass flag and the gap bound over the floor.  Raises ValueError when
-    the children coincide or eps <= 0.
+    the children coincide, eps <= 0, or the ratio leaves the float range.
     """
     if va.as_tuple() == vb.as_tuple():
         raise ValueError("spacing needs two distinct children")
     _, failures, ratio = _sibling_spacing(u, [va, vb], eps, n)
-    return {"ok": not failures, "ratio": float(ratio)}
+    return {"ok": not failures, "ratio": _ratio_float(ratio)}
 
 
 def admissible_successor(u: PrimVec, v: PrimVec, eps) -> dict:
@@ -844,13 +852,11 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
         fails["spacing"] += failed
         if least is not None and (min_spacing_ratio is None or least < min_spacing_ratio):
             min_spacing_ratio = least
-    if min_spacing_ratio is not None and min_spacing_ratio > sys.float_info.max:
-        raise ValueError("min_spacing_ratio exceeds the float range; eps is too small")
     return {
         "totals": totals,
         "fails": fails,
         "ok": not any(fails.values()),
-        "min_spacing_ratio": float(min_spacing_ratio)
+        "min_spacing_ratio": _ratio_float(min_spacing_ratio)
         if min_spacing_ratio is not None
         else None,
         "min_kappa": float(min_kappa) if min_kappa is not None else None,

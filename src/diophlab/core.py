@@ -10,9 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal
-
-NormChoice = Literal["sup", "euclid"]
 
 
 @dataclass(frozen=True)
@@ -113,19 +110,12 @@ def seminorm(w: Wedge2) -> int:
     return max(abs(w.m13), abs(w.m23))
 
 
-def residual(x: RatPoint, v: PrimVec, norm: NormChoice = "sup") -> Fraction | float:
-    """Approximation residual ||q*x - p|| of v at target x.
+def residual(x: RatPoint, v: PrimVec) -> Fraction:
+    """Approximation residual ||q*x - p|| of v at target x, in the sup norm.
 
-    Exact Fraction under "sup" (the default everywhere); float under
-    "euclid".  Zero exactly when x is the projective point of v.
+    Exact; zero exactly when x is the projective point of v.
     """
-    d1 = v.q * x.x1 - v.p1
-    d2 = v.q * x.x2 - v.p2
-    if norm == "sup":
-        return max(abs(d1), abs(d2))
-    if norm == "euclid":
-        return math.hypot(float(d1), float(d2))
-    raise ValueError(f"unknown norm {norm!r}")
+    return max(abs(v.q * x.x1 - v.p1), abs(v.q * x.x2 - v.p2))
 
 
 def proj_dist(u: PrimVec, v: PrimVec) -> Fraction:

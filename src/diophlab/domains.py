@@ -120,20 +120,18 @@ def domain_samples(v: PrimVec, radius: Fraction, steps: int = 5) -> list[RatPoin
     return pts
 
 
-def audit_ball_sandwich(v: PrimVec, rejects: int = 40) -> dict:
+def audit_ball_sandwich(v: PrimVec) -> dict:
     """Sampled check of the two-sided ball inclusion for one vector.
 
     Every point of a 5x5 grid inside the inner ball must be a member;
-    every member found on a deterministic coarse sweep of the 4r box must
-    lie within the outer ball.  All comparisons exact.
+    every member found on a 6x6 sweep of the 4r box must lie within the
+    outer ball.  All comparisons exact.
     """
-    if rejects < 0:
-        raise ValueError(f"rejects must be nonnegative, got {rejects}")
     bb = ball_bounds(v)
     c = bb.center
     inner_ok = all(in_domain(p, v) for p in domain_samples(v, bb.inner))
     outer_ok = True
-    n = max(3, int(rejects**0.5))
+    n = 6
     step = 2 * bb.outer * 2 / (n - 1)  # sweep the box of radius 4r = 2*outer
     for i in range(n):
         for j in range(n):

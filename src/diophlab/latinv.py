@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import PrimVec, Wedge2, wedge
-from .util import extgcd, ln_fraction
+from .util import extgcd, frac_str, ln_fraction
 
 Pair = tuple[int, int]
 
@@ -52,21 +52,20 @@ def canonical_sign(w: Wedge2) -> Wedge2:
     return w
 
 
+def _canonical_pair(x: int, y: int) -> Pair:
+    if y < 0 or (y == 0 and x < 0):
+        return (-x, -y)
+    return (x, y)
+
+
 def class_key(x: int, y: int) -> tuple[int, int, int, int]:
     """Ordering key for +-classes of pair-lattice elements.
 
     Sign-normalize (y > 0, or y = 0 and x > 0), then order by sup norm,
     squared Euclidean norm, y, x.  Deterministic and total on classes.
     """
-    if y < 0 or (y == 0 and x < 0):
-        x, y = -x, -y
+    x, y = _canonical_pair(x, y)
     return (max(abs(x), abs(y)), x * x + y * y, y, x)
-
-
-def _canonical_pair(x: int, y: int) -> Pair:
-    if y < 0 or (y == 0 and x < 0):
-        return (-x, -y)
-    return (x, y)
 
 
 def pair_basis(v: PrimVec) -> tuple[Pair, Pair]:
@@ -232,8 +231,8 @@ class Invariants:
             "Lhat": list(self.Lhat.as_tuple()),
             "absL": self.absL,
             "absLhat": self.absLhat,
-            "eps_cubed": f"{self.eps3.numerator}/{self.eps3.denominator}",
-            "exp_3tau": f"{self.exp3tau.numerator}/{self.exp3tau.denominator}",
+            "eps_cubed": frac_str(self.eps3),
+            "exp_3tau": frac_str(self.exp3tau),
             "eps_float": self.eps,
             "delta_float": self.eps32,
             "tau_float": self.tau,

@@ -1,0 +1,32 @@
+"""The benchmark tracer wraps library names from outside, by string: a
+renamed or deleted name would only show when the benchmark runs.  These
+checks catch it in the fast suite."""
+
+import importlib
+import types
+from pathlib import Path
+
+from diophlab import cli
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def load_tracer():
+    # compiled from source, so no bytecode cache is written beside it
+    module = types.ModuleType("bench_tracer")
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def test_every_traced_span_is_a_library_callable():
+    for module, names in load_tracer().SPANS.items():
+        lib = importlib.import_module(f"diophlab.{module}")
+        for name in names:
+            assert callable(getattr(lib, name, None)), f"diophlab.{module}.{name}"
+
+
+def test_every_audit_item_names_its_span():
+    # the tracer names each item's span after __name__ less the 'item_' prefix
+    assert cli.AUDIT_ITEMS
+    for item in cli.AUDIT_ITEMS:
+        assert item.__name__.startswith("item_"), item.__name__

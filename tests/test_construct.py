@@ -381,6 +381,9 @@ def test_spacing_rejects_equal():
     u2 = child_vector(SEED, 1, 0, 540, EIGHTH)
     with pytest.raises(ValueError):
         verify_spacing(SEED, u1, u2, 0)
+    # a tiny eps shrinks the floor until the gap ratio has no float
+    with pytest.raises(ValueError, match="float range"):
+        verify_spacing(SEED, u1, u2, F(1, 10**40))
 
 
 # ------------------------------------------------- singular schedule
