@@ -29,10 +29,11 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable
 
 from .bestapprox import shortest_vector_reduced
-from .core import PrimVec, RatPoint, Wedge2, proj_dist, residual, seminorm, wedge
+from .core import PrimVec, RatPoint, Wedge2, residual, seminorm, wedge
 from .latinv import (
     canonical_sign,
     distortion_below,
@@ -194,31 +195,57 @@ def _domain_radius(v: PrimVec) -> Fraction:
     return Fraction(invariants(v).absL, v.q * v.q)
 
 
+def _pair_gap(va: PrimVec, vb: PrimVec) -> tuple[int, int]:
+    """Gap bound of two siblings as (num, den), den = |va|^2 |vb|^2: the sup
+    distance of their rational points minus both outer radii 2|L(v)|/|v|^2."""
+    qa, qb = va.q, vb.q
+    # seminorm(wedge(va, vb)) inlined: this is the spacing audit's inner step
+    dist = max(abs(va.p1 * qb - qa * vb.p1), abs(va.p2 * qb - qa * vb.p2))
+    ra, rb = 2 * invariants(va).absL, 2 * invariants(vb).absL
+    return dist * qa * qb - ra * qb * qb - rb * qa * qa, (qa * qb) ** 2
+
+
 def _sibling_spacing(u: PrimVec, kids: list[PrimVec], eps, n: int):
     """Check every pair of u's children kids against the spacing floor.
 
-    A pair's gap bound, the sup distance of its rational points minus both
-    outer radii 2|L(v)|/|v|^2, must exceed rho * diam, with rho =
-    spacing_floor(eps, n) and diam = 4 * radius(u) >= diam(domain(u)); the
-    comparisons are exact integer cross-multiplications.  Returns the pair
-    count, the count at or below the floor, and the least gap bound over
-    the floor (a Fraction, None without pairs).
+    A pair's gap bound (`_pair_gap`) must exceed the floor spacing_floor(eps,
+    n) * diam, with diam = 4 * radius(u) >= diam(domain(u)).  Returns the
+    pair count k(k-1)/2, the count at or below the floor, and the least gap
+    bound over the floor (a Fraction, None without pairs).
+
+    Only pairs that could fail or be least are evaluated.  With rho(v) =
+    proj_dist(u, v) and R(v) = 2|L(v)|/|v|^2, the triangle inequality gives
+    dist(va, vb) >= |rho(va) - rho(vb)| on any lines, so a gap is at least
+    rho(vb) - rho(va) - R(va) - R(vb).  Swept in order of rho, row i stops
+    once rho_j - rho_i - R_i - max_{k>i} R_k exceeds T = max(floor, least
+    gap so far): every later pair has gap > T, so neither fails nor is
+    least.  The sweep counts in units of 2^-32 / fd for the floor fn / fd,
+    rounding rho down, R and T up, plus one unit for rho_i: each stop stays
+    exact, and the rounding costs under 2^-30 of the floor.
     """
     floor_val = spacing_floor(eps, n) * 4 * _domain_radius(u)
     fn, fd = floor_val.numerator, floor_val.denominator
-    rows = [(v.p1, v.p2, v.q, 2 * invariants(v).absL) for v in kids]
-    pairs = failures = 0
-    least = None  # least gap bound (num, den), den = |va|^2 |vb|^2
-    for i, (a1, a2, qa, ra) in enumerate(rows):
-        for b1, b2, qb, rb in rows[i + 1:]:
-            pairs += 1
-            # seminorm(wedge(va, vb)) inlined: this loop dominates tree_audit
-            dist = max(abs(a1 * qb - qa * b1), abs(a2 * qb - qa * b2))
-            num, den = dist * qa * qb - ra * qb * qb - rb * qa * qa, (qa * qb) ** 2
+    unit = fd << 32
+    rows = sorted(  # (rho rounded down, R rounded up, v) in units of 1/unit
+        ((seminorm(wedge(u, v)) * unit // (u.q * v.q),
+          -(-2 * invariants(v).absL * unit // (v.q * v.q)), v) for v in kids),
+        key=lambda r: r[0])
+    # tops[i] = max R over rows i, i+1, ...
+    tops = list(accumulate(reversed([r[1] for r in rows]), max, initial=0))[::-1]
+    failures = 0
+    least = cut = None  # least gap bound (num, den); T, once a gap is known
+    for i, (rho_i, r_i, a) in enumerate(rows):
+        base = rho_i + 1 + r_i + tops[i + 1]
+        for rho_j, _, b in rows[i + 1:]:
+            if cut is not None and rho_j - base >= cut:
+                break
+            num, den = _pair_gap(a, b)
             if num * fd <= fn * den:
                 failures += 1
             if least is None or num * least[1] < least[0] * den:
                 least = (num, den)
+                cut = max(fn << 32, -(-num * unit // den))
+    pairs = len(kids) * (len(kids) - 1) // 2
     return pairs, failures, None if least is None else Fraction(*least) / floor_val
 
 
@@ -235,15 +262,16 @@ def verify_spacing(u: PrimVec, va: PrimVec, vb: PrimVec, eps, n: int = 1) -> dic
 
         dist(domain(va), domain(vb)) >= rho * diam(domain(u))
 
-    with rho = eps^9 / (2^11 n^3), checked by `_sibling_spacing`.  Both of
-    its bounds err on the safe side, so a pass is a proof.  Returns the
+    with rho = eps^9 / (2^11 n^3), on the gap bound of `_pair_gap`.  Both
+    of its bounds err on the safe side, so a pass is a proof.  Returns the
     pass flag and the gap bound over the floor.  Raises ValueError when
     the children coincide, eps <= 0, or the ratio leaves the float range.
     """
     if va.as_tuple() == vb.as_tuple():
         raise ValueError("spacing needs two distinct children")
-    _, failures, ratio = _sibling_spacing(u, [va, vb], eps, n)
-    return {"ok": not failures, "ratio": _ratio_float(ratio)}
+    floor_val = spacing_floor(eps, n) * 4 * _domain_radius(u)
+    ratio = Fraction(*_pair_gap(va, vb)) / floor_val
+    return {"ok": ratio > 1, "ratio": _ratio_float(ratio)}
 
 
 def admissible_successor(u: PrimVec, v: PrimVec, eps) -> dict:
@@ -261,7 +289,7 @@ def admissible_successor(u: PrimVec, v: PrimVec, eps) -> dict:
     prim = math.gcd(w.m12, w.m13, w.m23) == 1
     inv = invariants(u)
     avoids = canonical_sign(w).as_tuple() != canonical_sign(inv.L).as_tuple()
-    height_ok = Fraction(v.q) * eps**3 > seminorm(w) ** 2
+    height_ok = v.q * eps.numerator**3 > seminorm(w) ** 2 * eps.denominator**3
     return {
         "wedge_primitive": prim,
         "avoids_shortest": avoids,
@@ -278,9 +306,10 @@ def nesting_ok(u: PrimVec, v: PrimVec) -> dict:
     """
     if v.q < 2:
         raise ValueError("child height must exceed 1 for the outer bound")
-    r_u = _domain_radius(u)
-    slack = r_u / 2 - proj_dist(u, v) - 2 * _domain_radius(v)
-    return {"ok": slack > 0, "slack": slack}
+    # |L(u)|/(2|u|^2) - proj_dist(u, v) - 2|L(v)|/|v|^2 over 2|u|^2|v|^2
+    num = (invariants(u).absL * v.q**2 - 2 * seminorm(wedge(u, v)) * u.q * v.q
+           - 4 * invariants(v).absL * u.q**2)
+    return {"ok": num > 0, "slack": Fraction(num, 2 * (u.q * v.q) ** 2)}
 
 
 def growth_ok(u: PrimVec, v: PrimVec, eps) -> dict:
@@ -291,7 +320,7 @@ def growth_ok(u: PrimVec, v: PrimVec, eps) -> dict:
     applicable = distortion_below(u, eps)
     ok = None
     if applicable:
-        ok = Fraction(v.q) * eps**6 > u.q
+        ok = v.q * eps.numerator**6 > u.q * eps.denominator**6
     return {"applicable": applicable, "ok": ok}
 
 

@@ -258,11 +258,12 @@ def invariants(v: PrimVec) -> Invariants:
 
 
 def distortion_below(v: PrimVec, eps: Fraction) -> bool:
-    """Strict test eps(v) < eps by exact comparison of cubes."""
+    """Strict test eps(v) < eps by exact comparison of cubes: with
+    eps = n/d, eps(v)^3 = |L|^2/|v| < eps^3 iff |L|^2 d^3 < n^3 |v|."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return invariants(v).eps3 < eps ** 3
+    return invariants(v).absL ** 2 * eps.denominator**3 < eps.numerator**3 * v.q
 
 
 def wedge_residue(u: PrimVec, target: Wedge2) -> int:

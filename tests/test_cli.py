@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import jsonschema
@@ -113,6 +114,35 @@ def test_readme_tree_matches_bench_golden(capsys, argv):
     out = capsys.readouterr().out.encode()
     assert code == want["exit"]
     assert hashlib.sha256(out).hexdigest() == want["sha256"]
+
+
+def bench_ops():
+    # compiled from source, so no bytecode cache is written beside it; the
+    # module is registered while it runs, as its dataclass needs
+    path = BENCH_GOLDEN.with_name("workloads.py")
+    module = types.ModuleType("bench_workloads")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module.all_ops()
+
+
+def test_every_bench_tree_op_matches_golden(capsys):
+    # all 34 psi-tree ops the benchmark draws (5 README trees, 29 small
+    # roots) print the pinned bytes: every spacing, band, nesting and
+    # growth count and margin of the tree audit
+    with open(BENCH_GOLDEN) as fh:
+        golden = json.load(fh)
+    ops = [argv for argv in bench_ops() if argv[0] == "psi-tree"]
+    assert len(ops) == 34
+    for argv in ops:
+        want = golden[" ".join(argv)]
+        code = run(argv)
+        out = capsys.readouterr().out.encode()
+        assert (code, hashlib.sha256(out).hexdigest()) == (want["exit"], want["sha256"]), argv
 
 
 def test_usage_errors_exit_two(capsys):

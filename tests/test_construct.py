@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from diophlab import construct
 from diophlab.bestapprox import shortest_vector_oracle, shortest_vector_reduced
-from diophlab.core import RatPoint, proj_dist, pvec, wedge
+from diophlab.core import RatPoint, proj_dist, pvec, seminorm, wedge
 from diophlab.latinv import distortion_below, invariants, lattice_minima
 from diophlab.construct import (
     SING_C,
@@ -321,6 +324,55 @@ def test_growth_conditional(chain4):
     assert rep["applicable"] and rep["ok"]
 
 
+def small_roots():
+    return st.tuples(
+        st.integers(1, 7), st.integers(0, 6), st.integers(0, 6)
+    ).filter(lambda t: t[1] < t[0] and t[2] < t[0] and math.gcd(*t) == 1).map(
+        lambda t: pvec(t[1], t[2], t[0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(u=small_roots(), eps=st.sampled_from([EIGHTH, F(1, 10), F(3, 25)]))
+def test_integer_edge_predicates_match_fraction_formulas(u, eps):
+    # each predicate against the Fraction formula it replaced, on the
+    # children of u and of two of them (distorted parents, so the growth
+    # clause applies), at the construction's eps and at the band's eps/2
+    def radius(v):
+        return F(invariants(v).absL, v.q * v.q)
+
+    def kids(w):
+        return [child_vector(w, *s, eps) for s in admissible_slots(w, eps, 1, per_pair=3)]
+
+    edges = [(u, v) for v in kids(u)]
+    edges += [(v, w) for _, v in edges[:2] for w in kids(v)]
+    for w, v in edges:
+        slack = radius(w) / 2 - proj_dist(w, v) - 2 * radius(v)
+        assert nesting_ok(w, v) == {"ok": slack > 0, "slack": slack}
+        for e in (eps, eps / 2):
+            assert distortion_below(v, e) == (invariants(v).eps3 < e**3)
+            assert admissible_successor(w, v, e)["height_ok"] == (
+                F(v.q) * e**3 > seminorm(wedge(v, w)) ** 2)
+            applicable = invariants(w).eps3 < e**3
+            assert growth_ok(w, v, e) == {
+                "applicable": applicable,
+                "ok": F(v.q) * e**6 > w.q if applicable else None}
+
+
+def test_integer_predicates_keep_strict_ties():
+    half = F(1, 2)
+    # |L| = 1 at height 8: eps(v)^3 = 1/8 = (1/2)^3 exactly
+    tie, above = pvec(0, 1, 8), pvec(0, 1, 9)
+    assert invariants(tie).absL == invariants(above).absL == 1
+    assert not distortion_below(tie, half)
+    assert distortion_below(above, half)
+    # |v| eps^3 = 1 = seminorm(wedge(v, seed))^2 at the tie
+    assert not admissible_successor(SEED, tie, half)["height_ok"]
+    assert admissible_successor(SEED, above, half)["height_ok"]
+    # a parent of height 9 below 1/2 needs a child taller than 9 * 2^6 = 576
+    assert growth_ok(above, pvec(0, 1, 576), half) == {"applicable": True, "ok": False}
+    assert growth_ok(above, pvec(0, 1, 577), half) == {"applicable": True, "ok": True}
+
+
 # ------------------------------------------------------------ spacing
 
 
@@ -371,6 +423,74 @@ def test_tree_audit_spacing_matches_verify_spacing(eps, spacing_fails):
     assert len(ratios) == rep["totals"]["spacing_pairs"]
     assert sum(r <= 1 for r in ratios) == rep["fails"]["spacing"] == spacing_fails
     assert float(min(ratios)) == rep["min_spacing_ratio"]
+
+
+def all_pairs_spacing(u, kids, eps, n):
+    """Every sibling pair through the exact integer gap bound: the oracle
+    for the pruned sweep of `construct._sibling_spacing`."""
+    floor_val = spacing_floor(eps, n) * 4 * F(invariants(u).absL, u.q * u.q)
+    fn, fd = floor_val.numerator, floor_val.denominator
+    rows = [(v.p1, v.p2, v.q, 2 * invariants(v).absL) for v in kids]
+    pairs = failures = 0
+    least = None  # least gap bound (num, den), den = |va|^2 |vb|^2
+    for i, (a1, a2, qa, ra) in enumerate(rows):
+        for b1, b2, qb, rb in rows[i + 1:]:
+            pairs += 1
+            dist = max(abs(a1 * qb - qa * b1), abs(a2 * qb - qa * b2))
+            num, den = dist * qa * qb - ra * qb * qb - rb * qa * qa, (qa * qb) ** 2
+            if num * fd <= fn * den:
+                failures += 1
+            if least is None or num * least[1] < least[0] * den:
+                least = (num, den)
+    return pairs, failures, None if least is None else F(*least) / floor_val
+
+
+@settings(max_examples=40, deadline=None)
+@given(u=small_roots(), width=st.integers(0, 16), n=st.integers(1, 2),
+       eps=st.integers(1, 49).map(lambda k: F(k, 100)), rng=st.randoms())
+@example(u=SEED, width=8, n=1, eps=F(49, 100), rng=random.Random(0))
+def test_pruned_spacing_matches_all_pairs(u, width, n, eps, rng):
+    # children built at 1/8 and checked at eps: near 1/2 the floor rises
+    # above many sibling gaps (58 failures at 49/100 on the width-8 seed
+    # tree), so failures and the least ratio are both compared; the input
+    # order of the siblings must not matter
+    root = expansion_tree(u, EIGHTH, depth=2, width=width)
+    for node in iter_tree(root):
+        kids = [ch.u for ch in node.children]
+        rng.shuffle(kids)
+        assert construct._sibling_spacing(node.u, kids, eps, n) == all_pairs_spacing(
+            node.u, kids, eps, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=small_roots(), eps=st.integers(1, 49).map(lambda k: F(k, 100)),
+       kids=st.lists(st.integers(1, 30).flatmap(lambda q: st.tuples(
+           st.integers(-q, 2 * q - 1), st.integers(-q, 2 * q - 1), st.just(q))),
+           max_size=12))
+def test_pruned_spacing_matches_all_pairs_on_any_points(u, eps, kids):
+    # the pruning argument uses only the triangle inequality, so it must
+    # hold for any points, not just for children on their slot lines; these
+    # lie in [-1, 2)^2, where the low ones' outer radii swallow their gaps
+    kids = [pvec(*t) for t in kids if math.gcd(*t) == 1]
+    assert construct._sibling_spacing(u, kids, eps, 1) == all_pairs_spacing(u, kids, eps, 1)
+
+
+def test_readme_tree_sweep_evaluates_few_pairs(tree3, monkeypatch):
+    # the sweep evaluates 1,249 of the README tree's 37,975 sibling pairs;
+    # one that fell back to all pairs would evaluate every one
+    calls = []
+    pair_gap = construct._pair_gap
+
+    def counting(a, b):
+        calls.append(None)
+        return pair_gap(a, b)
+
+    root, want = tree3
+    invariants.cache_clear()
+    monkeypatch.setattr(construct, "_pair_gap", counting)
+    assert tree_audit(root, EIGHTH) == want
+    assert want["totals"]["spacing_pairs"] == 37975
+    assert len(calls) == 1249
 
 
 def test_spacing_rejects_equal():
