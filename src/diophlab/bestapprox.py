@@ -16,8 +16,8 @@ only in float convenience accessors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import PrimVec, RatPoint, proj_dist, residual, seminorm, wedge
 from .latinv import wedge_constraint_ok
@@ -54,24 +54,11 @@ def height_minimum(x: RatPoint, q: int) -> tuple[Fraction, list[tuple[int, int]]
     return res, cands
 
 
-@dataclass(frozen=True)
-class BestApproxSeq:
-    """Record-breaking approximations to a rational target, by height."""
-
+class _BestApproxSeqFields(NamedTuple):
     target: RatPoint
     items: tuple[PrimVec, ...]
     residuals: tuple[Fraction, ...]
     height_bound: int
-
-    def __post_init__(self):
-        if len(self.items) != len(self.residuals) or not self.items:
-            raise ValueError("items and residuals must align and be nonempty")
-        for a, b in zip(self.items, self.items[1:]):
-            if a.q >= b.q:
-                raise ValueError("heights must strictly increase")
-        for a, b in zip(self.residuals, self.residuals[1:]):
-            if a <= b:
-                raise ValueError("residuals must strictly decrease")
 
     @property
     def exact_hit(self) -> bool:
@@ -79,9 +66,26 @@ class BestApproxSeq:
 
     def to_jsonable(self) -> dict:
         return {
-            "target": [frac_str(c) for c in self.target.coords],
+            "target": [frac_str(c) for c in self.target],
             "height_bound": self.height_bound,
         }
+
+
+class BestApproxSeq(_BestApproxSeqFields):
+    """Record-breaking approximations to a rational target, by height."""
+
+    __slots__ = ()
+
+    def __new__(cls, target, items, residuals, height_bound):
+        if len(items) != len(residuals) or not items:
+            raise ValueError("items and residuals must align and be nonempty")
+        for a, b in zip(items, items[1:]):
+            if a.q >= b.q:
+                raise ValueError("heights must strictly increase")
+        for a, b in zip(residuals, residuals[1:]):
+            if a <= b:
+                raise ValueError("residuals must strictly decrease")
+        return tuple.__new__(cls, (target, items, residuals, height_bound))
 
 
 def best_approximations(x: RatPoint, height_bound: int) -> BestApproxSeq:
@@ -153,8 +157,7 @@ def best_approximations_scan(x: RatPoint, height_bound: int) -> BestApproxSeq:
     return BestApproxSeq(x, tuple(items), tuple(residuals), height_bound)
 
 
-@dataclass(frozen=True)
-class Breakpoint:
+class Breakpoint(NamedTuple):
     """One breakpoint of the profile, stored as an exact (height, residual) pair.
 
     kind "min": the per-vector minimum of the item at this height.
@@ -196,8 +199,7 @@ class Breakpoint:
         }
 
 
-@dataclass(frozen=True)
-class PLProfile:
+class PLProfile(NamedTuple):
     """Piecewise-linear minima profile of a best-approximation sequence.
 
     Between breakpoints the log-profile has slope +1 (rising toward a
@@ -245,7 +247,7 @@ class PLProfile:
 
     def to_jsonable(self) -> dict:
         return {
-            "target": [frac_str(c) for c in self.seq.target.coords],
+            "target": [frac_str(c) for c in self.seq.target],
             "breakpoints": [b.to_jsonable() for b in self.breakpoints],
             "window_T": [frac_str(self.window[0]), frac_str(self.window[1])],
             "exact_hit": self.exact_hit,
@@ -533,7 +535,7 @@ def audit_best_inequalities(seq: BestApproxSeq) -> dict:
             }
         )
     return {
-        "target": [frac_str(c) for c in seq.target.coords],
+        "target": [frac_str(c) for c in seq.target],
         "rows": rows,
         "all_ok": all(r["lower_ok"] and r["upper_ok"] and r["primitive"] for r in rows),
     }

@@ -8,8 +8,8 @@ exists for denominator at least 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .util import frac_str
 
@@ -53,8 +53,7 @@ def neighbors(v) -> tuple[Fraction, Fraction]:
     return Fraction(p_minus, q_minus), Fraction(p_plus, q_plus)
 
 
-@dataclass(frozen=True)
-class IntervalIN:
+class IntervalIN(NamedTuple):
     """The interval of reals having v as a convergent with next quotient >= N."""
 
     v: Fraction
@@ -167,13 +166,14 @@ def dn_gap_audit(v, N: int, a_max: int | None = None) -> dict:
     }
 
 
-@dataclass
 class DNNode:
     """One node of the successor tree: a fraction with its interval."""
 
-    v: Fraction
-    interval: IntervalIN
-    children: list["DNNode"] = field(default_factory=list)
+    def __init__(self, v: Fraction, interval: IntervalIN,
+                 children: list[DNNode] | None = None):
+        self.v = v
+        self.interval = interval
+        self.children = [] if children is None else children
 
 
 def dn_tree(

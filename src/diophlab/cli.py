@@ -16,7 +16,6 @@ import os
 import random
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bestapprox import (
@@ -303,13 +302,14 @@ def cmd_cf(args) -> tuple[int, dict, list[dict] | None]:
 # --------------------------------------------------------------- audit-all
 
 
-@dataclass
 class ItemResult:
-    name: str
-    description: str
-    checks: int = 0
-    failures: int = 0
-    witness: str | None = None
+    def __init__(self, name: str, description: str, checks: int = 0,
+                 failures: int = 0, witness: str | None = None):
+        self.name = name
+        self.description = description
+        self.checks = checks
+        self.failures = failures
+        self.witness = witness
 
     def check(self, ok: bool, witness: str) -> None:
         """Count one check; on a failure keep the first witness."""

@@ -27,10 +27,9 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bestapprox import shortest_vector_reduced
 from .core import PrimVec, RatPoint, Wedge2, residual, seminorm, wedge
@@ -94,8 +93,9 @@ def slot_sublattice(u: PrimVec, a: int, b: int) -> Wedge2:
     )
 
 
-def height_window(u: PrimVec, a: int, b: int, eps) -> tuple[Fraction, Fraction]:
-    """Open interval (M, 2M - 1) of admissible height multipliers.
+def height_window(u: PrimVec, target: Wedge2, eps) -> tuple[Fraction, Fraction]:
+    """Open interval (M, 2M - 1) of admissible height multipliers for the
+    slot whose wedge target is `target` (see slot_sublattice).
 
     M is the distortion threshold for the slot's sublattice: any child
     of height above M * |u| lands strictly below distortion eps.  Raises
@@ -105,7 +105,6 @@ def height_window(u: PrimVec, a: int, b: int, eps) -> tuple[Fraction, Fraction]:
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 2):
         raise ValueError("distortion bound must lie in (0, 1/2)")
-    target = slot_sublattice(u, a, b)
     m = Fraction(seminorm(target) ** 2, u.q) / eps**3
     if m > MAX_SLOT_MULTIPLIER:
         raise ValueError(
@@ -122,7 +121,7 @@ def slot_heights(u: PrimVec, a: int, b: int, eps, limit: int | None = None) -> l
     first lies at most a stride above M, and exactly a stride only when
     M is a multiple of the stride, where the count falls short of
     (M - 1)/stride.  A limit returns just the first that many."""
-    m, _ = height_window(u, a, b, eps)
+    m, _ = height_window(u, slot_sublattice(u, a, b), eps)
     count = max(0, (m - 1) // SLOT_STRIDE)
     if limit is not None:
         count = min(count, limit)
@@ -158,13 +157,13 @@ def child_vector(u: PrimVec, a: int, b: int, c: int, eps) -> PrimVec:
     """
     if a < 1 or b < 0 or b > a or math.gcd(a, b) != 1:
         raise ValueError(f"slot pair ({a}, {b}) must be coprime with a >= b >= 0")
-    m, hi = height_window(u, a, b, eps)
+    target = slot_sublattice(u, a, b)
+    m, hi = height_window(u, target, eps)
     if not m < c < hi:
         raise ValueError(
             f"height multiplier {c} outside the admissible window "
             f"({frac_str(m)}, {frac_str(hi)})"
         )
-    target = slot_sublattice(u, a, b)
     assert wedge_constraint_ok(target, u)
     z = wedge_residue(u, target)
     v = vector_with_wedge(u, target, c * u.q + z)
@@ -267,7 +266,7 @@ def verify_spacing(u: PrimVec, va: PrimVec, vb: PrimVec, eps, n: int = 1) -> dic
     pass flag and the gap bound over the floor.  Raises ValueError when
     the children coincide, eps <= 0, or the ratio leaves the float range.
     """
-    if va.as_tuple() == vb.as_tuple():
+    if va == vb:
         raise ValueError("spacing needs two distinct children")
     floor_val = spacing_floor(eps, n) * 4 * _domain_radius(u)
     ratio = Fraction(*_pair_gap(va, vb)) / floor_val
@@ -288,7 +287,7 @@ def admissible_successor(u: PrimVec, v: PrimVec, eps) -> dict:
                 "height_ok": False, "ok": False}
     prim = math.gcd(w.m12, w.m13, w.m23) == 1
     inv = invariants(u)
-    avoids = canonical_sign(w).as_tuple() != canonical_sign(inv.L).as_tuple()
+    avoids = canonical_sign(w) != canonical_sign(inv.L)
     height_ok = v.q * eps.numerator**3 > seminorm(w) ** 2 * eps.denominator**3
     return {
         "wedge_primitive": prim,
@@ -318,16 +317,17 @@ def growth_ok(u: PrimVec, v: PrimVec, eps) -> dict:
     yet distorted are exempt (the check reports inapplicable)."""
     eps = Fraction(eps)
     applicable = distortion_below(u, eps)
-    ok = None
-    if applicable:
-        ok = v.q * eps.numerator**6 > u.q * eps.denominator**6
-    return {"applicable": applicable, "ok": ok}
+    return {"applicable": applicable, "ok": _grows(u, v, eps) if applicable else None}
 
 
-def _proportional(w1: Wedge2, w2: Wedge2) -> bool:
+def _grows(u: PrimVec, v: PrimVec, eps: Fraction) -> bool:
+    """|v| > eps^-6 |u|, exactly: the growth a child of a parent below
+    distortion eps must show."""
+    return v.q * eps.numerator**6 > u.q * eps.denominator**6
+
+
+def _proportional(a: Wedge2, b: Wedge2) -> bool:
     """Whether two wedge triples are parallel (all cross minors vanish)."""
-    a = w1.as_tuple()
-    b = w2.as_tuple()
     return (
         a[0] * b[1] == a[1] * b[0]
         and a[0] * b[2] == a[2] * b[0]
@@ -335,8 +335,7 @@ def _proportional(w1: Wedge2, w2: Wedge2) -> bool:
     )
 
 
-@dataclass
-class ChainNode:
+class ChainNode(NamedTuple):
     """One link: the vector plus the parameters that admitted it."""
 
     u: PrimVec
@@ -344,11 +343,11 @@ class ChainNode:
     slot: tuple[int, int, int] | None = None
 
 
-@dataclass
 class Chain:
     """A nested chain of approximation vectors."""
 
-    nodes: list[ChainNode]
+    def __init__(self, nodes: list[ChainNode]):
+        self.nodes = nodes
 
     def vectors(self) -> list[PrimVec]:
         return [n.u for n in self.nodes]
@@ -452,7 +451,7 @@ def shrinking_slot(u: PrimVec, eps, n: int, eps3_cap: Fraction):
     eps = Fraction(eps)
     growth = eps**-6 if distortion_below(u, eps) else Fraction(0)
     for a, b in coprime_pairs(n):
-        m, hi = height_window(u, a, b, eps)
+        m, hi = height_window(u, slot_sublattice(u, a, b), eps)
         lo = max(m, m * eps**3 / eps3_cap, growth)
         c = SLOT_STRIDE * (lo // SLOT_STRIDE + 1)
         if lo < c < hi:
@@ -589,7 +588,6 @@ def sandwich_audit(chain: Chain, samples: int = 50) -> dict:
     }
 
 
-@dataclass
 class Schedule:
     """A nondecreasing step function built by the regularised recursion.
 
@@ -600,9 +598,11 @@ class Schedule:
     ValueError.
     """
 
-    delta: Fraction
-    knots: list[tuple[Fraction, Fraction]]
-    target: Callable[[float], float] = field(repr=False)
+    def __init__(self, delta: Fraction, knots: list[tuple[Fraction, Fraction]],
+                 target: Callable[[float], float]):
+        self.delta = delta
+        self.knots = knots
+        self.target = target
 
     def _extend(self):
         t, y = self.knots[-1]
@@ -785,14 +785,15 @@ def slow_chain(
     return chain, cert
 
 
-@dataclass
 class TreeNode:
     """One vertex of a branching family expansion."""
 
-    u: PrimVec
-    slot: tuple[int, int, int] | None
-    children: list = field(default_factory=list)
-    expanded: bool = False
+    def __init__(self, u: PrimVec, slot: tuple[int, int, int] | None,
+                 children: list | None = None, expanded: bool = False):
+        self.u = u
+        self.slot = slot
+        self.children = [] if children is None else children
+        self.expanded = expanded
 
 
 def expansion_tree(
@@ -861,6 +862,7 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
         inv = invariants(node.u)
         kappa = Fraction(inv.absLhat * inv.absL, node.u.q)
         min_kappa = kappa if min_kappa is None else min(min_kappa, kappa)
+        distorted = distortion_below(node.u, eps)  # growth_ok's test, once per parent
         for ch in node.children:
             totals["edges"] += 1
             if not admissible_successor(node.u, ch.u, eps)["ok"]:
@@ -869,10 +871,9 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
                 fails["band"] += 1
             if not nesting_ok(node.u, ch.u)["ok"]:
                 fails["nesting"] += 1
-            g = growth_ok(node.u, ch.u, eps)
-            if g["applicable"]:
+            if distorted:
                 totals["growth_checked"] += 1
-                if not g["ok"]:
+                if not _grows(node.u, ch.u, eps):
                     fails["growth"] += 1
         pairs, failed, least = _sibling_spacing(
             node.u, [ch.u for ch in node.children], eps, n

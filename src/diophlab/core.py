@@ -4,34 +4,24 @@ Everything downstream works with primitive integer vectors v = ((p1, p2), q),
 q > 0, which represent the rational point (p1/q, p2/q) at height q.  The
 wedge of two such vectors is kept as the integer triple of 2x2 minors
 (m12, m13, m23); the pair (m13, m23) is what all the distance formulas use.
+
+The value types of the package (here and in the other modules) are named
+tuples: immutable, hashable and cheap to define at import.  Each is its own
+tuple, so equality is tuple equality (PrimVec(1, 2, 3) == Wedge2(1, 2, 3)
+== (1, 2, 3)), and they iterate, index and order as tuples.  Types that
+check or coerce their fields do it in __new__ of a thin subclass of the
+named tuple; _make and _replace skip that, and nothing here calls them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class RatPoint:
-    """Exact rational target in the plane."""
-
+class _RatPointFields(NamedTuple):
     x1: Fraction
     x2: Fraction
-    _common: tuple[int, int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        x1, x2 = Fraction(self.x1), Fraction(self.x2)
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "x2", x2)
-        d = math.lcm(x1.denominator, x2.denominator)
-        object.__setattr__(self, "_common", (
-            x1.numerator * (d // x1.denominator),
-            x2.numerator * (d // x2.denominator), d))
-
-    @property
-    def coords(self) -> tuple[Fraction, Fraction]:
-        return (self.x1, self.x2)
 
     def common_denominator(self) -> tuple[int, int, int]:
         """Return (n1, n2, D) with x = (n1/D, n2/D), D > 0 minimal.
@@ -42,48 +32,55 @@ class RatPoint:
         return self._common
 
 
-@dataclass(frozen=True)
-class PrimVec:
-    """Primitive integer vector (p1, p2, q) with q > 0."""
+class RatPoint(_RatPointFields):
+    """Exact rational target in the plane, with Fraction coordinates."""
 
+    def __new__(cls, x1, x2):
+        self = tuple.__new__(cls, (Fraction(x1), Fraction(x2)))
+        x1, x2 = self
+        d = math.lcm(x1.denominator, x2.denominator)
+        # an instance attribute, not a field: no part of repr or equality
+        self._common = (
+            x1.numerator * (d // x1.denominator),
+            x2.numerator * (d // x2.denominator), d)
+        return self
+
+
+class _PrimVecFields(NamedTuple):
     p1: int
     p2: int
     q: int
 
-    def __post_init__(self):
-        if self.q <= 0:
-            raise ValueError(f"height must be positive, got {self.q}")
-        if math.gcd(self.p1, self.p2, self.q) != 1:
-            raise ValueError(f"vector {(self.p1, self.p2, self.q)} is not primitive")
-
     def proj(self) -> RatPoint:
         return RatPoint(Fraction(self.p1, self.q), Fraction(self.p2, self.q))
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.p1, self.p2, self.q)
-
     def __str__(self) -> str:
         return f"(({self.p1},{self.p2}),{self.q})"
+
+
+class PrimVec(_PrimVecFields):
+    """Primitive integer vector (p1, p2, q) with q > 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, p1: int, p2: int, q: int):
+        if q <= 0:
+            raise ValueError(f"height must be positive, got {q}")
+        if math.gcd(p1, p2, q) != 1:
+            raise ValueError(f"vector {(p1, p2, q)} is not primitive")
+        return tuple.__new__(cls, (p1, p2, q))
 
 
 def pvec(p1: int, p2: int, q: int) -> PrimVec:
     return PrimVec(p1, p2, q)
 
 
-@dataclass(frozen=True)
-class Wedge2:
+class Wedge2(NamedTuple):
     """Wedge u ^ v of two integer 3-vectors, stored as the minor triple."""
 
     m12: int
     m13: int
     m23: int
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.m13, self.m23)
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.m12, self.m13, self.m23)
 
     def neg(self) -> "Wedge2":
         return Wedge2(-self.m12, -self.m13, -self.m23)
@@ -94,11 +91,9 @@ class Wedge2:
 
 def wedge(u: PrimVec, v: PrimVec) -> Wedge2:
     """Minor triple of u ^ v (rows (u1,u2,u3) = (p1,p2,q))."""
-    return Wedge2(
-        u.p1 * v.p2 - u.p2 * v.p1,
-        u.p1 * v.q - u.q * v.p1,
-        u.p2 * v.q - u.q * v.p2,
-    )
+    u1, u2, u3 = u
+    v1, v2, v3 = v
+    return Wedge2(u1 * v2 - u2 * v1, u1 * v3 - u3 * v1, u2 * v3 - u3 * v2)
 
 
 def seminorm(w: Wedge2) -> int:

@@ -15,8 +15,8 @@ the unit comparisons of the power sums carry a 1e-9 relative slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cfrac import DNNode
 from .util import frac_str, ln_fraction
@@ -41,7 +41,6 @@ KNOWN_LIMIT_DIMENSIONS = {
 }
 
 
-@dataclass
 class CoverNode:
     """A node of a covering tree: a bounded set with its children.
 
@@ -50,11 +49,13 @@ class CoverNode:
     rho is the optional per-node weight for the weighted certificate.
     """
 
-    id: str
-    diam: Fraction
-    geom: tuple
-    children: list["CoverNode"] = field(default_factory=list)
-    rho: Fraction | None = None
+    def __init__(self, id: str, diam: Fraction, geom: tuple,
+                 children: list[CoverNode] | None = None, rho: Fraction | None = None):
+        self.id = id
+        self.diam = diam
+        self.geom = geom
+        self.children = [] if children is None else children
+        self.rho = rho
 
 
 def interval_node(id: str, lo, hi, rho=None) -> CoverNode:
@@ -97,8 +98,7 @@ def set_contains(parent: CoverNode, child: CoverNode) -> bool:
     raise ValueError("mixed geometries")
 
 
-@dataclass(frozen=True)
-class DimResult:
+class DimResult(NamedTuple):
     s: float
     residual: float
     method: str

@@ -9,8 +9,8 @@ of lower heights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bestapprox import BestApproxSeq, Breakpoint, box_points, height_minimum
 from .core import PrimVec, RatPoint, residual, seminorm, wedge
@@ -18,8 +18,7 @@ from .latinv import invariants
 from .util import frac_str
 
 
-@dataclass(frozen=True)
-class BallBounds:
+class BallBounds(NamedTuple):
     """Inner and outer sup-norm balls around v's rational point.
 
     r = |L(v)|/|v|^2; the domain of v contains the ball of radius r/2 and
@@ -39,7 +38,7 @@ class BallBounds:
 
     def to_jsonable(self) -> dict:
         return {
-            "center": [frac_str(c) for c in self.center.coords],
+            "center": [frac_str(c) for c in self.center],
             "r": frac_str(self.r),
             "inner": frac_str(self.inner),
             "outer": frac_str(self.outer),
@@ -200,7 +199,7 @@ def di_tail_check(seq: BestApproxSeq, delta: Fraction) -> dict:
             }
         )
     return {
-        "target": [frac_str(c) for c in seq.target.coords],
+        "target": [frac_str(c) for c in seq.target],
         "delta": frac_str(delta),
         "rows": rows,
         "all_below": all(r["below"] for r in rows),

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import PrimVec, Wedge2, wedge
 from .util import extgcd, frac_str, ln_fraction
@@ -152,7 +152,7 @@ def lattice_minima(v: PrimVec) -> tuple[Wedge2, Wedge2]:
         raise RuntimeError(f"minima enumeration failed for {v}")
     L = canonical_sign(wedge_from_pair(v, *Lp))
     H = canonical_sign(wedge_from_pair(v, *Hp))
-    if math.gcd(*L.as_tuple()) != 1 or math.gcd(*H.as_tuple()) != 1:
+    if math.gcd(*L) != 1 or math.gcd(*H) != 1:
         # impossible: an imprimitive element at a minimum level would yield a
         # strictly shorter lattice point below that level
         raise RuntimeError(f"imprimitive minimum for {v}")
@@ -194,8 +194,7 @@ def scan_minima(v: PrimVec) -> tuple[Wedge2, Wedge2]:
             canonical_sign(wedge_from_pair(v, *Hp)))
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(NamedTuple):
     """Shortest-class data of the pair lattice of v.
 
     eps3 is the exact cube of the distortion eps(v); eps(v)^{3/2} itself is
@@ -227,8 +226,8 @@ class Invariants:
     def to_jsonable(self) -> dict:
         return {
             "v": [self.v.p1, self.v.p2, self.v.q],
-            "L": list(self.L.as_tuple()),
-            "Lhat": list(self.Lhat.as_tuple()),
+            "L": list(self.L),
+            "Lhat": list(self.Lhat),
             "absL": self.absL,
             "absLhat": self.absLhat,
             "eps_cubed": frac_str(self.eps3),
@@ -244,7 +243,7 @@ def invariants(v: PrimVec) -> Invariants:
     """Shortest-class data of v, computed once per vector.
 
     The result is memoized for the life of the process and shared by every
-    caller; `Invariants` is frozen, so callers cannot alter it.
+    caller; `Invariants` is a named tuple, so callers cannot alter it.
     """
     L, H = lattice_minima(v)
     absL = max(abs(L.m13), abs(L.m23))
@@ -287,7 +286,7 @@ def vector_with_wedge(u: PrimVec, target: Wedge2, h: int) -> PrimVec:
     if num1 % u.q or num2 % u.q:
         raise ValueError(f"height {h} is not in the residue class of the target")
     v = PrimVec(num1 // u.q, num2 // u.q, h)
-    assert wedge(v, u).as_tuple() == target.as_tuple()
+    assert wedge(v, u) == target
     return v
 
 
@@ -303,7 +302,7 @@ def companion_pair(v: PrimVec, L: Wedge2) -> tuple[PrimVec, PrimVec]:
         vector_with_wedge(v, T, wedge_residue(v, T) or v.q) for T in (L, L.neg())
     )
     if up.q < v.q:
-        assert (up.p1 + um.p1, up.p2 + um.p2, up.q + um.q) == v.as_tuple()
+        assert (up.p1 + um.p1, up.p2 + um.p2, up.q + um.q) == v
     else:
         total = (up.p1 + um.p1, up.p2 + um.p2, up.q + um.q)
         assert total == (2 * v.p1, 2 * v.p2, 2 * v.q)

@@ -30,11 +30,12 @@ def frac_str(fr: Fraction | int) -> str:
 
 
 def json_ready(obj):
-    """Recursively convert Fractions (and tuples) for json.dumps."""
+    """Recursively convert Fractions (and plain lists and tuples) for
+    json.dumps.  The named-tuple value types pass through unconverted."""
     if isinstance(obj, Fraction):
         return frac_str(obj)
     if isinstance(obj, dict):
         return {k: json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if type(obj) in (list, tuple):
         return [json_ready(v) for v in obj]
     return obj

@@ -46,26 +46,26 @@ def random_target(rng: random.Random, dmax: int) -> RatPoint:
 
 def test_half_half_frozen():
     seq = best_approximations(RatPoint(F(1, 2), F(1, 2)), 10)
-    assert [v.as_tuple() for v in seq.items] == [(0, 0, 1), (1, 1, 2)]
+    assert list(seq.items) == [(0, 0, 1), (1, 1, 2)]
     assert list(seq.residuals) == [F(1, 2), F(0)]
     assert seq.exact_hit
 
 
 def test_origin_exact_hit():
     seq = best_approximations(RatPoint(0, 0), 10)
-    assert [v.as_tuple() for v in seq.items] == [(0, 0, 1)]
+    assert list(seq.items) == [(0, 0, 1)]
     assert seq.residuals == (F(0),)
 
 
 def test_three_sevenths_frozen():
     seq = best_approximations(RatPoint(F(3, 7), F(2, 7)), 7)
-    assert [v.as_tuple() for v in seq.items] == [(0, 0, 1), (1, 1, 3), (3, 2, 7)]
+    assert list(seq.items) == [(0, 0, 1), (1, 1, 3), (3, 2, 7)]
     assert list(seq.residuals) == [F(3, 7), F(2, 7), F(0)]
 
 
 def test_bound_cuts_before_hit():
     seq = best_approximations(RatPoint(F(3, 7), F(2, 7)), 5)
-    assert [v.as_tuple() for v in seq.items] == [(0, 0, 1), (1, 1, 3)]
+    assert list(seq.items) == [(0, 0, 1), (1, 1, 3)]
     assert not seq.exact_hit
 
 
@@ -208,14 +208,14 @@ def test_accelerated_subsequence_frozen():
         best_approximations(RatPoint(F(1, 2), F(1, 2)), 10)
     ) == []
     seq = best_approximations(RatPoint(F(3, 7), F(2, 7)), 7)
-    assert [v.as_tuple() for v in accelerated_subsequence(seq)] == [(3, 2, 7)]
+    assert accelerated_subsequence(seq) == [(3, 2, 7)]
 
 
 def test_accelerated_excludes_colinear_run():
     # embedded one-dimensional target: every item shares the plane p2 = 0
     seq = best_approximations(RatPoint(F(5, 8), 0), 8)
     assert [v.q for v in seq.items] == [1, 2, 3, 8]
-    assert seq.items[2].as_tuple() == (2, 0, 3)
+    assert seq.items[2] == (2, 0, 3)
     assert accelerated_subsequence(seq) == []
 
 
@@ -226,10 +226,10 @@ def test_crossing_eps_decreasing_in_excluded_runs():
         seq = best_approximations(x, 80)
         if len(seq.items) < 3:
             continue
-        kept = {v.as_tuple() for v in accelerated_subsequence(seq)}
+        kept = set(accelerated_subsequence(seq))
         run_prev = None
         for j in range(2, len(seq.items)):
-            if seq.items[j].as_tuple() in kept:
+            if seq.items[j] in kept:
                 run_prev = None
                 continue
             if run_prev is not None:

@@ -494,3 +494,17 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)["items"]) == 2
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # start-up is most of a short command's time: the CLI loads neither
+    # dataclasses (which pulls in inspect, ast, dis and tokenize) nor a
+    # process pool; a fresh interpreter shows what an import really loads
+    code = "import sys, diophlab.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "diophlab.cli" in loaded
+    heavy = {"dataclasses", "inspect", "ast", "concurrent.futures", "multiprocessing"}
+    assert loaded & heavy == set()

@@ -31,6 +31,7 @@ from diophlab.construct import (
     sing_chain,
     sing_params,
     slot_heights,
+    slot_sublattice,
     slow_chain,
     slow_step,
     spacing_floor,
@@ -85,20 +86,20 @@ def test_coprime_pairs_counts_totient():
 
 
 def test_height_window_seed():
-    assert height_window(SEED, 1, 0, EIGHTH) == (F(512), F(1023))
-    assert height_window(SEED, 1, 1, EIGHTH) == (F(512), F(1023))
+    assert height_window(SEED, slot_sublattice(SEED, 1, 0), EIGHTH) == (F(512), F(1023))
+    assert height_window(SEED, slot_sublattice(SEED, 1, 1), EIGHTH) == (F(512), F(1023))
 
 
 def test_height_window_scales_with_slot_norm():
     u1 = child_vector(SEED, 1, 0, 520, EIGHTH)
     # slot wedge for (1,0) is the second minimum, norm 520
-    assert height_window(u1, 1, 0, EIGHTH) == (F(266240), F(532479))
+    assert height_window(u1, slot_sublattice(u1, 1, 0), EIGHTH) == (F(266240), F(532479))
 
 
 def test_height_window_rejects_bad_eps():
     for bad in (F(0), F(1, 2), F(3, 5), F(-1, 8)):
         with pytest.raises(ValueError):
-            height_window(SEED, 1, 0, bad)
+            height_window(SEED, slot_sublattice(SEED, 1, 0), bad)
 
 
 def test_slot_heights_seed():
@@ -116,7 +117,7 @@ def test_slot_heights_stay_inside_the_window():
     lows = []
     for eps in (EIGHTH, F(3, 25), F(1, 10), F(1, 20)):
         for a, b in coprime_pairs(1):
-            m, hi = height_window(SEED, a, b, eps)
+            m, hi = height_window(SEED, slot_sublattice(SEED, a, b), eps)
             cs = slot_heights(SEED, a, b, eps)
             assert hi == 2 * m - 1 and cs, (eps, a, b)
             assert all(m < c < hi for c in cs), (eps, a, b)
@@ -205,7 +206,7 @@ def test_chain_minima_frozen(chain4):
 
 def test_last_slot_is_minimal(chain4):
     u3 = chain4.vectors()[3]
-    m, hi = height_window(u3, 1, 0, EIGHTH)
+    m, hi = height_window(u3, slot_sublattice(u3, 1, 0), EIGHTH)
     assert m == F(9516468567192403968, 36300322791199)
     # 262160 is the first multiple of 20 strictly above the floor
     assert 262140 <= m < 262160 < hi
@@ -801,7 +802,7 @@ def _assert_realises(x, t_val, vec, score):
     p1, p2, q = vec
     assert vec != (0, 0, 0)
     assert q > 0 or (q == 0 and (p1, p2) > (0, 0))
-    x1, x2 = x.coords
+    x1, x2 = x
     assert max(t_val * abs(q * x1 - p1), t_val * abs(q * x2 - p2), abs(q)) == score
 
 

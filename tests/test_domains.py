@@ -25,7 +25,7 @@ def test_ball_bounds_frozen():
     assert bb.r == F(1, 4)
     assert bb.inner == F(1, 8)
     assert bb.outer == F(1, 2)
-    assert bb.center.coords == (F(1, 2), F(1, 2))
+    assert bb.center == (F(1, 2), F(1, 2))
 
 
 def test_ball_bounds_rejects_height_one():
