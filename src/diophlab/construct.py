@@ -15,7 +15,9 @@ Singular-type chains shrink the bound slowly along a fixed schedule.  Slow
 chains follow a regularised step schedule so that the minima profile of
 the limit point tracks a prescribed decay target.  Spaced families
 enumerate every admissible slot, giving the Cantor-type branching whose
-sibling domains repel each other.
+sibling domains repel each other.  Fixed chains, spaced families and
+expansion trees all take their children from one slot enumerator,
+`slot_children`.
 
 The sandwich audit closes the loop: it compares the chain's own minima
 envelope against a from-scratch lattice minimum at sampled times, in
@@ -28,7 +30,7 @@ import bisect
 import math
 import sys
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable, NamedTuple
 
 from .bestapprox import shortest_vector_reduced
@@ -114,35 +116,26 @@ def height_window(u: PrimVec, target: Wedge2, eps) -> tuple[Fraction, Fraction]:
     return m, 2 * m - 1
 
 
-def slot_heights(u: PrimVec, a: int, b: int, eps, limit: int | None = None) -> list[int]:
-    """Sampled height multipliers for the slot pair: the first
-    floor((M - 1)/stride) multiples of the stride strictly above M.
-    That count keeps every one inside the open window (M, 2M - 1): the
-    first lies at most a stride above M, and exactly a stride only when
-    M is a multiple of the stride, where the count falls short of
-    (M - 1)/stride.  A limit returns just the first that many."""
-    m, _ = height_window(u, slot_sublattice(u, a, b), eps)
-    count = max(0, (m - 1) // SLOT_STRIDE)
-    if limit is not None:
-        count = min(count, limit)
-    first = SLOT_STRIDE * (m // SLOT_STRIDE + 1)
-    return list(range(first, first + SLOT_STRIDE * count, SLOT_STRIDE))
-
-
-def admissible_slots(
-    u: PrimVec, eps, n: int = 1, per_pair: int | None = None
-) -> list[tuple[int, int, int]]:
-    """Slots (a, b, c) admissible at distortion eps, in lex order.
-
-    The full family can be enormous away from small seeds (the window
-    above M holds about M/stride multipliers); per_pair caps the count
-    taken from each sublattice pair.
+def slot_children(u: PrimVec, eps, n: int = 1, per_pair: int | None = None):
+    """Yield ((a, b, c), child) for the admissible slots of u with a <= n,
+    in lex order, each child equal to child_vector(u, a, b, c, eps).  Per
+    pair, c runs over the first floor((M - 1)/stride) stride multiples
+    above M, at most per_pair of them.  That count keeps every c inside
+    the open window (M, 2M - 1): the first lies at most a stride above M,
+    and exactly a stride only when M is a multiple of the stride, where
+    the count falls short of (M - 1)/stride.  Each pair's wedge target,
+    window and residue class are computed once, when the pair is reached;
+    its window raises ValueError there.  The full family can be enormous
+    away from small seeds (about M/stride heights per pair).
     """
-    out = []
     for a, b in coprime_pairs(n):
-        for c in slot_heights(u, a, b, eps, per_pair):
-            out.append((a, b, c))
-    return out
+        target = slot_sublattice(u, a, b)
+        m, _ = height_window(u, target, eps)
+        first = SLOT_STRIDE * (m // SLOT_STRIDE + 1)
+        heights = range(first, first + SLOT_STRIDE * ((m - 1) // SLOT_STRIDE), SLOT_STRIDE)
+        z = wedge_residue(u, target)
+        for c in islice(heights, per_pair):
+            yield (a, b, c), vector_with_wedge(u, target, c * u.q + z)
 
 
 def child_vector(u: PrimVec, a: int, b: int, c: int, eps) -> PrimVec:
@@ -173,7 +166,7 @@ def child_vector(u: PrimVec, a: int, b: int, c: int, eps) -> PrimVec:
 
 def cantor_children(u: PrimVec, eps, n: int = 1) -> list[PrimVec]:
     """Every child of u over the admissible slots with a <= n, lex order."""
-    return [child_vector(u, a, b, c, eps) for a, b, c in admissible_slots(u, eps, n)]
+    return [v for _, v in slot_children(u, eps, n)]
 
 
 def spacing_floor(eps, n: int) -> Fraction:
@@ -411,11 +404,11 @@ def fixed_chain(u0: PrimVec, eps, depth: int, n: int = 1) -> Chain:
     eps = Fraction(eps)
     chain = Chain([ChainNode(u0)])
     for _ in range(depth):
-        u = chain.tip
-        slots = admissible_slots(u, eps, n, per_pair=1)
-        if not slots:
+        kids = list(slot_children(chain.tip, eps, n, per_pair=1))
+        if not kids:
             raise RuntimeError(f"no admissible slots at distortion {eps}")
-        _append(chain, child_vector(u, *slots[0], eps), eps, slots[0])
+        slot, v = kids[0]
+        _append(chain, v, eps, slot)
     return chain
 
 
@@ -528,13 +521,16 @@ def sandwich_audit(chain: Chain, samples: int = 50) -> dict:
     M_lattice is the reduction-certified minimum over all of Z^3.  The
     local maxima of the chain envelope sit at consecutive-pair crossings;
     each cubed crossing value height * residual^2 must stay below
-    4 eps^3.  A single-vector chain passes vacuously.
+    4 eps^3.  A single-vector chain passes vacuously; any other needs
+    depth >= 3 for a window and samples >= 2 to span it end to end.
     """
     vecs = chain.vectors()
     if len(vecs) == 1:
         return {"vacuous": True, "ok": True, "sandwich": [], "maxima": []}
     if len(vecs) < 4:
         raise ValueError("sandwich window needs chain depth >= 3")
+    if samples < 2:
+        raise ValueError(f"sandwich audit needs samples >= 2, got {samples}")
     eps = max(n.eps for n in chain.nodes[1:])
     x, _ = limit_box(chain)
     invs = [invariants(v) for v in vecs]
@@ -788,12 +784,11 @@ def slow_chain(
 class TreeNode:
     """One vertex of a branching family expansion."""
 
-    def __init__(self, u: PrimVec, slot: tuple[int, int, int] | None,
-                 children: list | None = None, expanded: bool = False):
+    def __init__(self, u: PrimVec, slot: tuple[int, int, int] | None):
         self.u = u
         self.slot = slot
-        self.children = [] if children is None else children
-        self.expanded = expanded
+        self.children = []
+        self.expanded = False
 
 
 def expansion_tree(
@@ -816,10 +811,9 @@ def expansion_tree(
     for _ in range(depth):
         nxt = []
         for node in frontier:
-            slots = admissible_slots(node.u, eps, n, per_pair)[:width]
             node.children = [
-                TreeNode(child_vector(node.u, *s, eps), s) for s in slots
-            ]
+                TreeNode(v, s) for s, v in slot_children(node.u, eps, n, per_pair)
+            ][:width]
             node.expanded = True
             nxt.extend(node.children[:expand])
         frontier = nxt

@@ -31,11 +31,14 @@ def frac_str(fr: Fraction | int) -> str:
 
 def json_ready(obj):
     """Recursively convert Fractions (and plain lists and tuples) for
-    json.dumps.  The named-tuple value types pass through unconverted."""
+    json.dumps.  Raises TypeError on a named-tuple value type, which
+    json.dumps would silently write as an array."""
     if isinstance(obj, Fraction):
         return frac_str(obj)
     if isinstance(obj, dict):
         return {k: json_ready(v) for k, v in obj.items()}
     if type(obj) in (list, tuple):
         return [json_ready(v) for v in obj]
+    if isinstance(obj, tuple):
+        raise TypeError(f"value type {type(obj).__name__} reached JSON output unconverted")
     return obj

@@ -131,13 +131,14 @@ def bench_ops():
 
 
 def test_every_bench_tree_op_matches_golden(capsys):
-    # all 34 psi-tree ops the benchmark draws (5 README trees, 29 small
-    # roots) print the pinned bytes: every spacing, band, nesting and
-    # growth count and margin of the tree audit
+    # all 106 ops the benchmark draws, the 34 psi-tree ops among them,
+    # print the pinned bytes and exit codes: every tree audit count and
+    # margin, every audit-all item and witness, every chain and scan (the
+    # D3 trees exit 1, as recorded)
     with open(BENCH_GOLDEN) as fh:
         golden = json.load(fh)
-    ops = [argv for argv in bench_ops() if argv[0] == "psi-tree"]
-    assert len(ops) == 34
+    ops = bench_ops()
+    assert len(ops) == 106
     for argv in ops:
         want = golden[" ".join(argv)]
         code = run(argv)

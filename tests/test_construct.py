@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from diophlab.latinv import distortion_below, invariants, lattice_minima
 from diophlab.construct import (
     SING_C,
     Chain,
-    admissible_slots,
     admissible_successor,
     cantor_children,
     child_vector,
@@ -30,7 +30,7 @@ from diophlab.construct import (
     shrinking_slot,
     sing_chain,
     sing_params,
-    slot_heights,
+    slot_children,
     slot_sublattice,
     slow_chain,
     slow_step,
@@ -102,13 +102,25 @@ def test_height_window_rejects_bad_eps():
             height_window(SEED, slot_sublattice(SEED, 1, 0), bad)
 
 
+def small_roots():
+    return st.tuples(
+        st.integers(1, 7), st.integers(0, 6), st.integers(0, 6)
+    ).filter(lambda t: t[1] < t[0] and t[2] < t[0] and math.gcd(*t) == 1).map(
+        lambda t: pvec(t[1], t[2], t[0]))
+
+
+def pair_heights(u, a, b, eps, per_pair=None):
+    return [c for (pa, pb, c), _ in slot_children(u, eps, a, per_pair)
+            if (pa, pb) == (a, b)]
+
+
 def test_slot_heights_seed():
-    cs = slot_heights(SEED, 1, 0, EIGHTH)
+    cs = pair_heights(SEED, 1, 0, EIGHTH)
     assert len(cs) == 25
     assert cs[0] == 520 and cs[-1] == 1000
     assert all(b - a == 20 for a, b in zip(cs, cs[1:]))
     assert all(512 < c < 1023 for c in cs)
-    assert slot_heights(SEED, 1, 0, EIGHTH, limit=1) == [520]
+    assert pair_heights(SEED, 1, 0, EIGHTH, per_pair=1) == [520]
 
 
 def test_slot_heights_stay_inside_the_window():
@@ -118,7 +130,7 @@ def test_slot_heights_stay_inside_the_window():
     for eps in (EIGHTH, F(3, 25), F(1, 10), F(1, 20)):
         for a, b in coprime_pairs(1):
             m, hi = height_window(SEED, slot_sublattice(SEED, a, b), eps)
-            cs = slot_heights(SEED, a, b, eps)
+            cs = pair_heights(SEED, a, b, eps)
             assert hi == 2 * m - 1 and cs, (eps, a, b)
             assert all(m < c < hi for c in cs), (eps, a, b)
             lows.append(m)
@@ -126,15 +138,31 @@ def test_slot_heights_stay_inside_the_window():
 
 
 def test_admissible_slots_seed_fifty():
-    slots = admissible_slots(SEED, EIGHTH)
+    slots = [s for s, _ in slot_children(SEED, EIGHTH)]
     assert len(slots) == 50
     assert slots[0] == (1, 0, 520)
     assert slots[-1] == (1, 1, 1000)
-    assert len(admissible_slots(SEED, EIGHTH, per_pair=3)) == 6
+    assert len(list(slot_children(SEED, EIGHTH, per_pair=3))) == 6
 
 
 def test_first_admissible_slot():
-    assert admissible_slots(SEED, EIGHTH, per_pair=1)[:1] == [(1, 0, 520)]
+    assert next(slot_children(SEED, EIGHTH, per_pair=1)) == ((1, 0, 520), pvec(0, 1, 520))
+
+
+@settings(max_examples=40, deadline=None)
+@given(u=small_roots(), eps=st.sampled_from([EIGHTH, F(1, 5), F(2, 5), F(49, 100)]),
+       n=st.sampled_from([1, 2]), per_pair=st.sampled_from([None, 1, 3]))
+def test_slot_children_match_child_vector(u, eps, n, per_pair):
+    # the enumerator against the validated single-slot constructor
+    out = list(slot_children(u, eps, n, per_pair))
+    slots = [s for s, _ in out]
+    assert slots == sorted(set(slots))
+    per_slot_pair = Counter(s[:2] for s in slots)
+    assert per_pair is None or max(per_slot_pair.values(), default=0) <= per_pair
+    for (a, b, c), v in out:
+        m, hi = height_window(u, slot_sublattice(u, a, b), eps)
+        assert m < c < hi
+        assert v == child_vector(u, a, b, c, eps)
 
 
 # ------------------------------------------------------- child vectors
@@ -325,13 +353,6 @@ def test_growth_conditional(chain4):
     assert rep["applicable"] and rep["ok"]
 
 
-def small_roots():
-    return st.tuples(
-        st.integers(1, 7), st.integers(0, 6), st.integers(0, 6)
-    ).filter(lambda t: t[1] < t[0] and t[2] < t[0] and math.gcd(*t) == 1).map(
-        lambda t: pvec(t[1], t[2], t[0]))
-
-
 @settings(max_examples=40, deadline=None)
 @given(u=small_roots(), eps=st.sampled_from([EIGHTH, F(1, 10), F(3, 25)]))
 def test_integer_edge_predicates_match_fraction_formulas(u, eps):
@@ -342,7 +363,7 @@ def test_integer_edge_predicates_match_fraction_formulas(u, eps):
         return F(invariants(v).absL, v.q * v.q)
 
     def kids(w):
-        return [child_vector(w, *s, eps) for s in admissible_slots(w, eps, 1, per_pair=3)]
+        return [v for _, v in slot_children(w, eps, 1, per_pair=3)]
 
     edges = [(u, v) for v in kids(u)]
     edges += [(v, w) for _, v in edges[:2] for w in kids(v)]
@@ -492,6 +513,26 @@ def test_readme_tree_sweep_evaluates_few_pairs(tree3, monkeypatch):
     assert tree_audit(root, EIGHTH) == want
     assert want["totals"]["spacing_pairs"] == 37975
     assert len(calls) == 1249
+
+
+def test_readme_tree_computes_each_window_once(monkeypatch):
+    # one height window per expanded node and slot pair: 31 nodes x 2 pairs;
+    # building each child through child_vector would recompute its window
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(construct, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("height_window", "child_vector"):
+        monkeypatch.setattr(construct, name, counting(name))
+    root = expansion_tree(SEED, EIGHTH)
+    assert sum(1 for node in iter_tree(root) if node.expanded) == 31
+    assert calls == {"height_window": 62}
 
 
 def test_spacing_rejects_equal():
@@ -734,6 +775,14 @@ def test_sandwich_vacuous_and_short():
     for depth in (1, 2):
         with pytest.raises(ValueError):
             sandwich_audit(fixed_chain(SEED, EIGHTH, depth))
+
+
+def test_sandwich_needs_two_samples(chain4):
+    # one sample would check only the window's start, none would check nothing
+    for samples in (-1, 0, 1):
+        with pytest.raises(ValueError, match="samples >= 2"):
+            sandwich_audit(chain4, samples=samples)
+    assert len(sandwich_audit(chain4, samples=2)["sandwich"]) == 2
 
 
 # -------------------------------------------------------------- trees

@@ -74,6 +74,8 @@ def test_ratpoint_coerces_and_precomputes_common_denominator():
 
 
 def test_json_ready_converts_only_plain_containers():
-    v = pvec(1, 2, 5)
-    assert json_ready(v) is v
+    # a value type would print as a bare array; it must be converted first
+    for leak in (pvec(1, 2, 5), [1, Wedge2(1, -2, 3)], {"x": RatPoint(1, 2)}):
+        with pytest.raises(TypeError, match="unconverted"):
+            json_ready(leak)
     assert json_ready({"a": (1, F(1, 2)), "b": [F(3)]}) == {"a": [1, "1/2"], "b": ["3/1"]}
