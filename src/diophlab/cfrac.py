@@ -164,53 +164,3 @@ def dn_gap_audit(v, N: int, a_max: int | None = None) -> dict:
         "gap_floor": frac_str(floor),
         "gaps_ok": ratio is not None and ratio >= floor,
     }
-
-
-class DNNode:
-    """One node of the successor tree: a fraction with its interval."""
-
-    def __init__(self, v: Fraction, interval: IntervalIN,
-                 children: list[DNNode] | None = None):
-        self.v = v
-        self.interval = interval
-        self.children = [] if children is None else children
-
-
-def dn_tree(
-    root,
-    N: int,
-    depth: int,
-    a_max: int | None = None,
-    descend: int | None = None,
-) -> DNNode:
-    """Successor tree to the given depth.
-
-    Every node above the bottom is expanded into its full child list;
-    `descend` caps how many of those children are recursively expanded in
-    turn (evenly spread across the list), which keeps deep audits of wide
-    trees affordable while still exercising every level.
-    """
-    root = Fraction(root)
-
-    def build(v: Fraction, d: int) -> DNNode:
-        node = DNNode(v, quotient_interval(v, N))
-        if d < depth:
-            kids = dn_children(v, N, a_max)
-            node.children = [DNNode(c, quotient_interval(c, N)) for c in kids]
-            if d + 1 < depth:
-                if descend is None or descend >= len(kids):
-                    picks = range(len(kids))
-                else:
-                    step = len(kids) / descend
-                    picks = sorted({int(i * step) for i in range(descend)})
-                for i in picks:
-                    node.children[i] = build(kids[i], d + 1)
-        return node
-
-    return build(root, 0)
-
-
-def iter_nodes(node: DNNode):
-    yield node
-    for c in node.children:
-        yield from iter_nodes(c)

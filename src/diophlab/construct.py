@@ -838,6 +838,7 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
     Reports the worst margins alongside the pass flags.
     """
     eps = Fraction(eps)
+    half = eps / 2
     totals = {
         "nodes": 0,
         "expanded": 0,
@@ -861,7 +862,7 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
             totals["edges"] += 1
             if not admissible_successor(node.u, ch.u, eps)["ok"]:
                 fails["membership"] += 1
-            if not (distortion_below(ch.u, eps) and not distortion_below(ch.u, eps / 2)):
+            if not (distortion_below(ch.u, eps) and not distortion_below(ch.u, half)):
                 fails["band"] += 1
             if not nesting_ok(node.u, ch.u)["ok"]:
                 fails["nesting"] += 1

@@ -2,9 +2,11 @@
 
 Upper bounds come from per-node covering sums on a finite tree; lower
 bounds from certificate conditions (child counts, containment, spacing,
-power sums), in a plain and a weighted variant.  Closed-form analyses of
-the distorted Cantor sets and of the large-quotient interval families are
-provided alongside, with bisection as the only root-finding method.
+power sums), in a plain and a weighted variant.  Two tree families are
+built here: the distorted Cantor sets (`cantor_tree`) and the quotient
+intervals I_N(v) of the large-quotient families (`dn_tree`).  Closed-form
+analyses of both are provided alongside, with bisection as the only
+root-finding method.
 
 Geometry is exact where the inputs are exact: containment and spacing
 comparisons run on rationals whenever nodes carry rational interval or
@@ -18,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cfrac import DNNode
+from .cfrac import dn_children, quotient_interval
 from .util import frac_str, ln_fraction
 
 IV_REL_TOL = 1e-9
@@ -356,8 +358,35 @@ def dn_asymptotic_ratio(s: float, N: int) -> float:
     return (2 * s - 1) * math.log(N) / math.log(math.log(N))
 
 
-def dn_cover(node: DNNode) -> CoverNode:
-    """Covering-tree view of a quotient-interval tree node."""
-    cn = interval_node(frac_str(node.v), node.interval.lo, node.interval.hi)
-    cn.children = [dn_cover(c) for c in node.children]
-    return cn
+def dn_tree(
+    root,
+    N: int,
+    depth: int,
+    a_max: int | None = None,
+    descend: int | None = None,
+) -> CoverNode:
+    """Covering tree of the quotient intervals I_N(v) below root, to the
+    given depth; each node is the interval of v, with id frac_str(v).
+
+    Every node above the bottom gets its full child list
+    (`cfrac.dn_children`); `descend` caps how many of those children are
+    recursively expanded in turn (evenly spread across the list), which
+    keeps deep audits of wide trees affordable while still exercising
+    every level.
+    """
+
+    def build(v: Fraction, d: int) -> CoverNode:
+        iv = quotient_interval(v, N)
+        node = interval_node(frac_str(v), iv.lo, iv.hi)
+        if d < depth:
+            kids = dn_children(v, N, a_max)
+            if descend is None or descend >= len(kids):
+                picks = range(len(kids))
+            else:
+                step = len(kids) / descend
+                picks = {int(i * step) for i in range(descend)}
+            node.children = [build(c, d + 1 if i in picks else depth)
+                             for i, c in enumerate(kids)]
+        return node
+
+    return build(Fraction(root), 0)

@@ -29,7 +29,6 @@ from diophlab.bestapprox import (
     shortest_vector_oracle,
     wx_profile,
 )
-from diophlab.cfrac import dn_tree
 from diophlab.cli import run
 from diophlab.construct import fixed_chain, sandwich_audit, slow_chain
 from diophlab.construct import expansion_tree, tree_audit
@@ -41,8 +40,8 @@ from diophlab.dimension import (
     cantor_exact_dim,
     dn_asymptotic_ratio,
     dn_bounds,
-    dn_cover,
     dn_exact_inversion,
+    dn_tree,
     lower_cert,
 )
 from diophlab.util import frac_str
@@ -224,9 +223,8 @@ def test_slow_chain_tracks_logarithmic_decay():
 def test_quotient_tree_nesting_and_gaps():
     start = time.perf_counter()
     tree = dn_tree(F(1, 2), 72, depth=4, a_max=144, descend=3)
-    cover = dn_cover(tree)
     s_minus = dn_bounds(72)[0].s
-    rep = lower_cert(cover, s_minus, rho=F(1, 36 * 72))
+    rep = lower_cert(tree, s_minus, rho=F(1, 36 * 72))
     structural = [v for v in rep["violations"] if v["cond"] in ("i", "ii", "iii")]
     assert structural == []
     assert rep["min_gap_ratio"] >= 1.0 / (36 * 72)
@@ -243,7 +241,7 @@ def test_quotient_tree_power_sums_reach_one():
     start = time.perf_counter()
     tree = dn_tree(F(1, 2), 72, depth=4, a_max=144, descend=3)
     s_minus = dn_bounds(72)[0].s
-    rep = lower_cert(dn_cover(tree), s_minus, rho=F(1, 36 * 72))
+    rep = lower_cert(tree, s_minus, rho=F(1, 36 * 72))
     assert time.perf_counter() - start < 30.0
     derived = 12 * (1 - 2 ** -(2 * s_minus - 1))
     assert rep["min_sum_ratio"] >= 1.0, (

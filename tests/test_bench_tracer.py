@@ -3,6 +3,8 @@ renamed or deleted name would only show when the benchmark runs.  These
 checks catch it in the fast suite."""
 
 import importlib
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -30,3 +32,18 @@ def test_every_audit_item_names_its_span():
     assert cli.AUDIT_ITEMS
     for item in cli.AUDIT_ITEMS:
         assert item.__name__.startswith("item_"), item.__name__
+
+
+def test_cli_import_loads_every_traced_module():
+    # the tracer imports only diophlab.cli (and core), then reads each
+    # traced module out of sys.modules and the items off cli.AUDIT_ITEMS;
+    # a fresh interpreter shows what that import really loads
+    code = ("import sys, diophlab.cli as cli; "
+            "print(len(cli.AUDIT_ITEMS), *sorted(sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    items, *loaded = proc.stdout.split()
+    assert int(items) > 0
+    for module in load_tracer().SPANS:
+        assert f"diophlab.{module}" in loaded, f"diophlab.{module}"

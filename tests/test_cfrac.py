@@ -8,12 +8,11 @@ from diophlab.cfrac import (
     convergents,
     dn_children,
     dn_gap_audit,
-    dn_tree,
-    iter_nodes,
     neighbors,
     quotient_interval,
 )
 from diophlab.core import RatPoint
+from diophlab.dimension import dn_tree
 from diophlab.domains import in_domain
 
 F = Fraction
@@ -125,16 +124,30 @@ def test_gap_audit_small_N_empirical():
         assert rep["nested"] and rep["disjoint"]
 
 
+def walk(node):
+    yield node
+    for c in node.children:
+        yield from walk(c)
+
+
 def test_tree_counts():
     t = dn_tree(F(1, 2), 2, 2, a_max=4)
-    nodes = list(iter_nodes(t))
+    nodes = list(walk(t))
     assert len(nodes) == 1 + 4 + 16
+    for n in nodes:
+        # the id is the fraction, and the node is exactly its interval I_N
+        v = F(n.id)
+        assert str(v) == n.id
+        iv = quotient_interval(v, 2)
+        assert n.geom == ("interval", iv.lo, iv.hi)
+        assert n.diam == iv.length
+    assert [F(c.id) for c in t.children] == dn_children(F(1, 2), 2, 4)
     t2 = dn_tree(F(1, 2), 2, 2, a_max=4, descend=2)
-    nodes2 = list(iter_nodes(t2))
+    nodes2 = list(walk(t2))
     assert len(nodes2) == 1 + 4 + 2 * 4
     for n in nodes2:
         if n.children:
-            audit = dn_gap_audit(n.v, 2, 4)
+            audit = dn_gap_audit(F(n.id), 2, 4)
             assert audit["disjoint"]
 
 

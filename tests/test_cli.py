@@ -497,15 +497,28 @@ def test_console_script_installed():
     assert len(json.loads(proc.stdout)["items"]) == 2
 
 
-def test_cli_import_leaves_heavy_modules_unloaded():
-    # start-up is most of a short command's time: the CLI loads neither
-    # dataclasses (which pulls in inspect, ast, dis and tokenize) nor a
-    # process pool; a fresh interpreter shows what an import really loads
-    code = "import sys, diophlab.cli; print(*sorted(sys.modules))"
+def modules_after(statement: str) -> set[str]:
+    # a fresh interpreter shows what an import really loads
+    code = f"import sys; {statement}; print(*sorted(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # start-up is most of a short command's time: the CLI loads neither
+    # dataclasses (which pulls in inspect, ast, dis and tokenize) nor a
+    # process pool
+    loaded = modules_after("import diophlab.cli")
     assert "diophlab.cli" in loaded
     heavy = {"dataclasses", "inspect", "ast", "concurrent.futures", "multiprocessing"}
     assert loaded & heavy == set()
+
+
+def test_package_import_loads_no_submodule():
+    # the package namespace holds only __version__; names are imported
+    # from their own modules, so the bare package loads none of them
+    loaded = modules_after("import diophlab")
+    assert "diophlab" in loaded
+    assert sorted(m for m in loaded if m.startswith("diophlab.")) == []

@@ -3,7 +3,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from diophlab.cfrac import dn_tree
 from diophlab.dimension import (
     ball_node,
     binary_interval_tree,
@@ -14,8 +13,8 @@ from diophlab.dimension import (
     covering_s_estimate,
     dn_asymptotic_ratio,
     dn_bounds,
-    dn_cover,
     dn_exact_inversion,
+    dn_tree,
     interval_node,
     lower_cert,
     set_contains,
@@ -218,8 +217,8 @@ def test_dn_asymptotic_ratios():
     assert abs(dn_asymptotic_ratio(sm.s, 10**9) - 0.3705595571763753) < 1e-9
 
 
-def test_dn_cover_tree_estimates():
-    tree = dn_cover(dn_tree(F(1, 2), 72, 1, a_max=144))
+def test_dn_tree_estimates():
+    tree = dn_tree(F(1, 2), 72, 1, a_max=144)
     est = covering_s_estimate(tree)
     assert 0.53 < est.s < 0.54
 
