@@ -50,8 +50,9 @@ from .dimension import (
 )
 from .domains import audit_ball_sandwich, ball_bounds, in_domain
 from .latinv import (
+    absL_from_wedge,
     companion_pair,
-    distortion_below,
+    cube_below,
     invariants,
     lattice_minima,
     scan_minima,
@@ -482,8 +483,10 @@ def item_domain_sandwich(t, rng, fault):
             "descendant vectors land in the half-open distortion band")
 def item_domain_band(t, rng, fault):
     eps = Fraction(1, 8)
-    for ch in cantor_children(pvec(0, 0, 1), eps):
-        t.check(distortion_below(ch, eps) and not distortion_below(ch, eps / 2),
+    seed_vec = pvec(0, 0, 1)
+    for ch in cantor_children(seed_vec, eps):
+        absL = absL_from_wedge(ch, seed_vec)
+        t.check(cube_below(absL, ch.q, eps) and not cube_below(absL, ch.q, eps / 2),
                 f"child {ch} leaves the distortion band")
 
 

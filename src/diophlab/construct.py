@@ -27,8 +27,8 @@ exact arithmetic at each sample.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
-import sys
 from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Callable, NamedTuple
@@ -36,7 +36,9 @@ from typing import Callable, NamedTuple
 from .bestapprox import shortest_vector_reduced
 from .core import PrimVec, RatPoint, Wedge2, residual, seminorm, wedge
 from .latinv import (
+    absL_from_wedge,
     canonical_sign,
+    cube_below,
     distortion_below,
     invariants,
     vector_with_wedge,
@@ -181,27 +183,33 @@ def spacing_floor(eps, n: int) -> Fraction:
     return eps**9 / (2**11 * n**3)
 
 
-def _domain_radius(v: PrimVec) -> Fraction:
-    """r = |L(v)| / |v|^2; the domain of v lies within sup distance 2r of
-    the rational point and contains the ball of radius r/2 around it."""
-    return Fraction(invariants(v).absL, v.q * v.q)
+@functools.cache
+def _floor_terms(u: PrimVec, eps, n: int) -> tuple[int, int]:
+    """The spacing floor under parent u as (fn, fd) in lowest terms:
+    spacing_floor(eps, n) * diam, with diam = 4|L(u)|/|u|^2.  The domain of
+    u lies within sup distance 2|L(u)|/|u|^2 of its rational point, so diam
+    bounds its diameter.  Memoized like `invariants`: `verify_spacing` asks
+    for the same parent's floor once per sibling pair."""
+    floor_val = spacing_floor(eps, n) * Fraction(4 * invariants(u).absL, u.q * u.q)
+    return floor_val.numerator, floor_val.denominator
 
 
-def _pair_gap(va: PrimVec, vb: PrimVec) -> tuple[int, int]:
-    """Gap bound of two siblings as (num, den), den = |va|^2 |vb|^2: the sup
-    distance of their rational points minus both outer radii 2|L(v)|/|v|^2."""
+def _pair_gap(va: PrimVec, la: int, vb: PrimVec, lb: int) -> tuple[int, int]:
+    """Gap bound of two siblings with |L(va)| = la and |L(vb)| = lb as (num,
+    den), den = |va|^2 |vb|^2: the sup distance of their rational points
+    minus both outer radii 2|L(v)|/|v|^2."""
     qa, qb = va.q, vb.q
     # seminorm(wedge(va, vb)) inlined: this is the spacing audit's inner step
     dist = max(abs(va.p1 * qb - qa * vb.p1), abs(va.p2 * qb - qa * vb.p2))
-    ra, rb = 2 * invariants(va).absL, 2 * invariants(vb).absL
-    return dist * qa * qb - ra * qb * qb - rb * qa * qa, (qa * qb) ** 2
+    return dist * qa * qb - 2 * la * qb * qb - 2 * lb * qa * qa, (qa * qb) ** 2
 
 
-def _sibling_spacing(u: PrimVec, kids: list[PrimVec], eps, n: int):
-    """Check every pair of u's children kids against the spacing floor.
+def _sibling_spacing(u: PrimVec, kids: list[tuple[PrimVec, int]], eps, n: int):
+    """Check every pair of u's children against the spacing floor; kids
+    holds each child v with |L(v)|.
 
-    A pair's gap bound (`_pair_gap`) must exceed the floor spacing_floor(eps,
-    n) * diam, with diam = 4 * radius(u) >= diam(domain(u)).  Returns the
+    A pair's gap bound (`_pair_gap`) must exceed the floor `_floor_terms`,
+    spacing_floor(eps, n) * diam with diam = 4|L(u)|/|u|^2.  Returns the
     pair count k(k-1)/2, the count at or below the floor, and the least gap
     bound over the floor (a Fraction, None without pairs).
 
@@ -215,38 +223,39 @@ def _sibling_spacing(u: PrimVec, kids: list[PrimVec], eps, n: int):
     rounding rho down, R and T up, plus one unit for rho_i: each stop stays
     exact, and the rounding costs under 2^-30 of the floor.
     """
-    floor_val = spacing_floor(eps, n) * 4 * _domain_radius(u)
-    fn, fd = floor_val.numerator, floor_val.denominator
+    fn, fd = _floor_terms(u, eps, n)
     unit = fd << 32
-    rows = sorted(  # (rho rounded down, R rounded up, v) in units of 1/unit
+    rows = sorted(  # (rho rounded down, R rounded up, v, |L(v)|) in units of 1/unit
         ((seminorm(wedge(u, v)) * unit // (u.q * v.q),
-          -(-2 * invariants(v).absL * unit // (v.q * v.q)), v) for v in kids),
+          -(-2 * lv * unit // (v.q * v.q)), v, lv) for v, lv in kids),
         key=lambda r: r[0])
     # tops[i] = max R over rows i, i+1, ...
     tops = list(accumulate(reversed([r[1] for r in rows]), max, initial=0))[::-1]
     failures = 0
     least = cut = None  # least gap bound (num, den); T, once a gap is known
-    for i, (rho_i, r_i, a) in enumerate(rows):
+    for i, (rho_i, r_i, a, la) in enumerate(rows):
         base = rho_i + 1 + r_i + tops[i + 1]
-        for rho_j, _, b in rows[i + 1:]:
+        for rho_j, _, b, lb in rows[i + 1:]:
             if cut is not None and rho_j - base >= cut:
                 break
-            num, den = _pair_gap(a, b)
+            num, den = _pair_gap(a, la, b, lb)
             if num * fd <= fn * den:
                 failures += 1
             if least is None or num * least[1] < least[0] * den:
                 least = (num, den)
                 cut = max(fn << 32, -(-num * unit // den))
     pairs = len(kids) * (len(kids) - 1) // 2
-    return pairs, failures, None if least is None else Fraction(*least) / floor_val
+    return pairs, failures, None if least is None else Fraction(least[0] * fd, least[1] * fn)
 
 
-def _ratio_float(ratio: Fraction) -> float:
-    """A spacing ratio as a float; ValueError when it leaves the float range,
-    which a tiny eps does by shrinking the floor it is divided by."""
-    if abs(ratio) > sys.float_info.max:
-        raise ValueError("spacing ratio exceeds the float range; eps is too small")
-    return float(ratio)
+def _ratio_float(num: int, den: int) -> float:
+    """A spacing ratio num/den as a correctly rounded float; ValueError when
+    it leaves the float range, which a tiny eps does by shrinking the floor
+    it is divided by."""
+    try:
+        return num / den
+    except OverflowError:
+        raise ValueError("spacing ratio exceeds the float range; eps is too small") from None
 
 
 def verify_spacing(u: PrimVec, va: PrimVec, vb: PrimVec, eps, n: int = 1) -> dict:
@@ -261,9 +270,10 @@ def verify_spacing(u: PrimVec, va: PrimVec, vb: PrimVec, eps, n: int = 1) -> dic
     """
     if va == vb:
         raise ValueError("spacing needs two distinct children")
-    floor_val = spacing_floor(eps, n) * 4 * _domain_radius(u)
-    ratio = Fraction(*_pair_gap(va, vb)) / floor_val
-    return {"ok": ratio > 1, "ratio": _ratio_float(ratio)}
+    fn, fd = _floor_terms(u, eps, n)
+    num, den = _pair_gap(va, absL_from_wedge(va, u), vb, absL_from_wedge(vb, u))
+    top, bottom = num * fd, den * fn
+    return {"ok": top > bottom, "ratio": _ratio_float(top, bottom)}
 
 
 def admissible_successor(u: PrimVec, v: PrimVec, eps) -> dict:
@@ -296,12 +306,17 @@ def nesting_ok(u: PrimVec, v: PrimVec) -> dict:
     inner radius.  Valid for any parent height; the inner ball of a
     height-one parent is the direct half-residual box.
     """
+    num = _nesting_slack(u, v, absL_from_wedge(v, u))
+    return {"ok": num > 0, "slack": Fraction(num, 2 * (u.q * v.q) ** 2)}
+
+
+def _nesting_slack(u: PrimVec, v: PrimVec, lv: int) -> int:
+    """nesting_ok's slack times 2|u|^2|v|^2, for a child v with |L(v)| = lv."""
     if v.q < 2:
         raise ValueError("child height must exceed 1 for the outer bound")
     # |L(u)|/(2|u|^2) - proj_dist(u, v) - 2|L(v)|/|v|^2 over 2|u|^2|v|^2
-    num = (invariants(u).absL * v.q**2 - 2 * seminorm(wedge(u, v)) * u.q * v.q
-           - 4 * invariants(v).absL * u.q**2)
-    return {"ok": num > 0, "slack": Fraction(num, 2 * (u.q * v.q) ** 2)}
+    return (invariants(u).absL * v.q**2 - 2 * seminorm(wedge(u, v)) * u.q * v.q
+            - 4 * lv * u.q**2)
 
 
 def growth_ok(u: PrimVec, v: PrimVec, eps) -> dict:
@@ -483,12 +498,12 @@ def limit_box(chain: Chain) -> tuple[RatPoint, Fraction]:
     """Center and radius of a box containing the chain's limit points.
 
     Every continuation of the chain stays inside the tip's domain, which
-    lies within twice the tip's radius of its rational point.
+    lies within twice the tip's radius r = |L|/|v|^2 of its rational point.
     """
     v = chain.tip
     if v.q <= 1:
         raise ValueError("chain too short: tip height must exceed 1")
-    return v.proj(), 2 * _domain_radius(v)
+    return v.proj(), Fraction(2 * invariants(v).absL, v.q * v.q)
 
 
 def _exp_fraction(y: float) -> Fraction:
@@ -836,6 +851,12 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
     every child must land in the half-open distortion band
     [eps/2, eps); and every sibling pair must clear the spacing floor.
     Reports the worst margins alongside the pass flags.
+
+    Only expanded nodes are reduced (`invariants`).  Each child's |L| is
+    read once, from its wedge w with the parent (`absL_from_wedge`): when w
+    is primitive and 2|w|^2 < |v|, +-w is the child's unique shortest class,
+    which is the case for every child in the band whose shortest class is
+    that wedge.  The band, nesting and spacing checks all use that value.
     """
     eps = Fraction(eps)
     half = eps / 2
@@ -854,25 +875,25 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
         if not node.expanded:
             continue
         totals["expanded"] += 1
-        inv = invariants(node.u)
-        kappa = Fraction(inv.absLhat * inv.absL, node.u.q)
+        u = node.u
+        inv = invariants(u)
+        kappa = Fraction(inv.absLhat * inv.absL, u.q)
         min_kappa = kappa if min_kappa is None else min(min_kappa, kappa)
-        distorted = distortion_below(node.u, eps)  # growth_ok's test, once per parent
-        for ch in node.children:
+        distorted = distortion_below(u, eps)  # growth_ok's test, once per parent
+        kids = [(ch.u, absL_from_wedge(ch.u, u)) for ch in node.children]
+        for v, lv in kids:
             totals["edges"] += 1
-            if not admissible_successor(node.u, ch.u, eps)["ok"]:
+            if not admissible_successor(u, v, eps)["ok"]:
                 fails["membership"] += 1
-            if not (distortion_below(ch.u, eps) and not distortion_below(ch.u, half)):
+            if not (cube_below(lv, v.q, eps) and not cube_below(lv, v.q, half)):
                 fails["band"] += 1
-            if not nesting_ok(node.u, ch.u)["ok"]:
+            if _nesting_slack(u, v, lv) <= 0:
                 fails["nesting"] += 1
             if distorted:
                 totals["growth_checked"] += 1
-                if not _grows(node.u, ch.u, eps):
+                if not _grows(u, v, eps):
                     fails["growth"] += 1
-        pairs, failed, least = _sibling_spacing(
-            node.u, [ch.u for ch in node.children], eps, n
-        )
+        pairs, failed, least = _sibling_spacing(u, kids, eps, n)
         totals["spacing_pairs"] += pairs
         fails["spacing"] += failed
         if least is not None and (min_spacing_ratio is None or least < min_spacing_ratio):
@@ -881,7 +902,8 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
         "totals": totals,
         "fails": fails,
         "ok": not any(fails.values()),
-        "min_spacing_ratio": _ratio_float(min_spacing_ratio)
+        "min_spacing_ratio": _ratio_float(
+            min_spacing_ratio.numerator, min_spacing_ratio.denominator)
         if min_spacing_ratio is not None
         else None,
         "min_kappa": float(min_kappa) if min_kappa is not None else None,

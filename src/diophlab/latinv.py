@@ -12,6 +12,15 @@ in Lam(v) with exact integers.
 
 L(v) is the shortest primitive class, Hhat(v) the shortest class off the line
 of L(v); ties are broken by the canonical key documented at `class_key`.
+
+A short primitive wedge certifies L(v) without a reduction.  Let w = u ^ v be
+primitive with 2|w|^2 < |v| (sup norm on the pair part; as m12 is linear in
+the pair part, gcd(m12, m13, m23) = 1 makes w primitive in Lam(v) too).
+Lam(v) has covolume |v|, so det(w, w') is a nonzero multiple of |v| for
+every w' in Lam(v) off the line of w, while |det(w, w')| <= 2|w||w'|.  Hence
+|w'| >= |v|/(2|w|) > |w|, and +-w is the unique shortest class: L(v) = +-w,
+with no tie to break.  `absL_from_wedge` applies this to a tree child and
+its parent.
 """
 from __future__ import annotations
 
@@ -256,13 +265,35 @@ def invariants(v: PrimVec) -> Invariants:
     )
 
 
+def absL_from_wedge(v: PrimVec, u: PrimVec) -> int:
+    """|L(v)|, certified from w = u ^ v when w is primitive and 2|w|^2 < |v|.
+
+    Then +-w is the unique shortest class of Lam(v), for any u: a w' off
+    the line of w has |det(w, w')| >= |v| (the covolume) and |det(w, w')|
+    <= 2|w||w'|, so |w'| >= |v|/(2|w|) > |w|.  So |L(v)| = |w| with no
+    reduction.  Otherwise this falls back to invariants(v).absL.  A tree
+    child whose shortest class is its wedge with the parent always passes
+    the test, since a child in the band has |L|^2 < eps^3 |v| < |v|/8.
+    """
+    w = wedge(u, v)
+    s = max(abs(w.m13), abs(w.m23))
+    if 2 * s * s < v.q and math.gcd(*w) == 1:
+        return s
+    return invariants(v).absL
+
+
+def cube_below(absL: int, q: int, eps: Fraction) -> bool:
+    """eps(v)^3 = absL^2/q < eps^3, exactly: with eps = n/d, iff
+    absL^2 d^3 < n^3 q."""
+    return absL * absL * eps.denominator**3 < eps.numerator**3 * q
+
+
 def distortion_below(v: PrimVec, eps: Fraction) -> bool:
-    """Strict test eps(v) < eps by exact comparison of cubes: with
-    eps = n/d, eps(v)^3 = |L|^2/|v| < eps^3 iff |L|^2 d^3 < n^3 |v|."""
+    """Strict test eps(v) < eps by exact comparison of cubes (`cube_below`)."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return invariants(v).absL ** 2 * eps.denominator**3 < eps.numerator**3 * v.q
+    return cube_below(invariants(v).absL, v.q, eps)
 
 
 def wedge_residue(u: PrimVec, target: Wedge2) -> int:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from diophlab import construct
 from diophlab.bestapprox import shortest_vector_oracle, shortest_vector_reduced
 from diophlab.core import RatPoint, proj_dist, pvec, seminorm, wedge
-from diophlab.latinv import distortion_below, invariants, lattice_minima
+from diophlab.latinv import absL_from_wedge, distortion_below, invariants, lattice_minima
 from diophlab.construct import (
     SING_C,
     Chain,
@@ -447,6 +447,12 @@ def test_tree_audit_spacing_matches_verify_spacing(eps, spacing_fails):
     assert float(min(ratios)) == rep["min_spacing_ratio"]
 
 
+def with_absL(u, kids):
+    """The children paired with |L(v)| read through the wedge certificate,
+    as `_sibling_spacing` takes them."""
+    return [(v, absL_from_wedge(v, u)) for v in kids]
+
+
 def all_pairs_spacing(u, kids, eps, n):
     """Every sibling pair through the exact integer gap bound: the oracle
     for the pruned sweep of `construct._sibling_spacing`."""
@@ -480,8 +486,8 @@ def test_pruned_spacing_matches_all_pairs(u, width, n, eps, rng):
     for node in iter_tree(root):
         kids = [ch.u for ch in node.children]
         rng.shuffle(kids)
-        assert construct._sibling_spacing(node.u, kids, eps, n) == all_pairs_spacing(
-            node.u, kids, eps, n)
+        assert construct._sibling_spacing(node.u, with_absL(node.u, kids), eps, n) == (
+            all_pairs_spacing(node.u, kids, eps, n))
 
 
 @settings(max_examples=100, deadline=None)
@@ -494,7 +500,23 @@ def test_pruned_spacing_matches_all_pairs_on_any_points(u, eps, kids):
     # hold for any points, not just for children on their slot lines; these
     # lie in [-1, 2)^2, where the low ones' outer radii swallow their gaps
     kids = [pvec(*t) for t in kids if math.gcd(*t) == 1]
-    assert construct._sibling_spacing(u, kids, eps, 1) == all_pairs_spacing(u, kids, eps, 1)
+    assert construct._sibling_spacing(u, with_absL(u, kids), eps, 1) == (
+        all_pairs_spacing(u, kids, eps, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=small_roots(), width=st.integers(0, 12),
+       build=st.integers(5, 49).map(lambda k: F(k, 100)),
+       audit=st.integers(1, 49).map(lambda k: F(k, 100)))
+def test_tree_audit_matches_reduced_children(u, width, build, audit):
+    # the wedge certificate of each child's |L| changes no audit figure:
+    # the reference reads invariants(v).absL for every child, and auditing
+    # at another eps than the build's gives band and spacing failures too
+    root = expansion_tree(u, build, depth=2, width=width)
+    got = tree_audit(root, audit)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "absL_from_wedge", lambda v, _: invariants(v).absL)
+        assert got == tree_audit(root, audit)
 
 
 def test_readme_tree_sweep_evaluates_few_pairs(tree3, monkeypatch):
@@ -503,9 +525,9 @@ def test_readme_tree_sweep_evaluates_few_pairs(tree3, monkeypatch):
     calls = []
     pair_gap = construct._pair_gap
 
-    def counting(a, b):
+    def counting(va, la, vb, lb):
         calls.append(None)
-        return pair_gap(a, b)
+        return pair_gap(va, la, vb, lb)
 
     root, want = tree3
     invariants.cache_clear()

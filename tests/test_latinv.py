@@ -3,14 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diophlab import latinv
-from diophlab.construct import expansion_tree, tree_audit
+from diophlab.construct import expansion_tree, iter_tree, tree_audit
 from diophlab.core import PrimVec, Wedge2, pvec, wedge
 from diophlab.latinv import (
     Invariants,
+    absL_from_wedge,
     class_key,
     companion_pair,
     distortion_below,
@@ -101,9 +102,10 @@ def test_invariants_psi_output_window():
     assert not distortion_below(pvec(0, 1, 520), Fraction(1, 16))
 
 
-def test_tree_computes_each_vector_once(monkeypatch):
-    # every tree invariant comes from the memoized invariants(v), so the
-    # minima of each distinct vector are computed exactly once
+@pytest.fixture
+def reduced(monkeypatch):
+    """The vectors that lattice_minima reduces from here on, in call order,
+    with the invariants cache emptied."""
     seen = []
 
     def counting(v):
@@ -112,10 +114,77 @@ def test_tree_computes_each_vector_once(monkeypatch):
 
     invariants.cache_clear()
     monkeypatch.setattr(latinv, "lattice_minima", counting)
+    return seen
+
+
+def test_tree_computes_each_vector_once(reduced):
+    # parents read the memoized invariants(v); every child's |L| is
+    # certified from its wedge with the parent, so only the 3 expanded
+    # nodes of the 19 reach lattice_minima, each once
     eps = Fraction(1, 8)
     root = expansion_tree(pvec(0, 0, 1), eps, depth=2, expand=2, width=6)
     assert tree_audit(root, eps)["ok"]
-    assert len(seen) == len(set(seen)) == 19
+    expanded = [node.u for node in iter_tree(root) if node.expanded]
+    assert sum(1 for _ in iter_tree(root)) == 19
+    assert reduced == expanded and len(set(reduced)) == 3
+
+
+def test_readme_tree_reduces_31_lattices(reduced):
+    # the README tree (eps 1/8, depth 3, width 50, expand 5): 1,551 nodes,
+    # of which the 31 expanded parents are the only ones reduced
+    eps = Fraction(1, 8)
+    root = expansion_tree(pvec(0, 0, 1), eps)
+    assert tree_audit(root, eps)["ok"]
+    assert sum(1 for _ in iter_tree(root)) == 1551
+    assert len(reduced) == len(set(reduced)) == 31
+
+
+@st.composite
+def vector_pairs(draw):
+    """A primitive u of height <= 9 and a primitive v = c*u + r with a
+    small offset r: a small c gives a v unrelated to u, a large c a v whose
+    wedge with u is short against |v|, as a tree child's is."""
+    def prim(t):
+        return math.gcd(*t) == 1 and t[2] > 0
+
+    small = st.tuples(*[st.integers(-9, 9)] * 3)
+    u = pvec(*draw(small.filter(prim)))
+    c = draw(st.one_of(st.integers(0, 100), st.integers(10**4, 10**6)))
+    r = draw(small)
+    v = tuple(c * a + b for a, b in zip(u, r))
+    assume(prim(v))
+    return u, pvec(*v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_pairs())
+def test_absL_from_wedge_matches_invariants(pair):
+    u, v = pair
+    assert absL_from_wedge(v, u) == invariants(v).absL
+
+
+@pytest.mark.parametrize("v, u, absL, falls_back", [
+    # w = (0, -1, 0) and 2|w|^2 = 2 < 3: (1, 0) is the unique shortest class
+    (pvec(1, 0, 3), pvec(0, 0, 1), 1, False),
+    # 2|w|^2 = |v| exactly: the boundary falls back
+    (pvec(1, 1, 2), pvec(0, 0, 1), 1, True),
+    # w = 2 * (0, -1, 0) is imprimitive, and |L| = 1 < |w| = 2 although 8 < 9
+    (pvec(2, 0, 9), pvec(0, 0, 1), 1, True),
+    # u = v gives w = 0, whose gcd is 0
+    (pvec(67, 1, 1000), pvec(67, 1, 1000), 15, True),
+])
+def test_absL_from_wedge_fallbacks(reduced, v, u, absL, falls_back):
+    assert absL_from_wedge(v, u) == absL
+    assert reduced == ([v] if falls_back else [])
+
+
+def test_boundary_wedge_ties_with_another_class():
+    # at 2|w|^2 = |v| the lattice {x = y mod 2} of ((1,1),2) holds the two
+    # classes (1,1) and (-1,1) at sup norm 1, and L is the other one, not w
+    v = pvec(1, 1, 2)
+    w = wedge(pvec(0, 0, 1), v)
+    assert 2 * max(abs(w.m13), abs(w.m23)) ** 2 == v.q
+    assert invariants(v).absL == 1 and invariants(v).L not in (w, w.neg())
 
 
 def test_distortion_strictness():
