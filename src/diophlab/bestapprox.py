@@ -23,8 +23,10 @@ from .core import PrimVec, RatPoint, proj_dist, residual, seminorm, wedge
 from .latinv import wedge_constraint_ok
 from .util import frac_str, ln_fraction
 
-# Largest box volume Q r^2 that box_points enumerates; its callers stay at
-# most 2 (best_approximations) and below 1 (in_domain).
+# Largest box volume Q r^2 that box_points enumerates; best_approximations
+# stays at most 2.  domains.in_domain enters the box step (_box_vectors)
+# directly, with the pair (Q D, R) for r = R/D, and only after its
+# Minkowski test has put the volume (|v| - 1) R^2 / D^2 below 1.
 MAX_BOX_VOLUME = 2**10
 
 
@@ -340,10 +342,11 @@ def _integral_gso(
 
 
 def _reduced_lattice(
-    x: RatPoint, T: Fraction,
+    n1: int, n2: int, den: int, a: int, b: int,
 ) -> tuple[list[tuple[int, int, int]], list[int], list[list[int]]]:
-    """LLL-reduced basis of phi(Z^3) at parameter T, with its integral
-    Gram-Schmidt data (d, lam) as _integral_gso defines them.
+    """LLL-reduced basis of phi(Z^3) for x = (n1/den, n2/den) at parameter
+    T = a/b, with its integral Gram-Schmidt data (d, lam) as _integral_gso
+    defines them.
 
     phi is the integer map of shortest_vector_reduced.  LLL uses the
     classical 3/4 parameter; size reduction rounds mu = lam/d to the
@@ -352,8 +355,6 @@ def _reduced_lattice(
     place: REDI on each size reduction, SWAPI on each swap (Cohen, Alg.
     2.6.7), with every division exact.
     """
-    a, b = T.numerator, T.denominator
-    n1, n2, den = x.common_denominator()
     basis = [(-a * den, 0, 0), (0, -a * den, 0), (a * n1, a * n2, b * den)]
     d, lam = _integral_gso(basis)
     k = 1
@@ -414,10 +415,11 @@ def _ball_points(
                 )
 
 
-def _preimage(x: RatPoint, T: Fraction, w: tuple[int, int, int]) -> tuple[int, int, int]:
-    """The (p1, p2, q) that phi carries to the lattice point w."""
-    a, b = T.numerator, T.denominator
-    n1, n2, den = x.common_denominator()
+def _preimage(
+    n1: int, n2: int, den: int, a: int, b: int, w: tuple[int, int, int],
+) -> tuple[int, int, int]:
+    """The (p1, p2, q) that phi (for x = (n1/den, n2/den), T = a/b)
+    carries to the lattice point w."""
     q = w[2] // (b * den)
     return (a * q * n1 - w[0]) // (a * den), (a * q * n2 - w[1]) // (a * den), q
 
@@ -443,7 +445,9 @@ def shortest_vector_reduced(x: RatPoint, T) -> tuple[tuple[int, int, int], Fract
     T = Fraction(T)
     if T <= 0:
         raise ValueError("T must be positive")
-    basis, d, lam = _reduced_lattice(x, T)
+    a, b = T.numerator, T.denominator
+    n1, n2, den = x.common_denominator()
+    basis, d, lam = _reduced_lattice(n1, n2, den, a, b)
     best_vec = min(basis, key=lambda w: max(map(abs, w)))
     best = m0 = max(map(abs, best_vec))
     for w in _ball_points(basis, d, lam, 3 * m0 * m0):
@@ -452,21 +456,35 @@ def shortest_vector_reduced(x: RatPoint, T) -> tuple[tuple[int, int, int], Fract
             best = val
             best_vec = w
 
-    p1, p2, q = _preimage(x, T, best_vec)
+    p1, p2, q = _preimage(n1, n2, den, a, b, best_vec)
     if q < 0 or (q == 0 and (p1 < 0 or (p1 == 0 and p2 < 0))):
         p1, p2, q = -p1, -p2, -q
-    return (p1, p2, q), Fraction(best, T.denominator * x.common_denominator()[2])
+    return (p1, p2, q), Fraction(best, b * den)
+
+
+def _box_vectors(n1: int, n2: int, den: int, Q: int, a: int, b: int):
+    """Yield the images under phi of the (p1, p2, q) with 0 < q <= Q and
+    ||q x - p|| <= r, for x = (n1/den, n2/den) and r = Q/T, T = a/b.
+
+    phi is the map of shortest_vector_reduced, under which these points
+    score max(T ||q x - p||, |q|) <= Q: they are the lattice points w with
+    w[2] > 0 and ||w||_inf <= m = Q b den.  Each lies in the ball
+    ||w||^2 <= 3 m^2, which is enumerated over the reduced basis: about
+    22 Q r^2 lattice points, however few of them the box keeps.
+    """
+    basis, d, lam = _reduced_lattice(n1, n2, den, a, b)
+    m = Q * b * den
+    for w in _ball_points(basis, d, lam, 3 * m * m):
+        if 0 < w[2] <= m and abs(w[0]) <= m and abs(w[1]) <= m:
+            yield w
 
 
 def box_points(x: RatPoint, Q: int, r):
     """Yield every (p1, p2, q) with 0 < q <= Q and ||q x - p|| <= r, r > 0.
 
-    At T = Q/r the map phi of shortest_vector_reduced scores these points
-    max(T ||q x - p||, |q|) <= Q, so they are the lattice points w with
-    q > 0 and ||w||_inf <= Q bD.  Each lies in the ball ||w||^2 <= 3 (Q bD)^2,
-    which is enumerated over the reduced basis: about 22 Q r^2 lattice
-    points, however few of them the box keeps.  The order is unspecified.
-    Raises ValueError when Q r^2 exceeds MAX_BOX_VOLUME = 2^10.
+    These are the preimages of the lattice points that _box_vectors
+    enumerates at T = Q/r.  The order is unspecified.  Raises ValueError
+    when Q r^2 exceeds MAX_BOX_VOLUME = 2^10.
     """
     r = Fraction(r)
     if r <= 0:
@@ -476,11 +494,10 @@ def box_points(x: RatPoint, Q: int, r):
     if Q < 1:
         return
     T = Q / r
-    basis, d, lam = _reduced_lattice(x, T)
-    m = Q * T.denominator * x.common_denominator()[2]
-    for w in _ball_points(basis, d, lam, 3 * m * m):
-        if 0 < w[2] <= m and abs(w[0]) <= m and abs(w[1]) <= m:
-            yield _preimage(x, T, w)
+    a, b = T.numerator, T.denominator
+    n1, n2, den = x.common_denominator()
+    for w in _box_vectors(n1, n2, den, Q, a, b):
+        yield _preimage(n1, n2, den, a, b, w)
 
 
 def accelerated_subsequence(seq: BestApproxSeq) -> list[PrimVec]:

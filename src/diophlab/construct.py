@@ -276,6 +276,22 @@ def verify_spacing(u: PrimVec, va: PrimVec, vb: PrimVec, eps, n: int = 1) -> dic
     return {"ok": top > bottom, "ratio": _ratio_float(top, bottom)}
 
 
+def _successor_flags(
+    u: PrimVec, v: PrimVec, L: Wedge2, e3n: int, e3d: int,
+) -> tuple[bool, bool, bool]:
+    """(wedge primitive, avoids the shortest class, height ok) for the edge
+    u -> v, given L = canonical_sign(L(u)) and eps^3 = e3n/e3d.
+
+    v's height must exceed eps^-3 |w|^2, w = v ^ u, i.e. |v| e3n > |w|^2 e3d.
+    """
+    w = wedge(v, u)
+    if w.is_zero():
+        return False, False, False
+    s = seminorm(w)
+    return (math.gcd(w.m12, w.m13, w.m23) == 1, canonical_sign(w) != L,
+            v.q * e3n > s * s * e3d)
+
+
 def admissible_successor(u: PrimVec, v: PrimVec, eps) -> dict:
     """Exact membership checks for v as a chain successor of u.
 
@@ -284,14 +300,8 @@ def admissible_successor(u: PrimVec, v: PrimVec, eps) -> dict:
     the squared wedge seminorm.
     """
     eps = Fraction(eps)
-    w = wedge(v, u)
-    if w.is_zero():
-        return {"wedge_primitive": False, "avoids_shortest": False,
-                "height_ok": False, "ok": False}
-    prim = math.gcd(w.m12, w.m13, w.m23) == 1
-    inv = invariants(u)
-    avoids = canonical_sign(w) != canonical_sign(inv.L)
-    height_ok = v.q * eps.numerator**3 > seminorm(w) ** 2 * eps.denominator**3
+    prim, avoids, height_ok = _successor_flags(
+        u, v, canonical_sign(invariants(u).L), eps.numerator**3, eps.denominator**3)
     return {
         "wedge_primitive": prim,
         "avoids_shortest": avoids,
@@ -860,6 +870,7 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
     """
     eps = Fraction(eps)
     half = eps / 2
+    e3n, e3d = eps.numerator**3, eps.denominator**3
     totals = {
         "nodes": 0,
         "expanded": 0,
@@ -880,10 +891,11 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
         kappa = Fraction(inv.absLhat * inv.absL, u.q)
         min_kappa = kappa if min_kappa is None else min(min_kappa, kappa)
         distorted = distortion_below(u, eps)  # growth_ok's test, once per parent
+        L = canonical_sign(inv.L)
         kids = [(ch.u, absL_from_wedge(ch.u, u)) for ch in node.children]
         for v, lv in kids:
             totals["edges"] += 1
-            if not admissible_successor(u, v, eps)["ok"]:
+            if not all(_successor_flags(u, v, L, e3n, e3d)):
                 fails["membership"] += 1
             if not (cube_below(lv, v.q, eps) and not cube_below(lv, v.q, half)):
                 fails["band"] += 1

@@ -9,10 +9,11 @@ of lower heights.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bestapprox import BestApproxSeq, Breakpoint, box_points, height_minimum
+from .bestapprox import BestApproxSeq, Breakpoint, _box_vectors, height_minimum
 from .core import PrimVec, RatPoint, residual, seminorm, wedge
 from .latinv import invariants
 from .util import frac_str
@@ -45,11 +46,15 @@ class BallBounds(NamedTuple):
         }
 
 
-def ball_bounds(v: PrimVec) -> BallBounds:
+def _radius_numerator(v: PrimVec) -> int:
+    """|L(v)|, the numerator of r = |L(v)|/|v|^2; the balls need |v| > 1."""
     if v.q <= 1:
         raise ValueError("ball bounds need height > 1")
-    inv = invariants(v)
-    return BallBounds(v.proj(), Fraction(inv.absL, v.q * v.q))
+    return invariants(v).absL
+
+
+def ball_bounds(v: PrimVec) -> BallBounds:
+    return BallBounds(v.proj(), Fraction(_radius_numerator(v), v.q * v.q))
 
 
 def in_domain(x: RatPoint, v: PrimVec) -> bool:
@@ -69,15 +74,39 @@ def in_domain(x: RatPoint, v: PrimVec) -> bool:
     member once (|v| - 1) res_v^2 >= 1, and a box that is searched has
     volume 4 (|v| - 1) res_v^2 < 4.  in_domain_scan is the
     height-by-height oracle.
+
+    Every test runs in integers scaled by the common denominator D of
+    x = (n1/D, n2/D), with res_v = R/D, R = max_i |q n_i - p_i D|: the
+    zero residual is R = 0, the Minkowski test is (|v| - 1) R^2 >= D^2,
+    the box is entered at T = (|v| - 1)/res_v, as the reduced integer
+    pair (Q D, R) with Q = |v| - 1, and the last test compares R with
+    max_i min(q n_i mod D, D - q n_i mod D), the residual numerator at
+    height |v|.
     """
-    res_v = residual(x, v)
-    if res_v == 0:
+    return _member(*x.common_denominator(), v)
+
+
+def _member(n1: int, n2: int, den: int, v: PrimVec) -> bool:
+    """in_domain at x = (n1/den, n2/den), for any den > 0.
+
+    The triple is first divided by its gcd, so a non-minimal den enters
+    the same lattice as the minimal one.
+    """
+    g = math.gcd(n1, n2, den)
+    n1, n2, den = n1 // g, n2 // g, den // g
+    p1, p2, q = v
+    R = max(abs(q * n1 - p1 * den), abs(q * n2 - p2 * den))
+    if R == 0:
         return True
-    if (v.q - 1) * res_v * res_v >= 1:
+    if (q - 1) * R * R >= den * den:
         return False
-    if next(box_points(x, v.q - 1, res_v), None) is not None:
-        return False
-    return height_minimum(x, v.q)[0] >= res_v
+    if q > 1:  # at |v| = 1 there is no lower height to search
+        a, b = (q - 1) * den, R
+        g = math.gcd(a, b)
+        if next(_box_vectors(n1, n2, den, q - 1, a // g, b // g), None) is not None:
+            return False
+    t1, t2 = q * n1 % den, q * n2 % den
+    return max(min(t1, den - t1), min(t2, den - t2)) >= R
 
 
 def in_domain_scan(x: RatPoint, v: PrimVec) -> bool:
@@ -107,16 +136,32 @@ def crossing(x: RatPoint, u: PrimVec, v: PrimVec) -> Breakpoint:
     return Breakpoint("max", v.q, res_u)
 
 
+def _grid(v: PrimVec, k: int, lo: int, step: int, n: int) -> list[tuple[int, int]]:
+    """Numerators (n1, n2) over D = k|v| of the n x n grid of points
+    v_dot + (lo + i step, lo + j step)/D, 0 <= i, j < n, with i outer."""
+    c1, c2 = k * v.p1 + lo, k * v.p2 + lo
+    return [(c1 + i * step, c2 + j * step) for i in range(n) for j in range(n)]
+
+
+def _inner_grid(v: PrimVec, L: int) -> tuple[int, list[tuple[int, int]]]:
+    """audit_ball_sandwich's inner grid, domain_samples(v, r/2), as
+    (D, numerator pairs) over D = 6|v|^2, for r = L/|v|^2."""
+    return 6 * v.q * v.q, _grid(v, 6 * v.q, -2 * L, L, 5)
+
+
+def _outer_grid(v: PrimVec, L: int) -> tuple[int, list[tuple[int, int]]]:
+    """audit_ball_sandwich's 6x6 sweep of the 4r box, from v_dot - 4r in
+    steps of 8r/5, as (D, numerator pairs) over D = 5|v|^2."""
+    return 5 * v.q * v.q, _grid(v, 5 * v.q, -20 * L, 8 * L, 6)
+
+
 def domain_samples(v: PrimVec, radius: Fraction, steps: int = 5) -> list[RatPoint]:
     """Deterministic (steps x steps) rational grid in the open ball B(v_dot, radius)."""
-    c = v.proj()
     half = (steps - 1) // 2
-    s = radius / (half + 1)
-    pts = []
-    for i in range(-half, steps - half):
-        for j in range(-half, steps - half):
-            pts.append(RatPoint(c.x1 + i * s, c.x2 + j * s))
-    return pts
+    s = Fraction(radius) / (half + 1)
+    den, step = v.q * s.denominator, v.q * s.numerator
+    return [RatPoint(Fraction(n1, den), Fraction(n2, den))
+            for n1, n2 in _grid(v, s.denominator, -half * step, step, steps)]
 
 
 def audit_ball_sandwich(v: PrimVec) -> dict:
@@ -124,23 +169,24 @@ def audit_ball_sandwich(v: PrimVec) -> dict:
 
     Every point of a 5x5 grid inside the inner ball must be a member;
     every member found on a 6x6 sweep of the 4r box must lie within the
-    outer ball.  All comparisons exact.
+    outer ball.  All comparisons exact, in integers: with r = |L|/|v|^2,
+    the inner grid (domain_samples at radius r/2, step r/6) is numerators
+    over 6|v|^2, the outer sweep (from v_dot - 4r in steps of 8r/5) is
+    numerators over 5|v|^2, on which the outer radius 2r is 10|L|.  Each
+    point goes to the integer core of in_domain (see there: R, D,
+    (|v| - 1) R^2 >= D^2, the box pair (Q D, R)); outer points within the
+    outer ball are not tested.  Raises ValueError for |v| <= 1, as
+    ball_bounds does.
     """
-    bb = ball_bounds(v)
-    c = bb.center
-    inner_ok = all(in_domain(p, v) for p in domain_samples(v, bb.inner))
-    outer_ok = True
-    n = 6
-    step = 2 * bb.outer * 2 / (n - 1)  # sweep the box of radius 4r = 2*outer
-    for i in range(n):
-        for j in range(n):
-            p = RatPoint(
-                c.x1 - 2 * bb.outer + i * step, c.x2 - 2 * bb.outer + j * step
-            )
-            if in_domain(p, v):
-                d = max(abs(p.x1 - c.x1), abs(p.x2 - c.x2))
-                if d > bb.outer:
-                    outer_ok = False
+    L = _radius_numerator(v)
+    den, pts = _inner_grid(v, L)
+    inner_ok = all(_member(n1, n2, den, v) for n1, n2 in pts)
+    den, pts = _outer_grid(v, L)
+    c1, c2 = 5 * v.q * v.p1, 5 * v.q * v.p2
+    outer_ok = not any(
+        max(abs(n1 - c1), abs(n2 - c2)) > 10 * L and _member(n1, n2, den, v)
+        for n1, n2 in pts
+    )
     return {
         "v": str(v),
         "inner_ok": inner_ok,

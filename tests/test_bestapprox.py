@@ -362,7 +362,8 @@ def test_reduced_lattice_is_lll_reduced():
         d = rng.randint(2, 10**digits)
         x = RatPoint(F(rng.randrange(d), d), F(rng.randrange(d), d))
         t = F(rng.randint(1, 10**rng.randint(1, 2 * digits)), rng.randint(1, 1000))
-        basis, dd, lam = _reduced_lattice(x, t)
+        basis, dd, lam = _reduced_lattice(
+            *x.common_denominator(), t.numerator, t.denominator)
         fresh_d, fresh_lam = _integral_gso(basis)
         assert (dd, lam) == (fresh_d, fresh_lam)
         for k in range(1, 3):

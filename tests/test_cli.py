@@ -228,6 +228,10 @@ def _csv(*fields):
 
 POINT = _csv(NUMBER, NUMBER)
 SMALL_VEC = _csv(st.integers(-20, 20), st.integers(-20, 20), st.integers(-3, 60))
+# heights near the domain op of the scan workload, where the sandwich audit
+# and the membership test run on denominators of about 10^9
+DOMAIN_VEC = _csv(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4),
+                  st.integers(-3, 10**4))
 BIG_VEC = _csv(*[st.integers(-10**6, 10**6)] * 3)
 
 
@@ -259,6 +263,7 @@ CHEAP_ARGV = st.one_of(
     _argv(["profile"], {"x": POINT, "qmax": st.integers(-3, 10**9)},
           samples=st.integers(-2, 6)),
     _argv(["domain"], {"v": SMALL_VEC}, x=POINT),
+    _argv(["domain"], {"v": DOMAIN_VEC}, x=POINT),
     # sizes are always drawn: the default trees and chains take seconds,
     # and at eps 1e-400 the default tree takes minutes
     _argv(["psi-tree"], {"seed-vec": SMALL_VEC, "depth": st.integers(0, 1),

@@ -3,10 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diophlab.bestapprox import best_approximations
 from diophlab.core import PrimVec, RatPoint, pvec, residual
 from diophlab.domains import (
+    _inner_grid,
+    _member,
+    _outer_grid,
     audit_ball_sandwich,
     ball_bounds,
     crossing,
@@ -16,6 +21,7 @@ from diophlab.domains import (
     in_domain,
     in_domain_scan,
 )
+from diophlab.latinv import invariants
 
 F = Fraction
 
@@ -97,6 +103,90 @@ def test_in_domain_matches_scan_on_grids():
                     assert member == in_domain_scan(x, v), (x, v)
                     seen[member] += 1
     assert min(seen.values()) > 500, seen
+
+
+@st.composite
+def primitive_vectors(draw, q_max=60):
+    q = draw(st.integers(1, q_max))
+    p1 = draw(st.integers(-q, 2 * q))
+    p2 = draw(st.integers(-q, 2 * q))
+    g = math.gcd(p1, p2, q)
+    return PrimVec(p1 // g, p2 // g, q // g)
+
+
+@st.composite
+def offset_points(draw, v):
+    # v_dot + (i, j)/(|v| m): residual max(|i|, |j|)/m in [0, 1], so the
+    # draws run from the center (i = j = 0) through members and searched
+    # boxes to the Minkowski region (|v| - 1) res^2 >= 1
+    m = draw(st.integers(1, 4 * v.q * v.q))
+    i, j = draw(st.integers(-m, m)), draw(st.integers(-m, m))
+    c = v.proj()
+    return RatPoint(c.x1 + F(i, v.q * m), c.x2 + F(j, v.q * m))
+
+
+@st.composite
+def any_points(draw):
+    d = draw(st.integers(1, 200))
+    return RatPoint(F(draw(st.integers(-d, 2 * d)), d), F(draw(st.integers(-d, 2 * d)), d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), v=primitive_vectors(), k=st.integers(1, 6))
+def test_member_matches_scan(data, v, k):
+    # the integer core against the height scan, with x handed over a
+    # non-minimal denominator k D as well as the minimal one
+    x = data.draw(st.one_of(st.just(v.proj()), offset_points(v), any_points()))
+    n1, n2, d = x.common_denominator()
+    want = in_domain_scan(x, v)
+    assert _member(n1, n2, d, v) == want
+    assert _member(k * n1, k * n2, k * d, v) == want
+
+
+def test_member_center_and_minkowski_points():
+    # the branches that decide without a box: v's center (a zero residual)
+    # is a member, and a residual with (|v| - 1) res^2 >= 1 is not
+    for v in (pvec(3, 2, 7), pvec(5, 8, 41), pvec(2, 1, 5)):
+        c = v.proj()
+        far = RatPoint(c.x1 + F(1, 2 * v.q), c.x2 - F(1, 3 * v.q))
+        assert (v.q - 1) * residual(far, v) ** 2 >= 1
+        for x, want in ((c, True), (far, False)):
+            n1, n2, d = x.common_denominator()
+            for k in (1, 4):
+                assert _member(k * n1, k * n2, k * d, v) == want
+            assert in_domain_scan(x, v) == want
+
+
+def test_sandwich_grids_are_the_fraction_grids():
+    # the integer grids of audit_ball_sandwich, point for point, against
+    # the Fraction grids it used to build around the ball bounds
+    rng = random.Random(26)
+    done = 0
+    while done < 40:
+        q = rng.randint(2, 500)
+        p1, p2 = rng.randint(-q, 2 * q), rng.randint(-q, 2 * q)
+        if math.gcd(p1, p2, q) != 1:
+            continue
+        v = PrimVec(p1, p2, q)
+        bb, L = ball_bounds(v), invariants(v).absL
+        c = bb.center
+        den, pts = _inner_grid(v, L)
+        inner = [RatPoint(F(n1, den), F(n2, den)) for n1, n2 in pts]
+        assert inner == domain_samples(v, bb.inner)
+        s = bb.inner / 3
+        assert inner == [RatPoint(c.x1 + i * s, c.x2 + j * s)
+                         for i in range(-2, 3) for j in range(-2, 3)]
+        den, pts = _outer_grid(v, L)
+        step = 2 * bb.outer * 2 / 5
+        assert [RatPoint(F(n1, den), F(n2, den)) for n1, n2 in pts] == [
+            RatPoint(c.x1 - 2 * bb.outer + i * step, c.x2 - 2 * bb.outer + j * step)
+            for i in range(6) for j in range(6)]
+        done += 1
+
+
+def test_ball_sandwich_rejects_height_one():
+    with pytest.raises(ValueError):
+        audit_ball_sandwich(pvec(0, 0, 1))
 
 
 def test_crossing_frozen():
