@@ -53,6 +53,9 @@ SLOT_STRIDE = 20
 # Caps that turn runaway slow-chain schedules into usage errors.
 MAX_SCHEDULE_KNOTS = 10**4
 MAX_EXP_ARG = 10**5
+# Knots a regularised schedule materialises up front; the
+# schedule-regularity audit item verifies exactly these.
+SCHEDULE_KNOTS = 8
 # A slow step may not make a height of more digits than this, the
 # interpreter's default limit on printing an integer.
 MAX_HEIGHT_DIGITS = 4300
@@ -664,10 +667,11 @@ class Schedule:
         }
 
 
-def regularize_schedule(f_target, delta, t0, steps: int = 8) -> Schedule:
+def regularize_schedule(f_target, delta, t0) -> Schedule:
     """Regularise a nondecreasing target into a self-consistent step
     function: starting from t0, each knot advances time by the current
-    value and lifts the value toward the target by at most delta.
+    value and lifts the value toward the target by at most delta.  The
+    first SCHEDULE_KNOTS = 8 knots are materialised.
 
     The result never exceeds the target and satisfies
     f(t + f(t)) <= f(t) + delta.  Requires f_target(t0) > 0.
@@ -683,7 +687,7 @@ def regularize_schedule(f_target, delta, t0, steps: int = 8) -> Schedule:
     if y0 <= 0:
         raise ValueError("target must be positive at the start")
     sched = Schedule(delta, [(t0, y0)], f_target)
-    for _ in range(steps - 1):
+    for _ in range(SCHEDULE_KNOTS - 1):
         sched._extend()
     return sched
 

@@ -1,16 +1,16 @@
 """Self-similar covering dimension machinery.
 
+Covering trees are trees of closed rational intervals (`CoverNode`).
 Upper bounds come from per-node covering sums on a finite tree; lower
 bounds from certificate conditions (child counts, containment, spacing,
-power sums), in a plain and a weighted variant.  Two tree families are
-built here: the distorted Cantor sets (`cantor_tree`) and the quotient
-intervals I_N(v) of the large-quotient families (`dn_tree`).  Closed-form
-analyses of both are provided alongside, with bisection as the only
-root-finding method.
+power sums) checked with one global spacing ratio rho.  Two tree
+families are built here: the distorted Cantor sets (`cantor_tree`) and
+the quotient intervals I_N(v) of the large-quotient families
+(`dn_tree`).  Closed-form analyses of both are provided alongside, with
+bisection as the only root-finding method.
 
-Geometry is exact where the inputs are exact: containment and spacing
-comparisons run on rationals whenever nodes carry rational interval or
-ball data.  Powers with a real exponent are evaluated in binary64, and
+Containment and spacing comparisons are exact, on the rational
+endpoints.  Powers with a real exponent are evaluated in binary64, and
 the unit comparisons of the power sums carry a 1e-9 relative slack.
 """
 
@@ -44,60 +44,29 @@ KNOWN_LIMIT_DIMENSIONS = {
 
 
 class CoverNode:
-    """A node of a covering tree: a bounded set with its children.
+    """A node of a covering tree: the closed interval [lo, hi] with its
+    children.  The endpoints are converted to Fraction; lo < hi is
+    required, so every diameter is positive."""
 
-    geom is ("interval", lo, hi) or ("ball", cx, cy, r) with sup-norm
-    balls, and diam must match it; interval_node and ball_node build both.
-    rho is the optional per-node weight for the weighted certificate.
-    """
-
-    def __init__(self, id: str, diam: Fraction, geom: tuple,
-                 children: list[CoverNode] | None = None, rho: Fraction | None = None):
+    def __init__(self, id: str, lo, hi, children: list[CoverNode] | None = None):
         self.id = id
-        self.diam = diam
-        self.geom = geom
+        self.lo, self.hi = Fraction(lo), Fraction(hi)
+        if self.hi <= self.lo:
+            raise ValueError("empty interval")
         self.children = [] if children is None else children
-        self.rho = rho
+
+    @property
+    def diam(self) -> Fraction:
+        return self.hi - self.lo
 
 
-def interval_node(id: str, lo, hi, rho=None) -> CoverNode:
-    lo, hi = Fraction(lo), Fraction(hi)
-    if hi <= lo:
-        raise ValueError("empty interval")
-    return CoverNode(id, hi - lo, ("interval", lo, hi), rho=rho)
-
-
-def ball_node(id: str, cx, cy, r, rho=None) -> CoverNode:
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError("ball radius must be positive")
-    return CoverNode(id, 2 * r, ("ball", Fraction(cx), Fraction(cy), r), rho=rho)
-
-
-def set_distance(a: CoverNode, b: CoverNode):
-    """Exact distance between the sets of two nodes."""
-    if a.geom[0] == "interval" and b.geom[0] == "interval":
-        _, alo, ahi = a.geom
-        _, blo, bhi = b.geom
-        return max(Fraction(0), blo - ahi, alo - bhi)
-    if a.geom[0] == "ball" and b.geom[0] == "ball":
-        _, ax, ay, ar = a.geom
-        _, bx, by, br = b.geom
-        center = max(abs(ax - bx), abs(ay - by))
-        return max(Fraction(0), center - ar - br)
-    raise ValueError("mixed geometries")
+def set_distance(a: CoverNode, b: CoverNode) -> Fraction:
+    """Exact distance between the intervals of two nodes."""
+    return max(Fraction(0), b.lo - a.hi, a.lo - b.hi)
 
 
 def set_contains(parent: CoverNode, child: CoverNode) -> bool:
-    if parent.geom[0] == "interval" and child.geom[0] == "interval":
-        _, plo, phi = parent.geom
-        _, clo, chi = child.geom
-        return plo <= clo and chi <= phi
-    if parent.geom[0] == "ball" and child.geom[0] == "ball":
-        _, px, py, pr = parent.geom
-        _, cx, cy, cr = child.geom
-        return max(abs(px - cx), abs(py - cy)) + cr <= pr
-    raise ValueError("mixed geometries")
+    return parent.lo <= child.lo and child.hi <= parent.hi
 
 
 class DimResult(NamedTuple):
@@ -154,12 +123,11 @@ def covering_s_estimate(tree: CoverNode) -> DimResult:
     seen = False
     for node in _internal_nodes(tree):
         ratios = []
+        diam = node.diam
         for c in node.children:
-            r = c.diam / node.diam
+            r = c.diam / diam
             if r >= 1:
                 raise ValueError(f"child ratio >= 1 at node {node.id}")
-            if r <= 0:
-                raise ValueError(f"empty child at node {node.id}")
             ratios.append(float(r))
         s, res = _solve_sum_pow(ratios)
         seen = True
@@ -170,74 +138,56 @@ def covering_s_estimate(tree: CoverNode) -> DimResult:
     return DimResult(best, worst_res, "covering")
 
 
-def lower_cert(tree: CoverNode, s: float, rho=None) -> dict:
+def lower_cert(tree: CoverNode, s: float, rho) -> dict:
     """Certificate conditions for a dimension lower bound at exponent s.
 
-    With a global rho, checks at every internal node: (i) at least two
-    children, each contained in the parent; (ii) strictly shrinking
-    diameters; (iii) pairwise child distances at least rho * parent
-    diameter; (iv) sum of child diam^s at least parent diam^s.  With
-    rho=None the weighted variant runs instead, reading per-node weights
-    off the nodes and weighting both sides of (iv) accordingly.
+    Checks at every internal node: (i) at least two children, each
+    contained in the parent; (ii) strictly shrinking diameters; (iii)
+    distances between adjacent children, sorted by lo, at least rho *
+    parent diameter, which for disjoint intervals bounds every pair;
+    (iv) sum of child diam^s at least parent diam^s.  rho must lie in
+    (0, 1), else ValueError.
 
     Distances and containment are exact; the power sums accept a 1e-9
     relative shortfall.  Returns per-condition results, all violations,
     and the extremal measured ratios.
     """
-    weighted = rho is None
+    rho = Fraction(rho)
+    if not 0 < rho < 1:
+        raise ValueError(f"rho must be in (0, 1), got {rho}")
     violations = []
     min_gap_ratio = None
     min_sum_ratio = None
     for node in _internal_nodes(tree):
-        kids = node.children
+        kids, diam = node.children, node.diam
         if len(kids) < 2:
             violations.append({"node": node.id, "cond": "i", "detail": "fewer than 2 children"})
         for c in kids:
             if not set_contains(node, c):
                 violations.append({"node": node.id, "cond": "i", "detail": f"{c.id} not contained"})
-            if c.diam >= node.diam:
+            if c.diam >= diam:
                 violations.append({"node": node.id, "cond": "ii", "detail": f"{c.id} does not shrink"})
-        r = node.rho if weighted else rho
-        if r is None or not 0 < r < 1:
-            violations.append({"node": node.id, "cond": "iii", "detail": "missing or invalid weight"})
-            r = None
-        if r is not None and len(kids) >= 2:
-            floor = r * node.diam
-            interval_kids = all(c.geom[0] == "interval" for c in kids)
-            if interval_kids:
-                # disjoint intervals: adjacent gaps witness all pairs
-                srt = sorted(kids, key=lambda c: c.geom[1])
-                pairs = list(zip(srt, srt[1:]))
-            else:
-                pairs = [
-                    (a, b) for i, a in enumerate(kids) for b in kids[i + 1 :]
-                ]
-            for a, b in pairs:
-                d = set_distance(a, b)
-                ratio = d / node.diam
-                if min_gap_ratio is None or ratio < min_gap_ratio:
-                    min_gap_ratio = ratio
-                if d < floor:
-                    violations.append(
-                        {"node": node.id, "cond": "iii", "detail": f"gap {a.id}|{b.id} below floor"}
-                    )
-        if kids:
-            if weighted:
-                lhs = sum(float(c.rho * c.diam) ** s for c in kids if c.rho)
-                rhs = float((node.rho or 0) * node.diam) ** s
-            else:
-                lhs = sum(float(c.diam) ** s for c in kids)
-                rhs = float(node.diam) ** s
-            ratio = lhs / rhs if rhs else float("inf")
-            if min_sum_ratio is None or ratio < min_sum_ratio:
-                min_sum_ratio = ratio
-            if ratio < 1 - IV_REL_TOL:
+        floor = rho * diam
+        srt = sorted(kids, key=lambda c: c.lo)
+        for a, b in zip(srt, srt[1:]):
+            d = set_distance(a, b)
+            ratio = d / diam
+            if min_gap_ratio is None or ratio < min_gap_ratio:
+                min_gap_ratio = ratio
+            if d < floor:
                 violations.append(
-                    {"node": node.id, "cond": "iv", "detail": f"power sum ratio {ratio:.6f}"}
+                    {"node": node.id, "cond": "iii", "detail": f"gap {a.id}|{b.id} below floor"}
                 )
+        rhs = float(diam) ** s
+        ratio = sum(float(c.diam) ** s for c in kids) / rhs if rhs else float("inf")
+        if min_sum_ratio is None or ratio < min_sum_ratio:
+            min_sum_ratio = ratio
+        if ratio < 1 - IV_REL_TOL:
+            violations.append(
+                {"node": node.id, "cond": "iv", "detail": f"power sum ratio {ratio:.6f}"}
+            )
     return {
         "s": s,
-        "weighted": weighted,
         "pass": not violations,
         "violations": violations,
         "first_violation": violations[0] if violations else None,
@@ -257,7 +207,7 @@ def binary_interval_tree(depth: int, left_frac, right_frac) -> CoverNode:
         raise ValueError("fractions must be positive with a gap remaining")
 
     def build(id: str, lo: Fraction, hi: Fraction, d: int) -> CoverNode:
-        node = interval_node(id, lo, hi)
+        node = CoverNode(id, lo, hi)
         if d < depth:
             ln = hi - lo
             node.children = [
@@ -377,7 +327,7 @@ def dn_tree(
 
     def build(v: Fraction, d: int) -> CoverNode:
         iv = quotient_interval(v, N)
-        node = interval_node(frac_str(v), iv.lo, iv.hi)
+        node = CoverNode(frac_str(v), iv.lo, iv.hi)
         if d < depth:
             kids = dn_children(v, N, a_max)
             if descend is None or descend >= len(kids):

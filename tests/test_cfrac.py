@@ -139,7 +139,7 @@ def test_tree_counts():
         v = F(n.id)
         assert str(v) == n.id
         iv = quotient_interval(v, 2)
-        assert n.geom == ("interval", iv.lo, iv.hi)
+        assert (n.lo, n.hi) == (iv.lo, iv.hi)
         assert n.diam == iv.length
     assert [F(c.id) for c in t.children] == dn_children(F(1, 2), 2, 4)
     t2 = dn_tree(F(1, 2), 2, 2, a_max=4, descend=2)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from diophlab.dimension import (
-    ball_node,
+    CoverNode,
     binary_interval_tree,
     bounds_crossing,
     cantor_bounds,
@@ -15,7 +15,6 @@ from diophlab.dimension import (
     dn_bounds,
     dn_exact_inversion,
     dn_tree,
-    interval_node,
     lower_cert,
     set_contains,
     set_distance,
@@ -23,22 +22,23 @@ from diophlab.dimension import (
 
 
 def test_set_geometry_exact():
-    a = interval_node("a", 0, F(1, 3))
-    b = interval_node("b", F(2, 3), 1)
+    a = CoverNode("a", 0, F(1, 3))
+    b = CoverNode("b", F(2, 3), 1)
     assert set_distance(a, b) == F(1, 3)
     assert set_distance(b, a) == F(1, 3)
-    p = interval_node("p", 0, 1)
+    p = CoverNode("p", 0, 1)
     assert set_contains(p, a) and set_contains(p, b)
     assert not set_contains(a, p)
 
-    u = ball_node("u", 0, 0, F(1, 4))
-    v = ball_node("v", 1, 0, F(1, 4))
-    assert set_distance(u, v) == F(1, 2)
-    big = ball_node("big", 0, 0, 2)
-    assert set_contains(big, v)
-    assert not set_contains(v, big)
-    with pytest.raises(ValueError):
-        set_distance(a, u)
+
+def test_cover_node_is_a_nonempty_rational_interval():
+    n = CoverNode("n", 1, 3)
+    assert (n.lo, n.hi, n.diam) == (F(1), F(3), F(2))
+    assert all(type(x) is F for x in (n.lo, n.hi, n.diam))
+    assert n.children == []
+    for lo, hi in ((1, 1), (F(1, 2), F(1, 3))):
+        with pytest.raises(ValueError, match="empty interval"):
+            CoverNode("bad", lo, hi)
 
 
 def test_covering_binary_halves_is_one():
@@ -63,8 +63,8 @@ def test_covering_matches_exact_dim_on_cantor_trees():
 
 
 def test_covering_rejects_non_shrinking_child():
-    bad = interval_node("r", 0, 1)
-    bad.children = [interval_node("c", 0, 1)]
+    bad = CoverNode("r", 0, 1)
+    bad.children = [CoverNode("c", 0, 1)]
     with pytest.raises(ValueError):
         covering_s_estimate(bad)
 
@@ -89,33 +89,22 @@ def test_lower_cert_fails_modes():
     res = lower_cert(tree, 0.6, rho=F(2, 5))
     assert any(v["cond"] == "iii" for v in res["violations"])
 
-    lone = interval_node("r", 0, 1)
-    lone.children = [interval_node("c", 0, F(1, 2))]
+    lone = CoverNode("r", 0, 1)
+    lone.children = [CoverNode("c", 0, F(1, 2))]
     res = lower_cert(lone, 0.5, rho=F(1, 4))
     assert res["first_violation"]["cond"] == "i"
 
-    stray = interval_node("r", 0, 1)
-    stray.children = [interval_node("a", 0, F(1, 3)), interval_node("b", F(3, 4), 2)]
+    stray = CoverNode("r", 0, 1)
+    stray.children = [CoverNode("a", 0, F(1, 3)), CoverNode("b", F(3, 4), 2)]
     res = lower_cert(stray, 0.5, rho=F(1, 8))
     assert any(v["cond"] == "i" and "contained" in v["detail"] for v in res["violations"])
 
 
-def test_lower_cert_weighted_variant():
-    tree = binary_interval_tree(3, F(1, 3), F(1, 3))
-
-    def put_rho(node, rho):
-        node.rho = rho
-        for c in node.children:
-            put_rho(c, rho)
-
-    put_rho(tree, F(1, 3))
-    s = math.log(2) / math.log(3)
-    res = lower_cert(tree, s)
-    assert res["weighted"] and res["pass"]
-
-    tree.children[0].rho = None
-    res = lower_cert(tree, s)
-    assert not res["pass"]
+def test_lower_cert_rejects_rho_outside_unit_interval():
+    tree = binary_interval_tree(2, F(1, 3), F(1, 3))
+    for rho in (0, 1, 2, F(-1, 3)):
+        with pytest.raises(ValueError, match="rho"):
+            lower_cert(tree, 0.5, rho)
 
 
 def test_cantor_exact_dim_frozen():
