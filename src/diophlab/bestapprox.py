@@ -23,12 +23,6 @@ from .core import PrimVec, RatPoint, proj_dist, residual, seminorm, wedge
 from .latinv import wedge_constraint_ok
 from .util import frac_str, ln_fraction
 
-# Largest box volume Q r^2 that box_points enumerates; best_approximations
-# stays at most 2.  domains.in_domain enters the box step (_box_vectors)
-# directly, with the pair (Q D, R) for r = R/D, and only after its
-# Minkowski test has put the volume (|v| - 1) R^2 / D^2 below 1.
-MAX_BOX_VOLUME = 2**10
-
 
 def height_minimum(x: RatPoint, q: int) -> tuple[Fraction, list[tuple[int, int]]]:
     """Smallest residual ||q x - p|| over integer p, with the achieving p.
@@ -105,9 +99,9 @@ def best_approximations(x: RatPoint, height_bound: int) -> BestApproxSeq:
     residual is below r_j.  Minkowski's theorem bounds that height: the
     body |q| <= 2/r_j^2, ||q x - p|| <= r_j/sqrt(2) has volume 8, so it
     holds a nonzero integer point, whose q is nonzero and whose residual
-    is below r_j.  Hence the next record lies in box_points(x, Q, r_j)
-    with Q = min(height_bound, floor(2/r_j^2)): a box of volume at most 8,
-    whose enumerated ball holds about 44 lattice points.
+    is below r_j = num/den.  Hence the next record is the least height
+    with s < num in _box_heights(n1, n2, den, Q, num), Q = min(height_bound,
+    floor(2/r_j^2)): a box of volume at most 8, about 44 ball points.
     best_approximations_scan is the height-by-height oracle.
 
     Record-breakers are automatically primitive: a common factor g > 1
@@ -123,12 +117,8 @@ def best_approximations(x: RatPoint, height_bound: int) -> BestApproxSeq:
     residuals = [res]
     while res:
         num = res.numerator * (den // res.denominator)  # res = num / den
-        box = box_points(x, min(height_bound, 2 * den * den // (num * num)), res)
-        q = min(
-            (h for p1, p2, h in box
-             if max(abs(h * n1 - den * p1), abs(h * n2 - den * p2)) < num),
-            default=None,
-        )
+        box = _box_heights(n1, n2, den, min(height_bound, 2 * den * den // (num * num)), num)
+        q = min((h for h, s in box if s < num), default=None)
         if q is None:
             break
         res, cands = height_minimum(x, q)
@@ -415,15 +405,6 @@ def _ball_points(
                 )
 
 
-def _preimage(
-    n1: int, n2: int, den: int, a: int, b: int, w: tuple[int, int, int],
-) -> tuple[int, int, int]:
-    """The (p1, p2, q) that phi (for x = (n1/den, n2/den), T = a/b)
-    carries to the lattice point w."""
-    q = w[2] // (b * den)
-    return (a * q * n1 - w[0]) // (a * den), (a * q * n2 - w[1]) // (a * den), q
-
-
 def shortest_vector_reduced(x: RatPoint, T) -> tuple[tuple[int, int, int], Fraction]:
     """Certified minimum of max(T*|q*x1 - p1|, T*|q*x2 - p2|, |q|) over Z^3.
 
@@ -456,48 +437,36 @@ def shortest_vector_reduced(x: RatPoint, T) -> tuple[tuple[int, int, int], Fract
             best = val
             best_vec = w
 
-    p1, p2, q = _preimage(n1, n2, den, a, b, best_vec)
+    q = best_vec[2] // (b * den)  # invert phi
+    p1 = (a * q * n1 - best_vec[0]) // (a * den)
+    p2 = (a * q * n2 - best_vec[1]) // (a * den)
     if q < 0 or (q == 0 and (p1 < 0 or (p1 == 0 and p2 < 0))):
         p1, p2, q = -p1, -p2, -q
     return (p1, p2, q), Fraction(best, b * den)
 
 
-def _box_vectors(n1: int, n2: int, den: int, Q: int, a: int, b: int):
-    """Yield the images under phi of the (p1, p2, q) with 0 < q <= Q and
-    ||q x - p|| <= r, for x = (n1/den, n2/den) and r = Q/T, T = a/b.
+def _box_heights(n1: int, n2: int, den: int, Q: int, R: int):
+    """Yield (q, s) for every (p1, p2, q) with 0 < q <= Q and residual
+    numerator s = max_i |q n_i - p_i den| <= R, for x = (n1/den, n2/den),
+    Q >= 1 and R >= 1, in unspecified order.
 
-    phi is the map of shortest_vector_reduced, under which these points
-    score max(T ||q x - p||, |q|) <= Q: they are the lattice points w with
-    w[2] > 0 and ||w||_inf <= m = Q b den.  Each lies in the ball
-    ||w||^2 <= 3 m^2, which is enumerated over the reduced basis: about
-    22 Q r^2 lattice points, however few of them the box keeps.
+    The phi of shortest_vector_reduced at T = Q den / R = a/b (lowest
+    terms) carries these points to the lattice points w with w[2] > 0 and
+    ||w||_inf <= m = Q b den, so q = w[2] / (b den) and
+    s = max(|w[0]|, |w[1]|) / a.  Their ball ||w||^2 <= 3 m^2 is
+    enumerated over the reduced basis: about 22 Q R^2 / den^2 points.
+    Nothing caps that volume Q R^2 / den^2 here; both callers bound it by
+    proof, at most 2 for records and below 1 for domain membership once
+    in_domain's Minkowski test has passed.
     """
+    g = math.gcd(Q * den, R)
+    a, b = Q * den // g, R // g
     basis, d, lam = _reduced_lattice(n1, n2, den, a, b)
-    m = Q * b * den
+    bd = b * den
+    m = Q * bd
     for w in _ball_points(basis, d, lam, 3 * m * m):
         if 0 < w[2] <= m and abs(w[0]) <= m and abs(w[1]) <= m:
-            yield w
-
-
-def box_points(x: RatPoint, Q: int, r):
-    """Yield every (p1, p2, q) with 0 < q <= Q and ||q x - p|| <= r, r > 0.
-
-    These are the preimages of the lattice points that _box_vectors
-    enumerates at T = Q/r.  The order is unspecified.  Raises ValueError
-    when Q r^2 exceeds MAX_BOX_VOLUME = 2^10.
-    """
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError(f"box half-width must be positive, got {r}")
-    if Q * r * r > MAX_BOX_VOLUME:
-        raise ValueError(f"box volume Q r^2 exceeds {MAX_BOX_VOLUME}")
-    if Q < 1:
-        return
-    T = Q / r
-    a, b = T.numerator, T.denominator
-    n1, n2, den = x.common_denominator()
-    for w in _box_vectors(n1, n2, den, Q, a, b):
-        yield _preimage(n1, n2, den, a, b, w)
+            yield w[2] // bd, max(abs(w[0]), abs(w[1])) // a
 
 
 def accelerated_subsequence(seq: BestApproxSeq) -> list[PrimVec]:

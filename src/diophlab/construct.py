@@ -432,10 +432,10 @@ def fixed_chain(u0: PrimVec, eps, depth: int, n: int = 1) -> Chain:
     eps = Fraction(eps)
     chain = Chain([ChainNode(u0)])
     for _ in range(depth):
-        kids = list(slot_children(chain.tip, eps, n, per_pair=1))
-        if not kids:
+        kid = next(slot_children(chain.tip, eps, n, per_pair=1), None)
+        if kid is None:
             raise RuntimeError(f"no admissible slots at distortion {eps}")
-        slot, v = kids[0]
+        slot, v = kid
         _append(chain, v, eps, slot)
     return chain
 
@@ -826,9 +826,11 @@ def expansion_tree(
 ) -> TreeNode:
     """Branching family: every expanded node materialises its lex-first
     `width` children (split evenly across sublattice pairs), and the
-    lex-first `expand` of those recurse until `depth` levels.  Raises
-    ValueError when eps is so small that a slot's height multiplier
-    exceeds MAX_SLOT_MULTIPLIER = 10^100."""
+    lex-first `expand` of those recurse until `depth` levels.  Only the
+    kept children are built, and only the slot pairs up to the last of
+    them have their windows computed.  Raises ValueError when eps is so
+    small that such a slot's height multiplier exceeds
+    MAX_SLOT_MULTIPLIER = 10^100."""
     if min(depth, expand, width) < 0:
         raise ValueError(
             f"depth, expand and width must be nonnegative, got {depth}, {expand}, {width}"
@@ -840,9 +842,8 @@ def expansion_tree(
     for _ in range(depth):
         nxt = []
         for node in frontier:
-            node.children = [
-                TreeNode(v, s) for s, v in slot_children(node.u, eps, n, per_pair)
-            ][:width]
+            kids = islice(slot_children(node.u, eps, n, per_pair), width)
+            node.children = [TreeNode(v, s) for s, v in kids]
             node.expanded = True
             nxt.extend(node.children[:expand])
         frontier = nxt

@@ -118,9 +118,11 @@ def _internal_nodes(root: CoverNode):
 
 
 def covering_s_estimate(tree: CoverNode) -> DimResult:
-    """Supremum over internal nodes of the per-node covering exponent."""
+    """Supremum over internal nodes of the per-node covering exponent.
+    Each distinct tuple of child ratios is solved once."""
     best, worst_res = 0.0, 0.0
     seen = False
+    solved: dict[tuple[float, ...], tuple[float, float]] = {}
     for node in _internal_nodes(tree):
         ratios = []
         diam = node.diam
@@ -129,7 +131,10 @@ def covering_s_estimate(tree: CoverNode) -> DimResult:
             if r >= 1:
                 raise ValueError(f"child ratio >= 1 at node {node.id}")
             ratios.append(float(r))
-        s, res = _solve_sum_pow(ratios)
+        key = tuple(ratios)
+        if key not in solved:
+            solved[key] = _solve_sum_pow(ratios)
+        s, res = solved[key]
         seen = True
         if s > best:
             best, worst_res = s, res
@@ -178,8 +183,7 @@ def lower_cert(tree: CoverNode, s: float, rho) -> dict:
                 violations.append(
                     {"node": node.id, "cond": "iii", "detail": f"gap {a.id}|{b.id} below floor"}
                 )
-        rhs = float(diam) ** s
-        ratio = sum(float(c.diam) ** s for c in kids) / rhs if rhs else float("inf")
+        ratio = sum(float(c.diam / diam) ** s for c in kids)
         if min_sum_ratio is None or ratio < min_sum_ratio:
             min_sum_ratio = ratio
         if ratio < 1 - IV_REL_TOL:

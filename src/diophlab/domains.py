@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bestapprox import BestApproxSeq, Breakpoint, _box_vectors, height_minimum
+from .bestapprox import BestApproxSeq, Breakpoint, _box_heights, height_minimum
 from .core import PrimVec, RatPoint, residual, seminorm, wedge
 from .latinv import invariants
 from .util import frac_str
@@ -62,8 +62,7 @@ def in_domain(x: RatPoint, v: PrimVec) -> bool:
 
     No height below |v| may reach v's residual (strict comparison), and
     no numerator pair at height |v| may beat it (weak comparison).  The
-    lower heights are searched as lattice points: any of them that
-    reaches the residual shows up in box_points(x, |v| - 1, res_v).
+    lower heights are searched as the lattice points of one box (below).
 
     A zero residual puts x at v's rational point, whose reduced
     denominator is |v| because v is primitive, so no lower height
@@ -78,10 +77,9 @@ def in_domain(x: RatPoint, v: PrimVec) -> bool:
     Every test runs in integers scaled by the common denominator D of
     x = (n1/D, n2/D), with res_v = R/D, R = max_i |q n_i - p_i D|: the
     zero residual is R = 0, the Minkowski test is (|v| - 1) R^2 >= D^2,
-    the box is entered at T = (|v| - 1)/res_v, as the reduced integer
-    pair (Q D, R) with Q = |v| - 1, and the last test compares R with
-    max_i min(q n_i mod D, D - q n_i mod D), the residual numerator at
-    height |v|.
+    the box is bestapprox._box_heights(n1, n2, D, |v| - 1, R), and the
+    last test compares R with max_i min(q n_i mod D, D - q n_i mod D),
+    the residual numerator at height |v|.
     """
     return _member(*x.common_denominator(), v)
 
@@ -100,11 +98,9 @@ def _member(n1: int, n2: int, den: int, v: PrimVec) -> bool:
         return True
     if (q - 1) * R * R >= den * den:
         return False
-    if q > 1:  # at |v| = 1 there is no lower height to search
-        a, b = (q - 1) * den, R
-        g = math.gcd(a, b)
-        if next(_box_vectors(n1, n2, den, q - 1, a // g, b // g), None) is not None:
-            return False
+    # at |v| = 1 there is no lower height to search
+    if q > 1 and next(_box_heights(n1, n2, den, q - 1, R), None) is not None:
+        return False
     t1, t2 = q * n1 % den, q * n2 % den
     return max(min(t1, den - t1), min(t2, den - t2)) >= R
 

@@ -1,6 +1,5 @@
 import math
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -9,13 +8,13 @@ from hypothesis import strategies as st
 
 from diophlab.bestapprox import (
     Breakpoint,
+    _box_heights,
     _integral_gso,
     _reduced_lattice,
     accelerated_subsequence,
     audit_best_inequalities,
     best_approximations,
     best_approximations_scan,
-    box_points,
     crossing_eps_cubed,
     height_minimum,
     projective_sandwich_ok,
@@ -304,35 +303,22 @@ def test_sequence_invariants_property(d, a, b):
         assert math.gcd(v.p1, v.p2, v.q) == 1
 
 
-def test_box_points_match_bruteforce():
+def test_box_heights_match_bruteforce():
     rng = random.Random(16)
     for _ in range(60):
         x = random_target(rng, 40)
-        big_q = rng.randint(0, 30)
-        r = F(rng.randint(1, 12), rng.randint(2, 40))
-        want = set()
+        n1, n2, den = x.common_denominator()
+        big_q = rng.randint(1, 30)
+        big_r = rng.randint(1, 2 * den)  # residual bound big_r / den
+        want = []
         for q in range(1, big_q + 1):
-            for p1 in range(math.floor(q * x.x1 - r), math.ceil(q * x.x1 + r) + 1):
-                for p2 in range(math.floor(q * x.x2 - r), math.ceil(q * x.x2 + r) + 1):
-                    if max(abs(q * x.x1 - p1), abs(q * x.x2 - p2)) <= r:
-                        want.add((p1, p2, q))
-        got = list(box_points(x, big_q, r))
-        assert len(got) == len(set(got))
-        assert set(got) == want, (x, big_q, r)
-
-
-def test_box_points_rejects_empty_box():
-    with pytest.raises(ValueError):
-        list(box_points(RatPoint(F(1, 3), F(1, 5)), 10, 0))
-
-
-def test_box_points_refuses_huge_box():
-    # a box of volume about 2*10^14 once ran past 20 s before its first
-    # point; past MAX_BOX_VOLUME it is refused before any reduction
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="box volume"):
-        next(box_points(RatPoint(10**6, F(5, 7)), 59, 10**6))
-    assert time.perf_counter() - start < 1
+            for p1 in range((q * n1 - big_r) // den, (q * n1 + big_r) // den + 1):
+                for p2 in range((q * n2 - big_r) // den, (q * n2 + big_r) // den + 1):
+                    s = max(abs(q * n1 - p1 * den), abs(q * n2 - p2 * den))
+                    if s <= big_r:
+                        want.append((q, s))
+        got = sorted(_box_heights(n1, n2, den, big_q, big_r))
+        assert got == sorted(want), (x, big_q, big_r)
 
 
 @settings(max_examples=150, deadline=None)

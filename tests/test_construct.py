@@ -557,6 +557,24 @@ def test_readme_tree_computes_each_window_once(monkeypatch):
     assert calls == {"height_window": 62}
 
 
+def test_wide_family_tree_builds_only_kept_children(monkeypatch):
+    # family 20 has 129 slot pairs of one child each, far more than
+    # `width`; only the lex-first `width` of them are built
+    calls = []
+    real = construct.vector_with_wedge
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(construct, "vector_with_wedge", counting)
+    root = expansion_tree(SEED, EIGHTH, n=20, depth=2, expand=2, width=50)
+    expanded = [node for node in iter_tree(root) if node.expanded]
+    assert len(expanded) == 3
+    assert len(calls) <= 50 * len(expanded)
+    assert len(calls) == sum(len(node.children) for node in expanded)
+
+
 def test_spacing_rejects_equal():
     u1 = child_vector(SEED, 1, 0, 520, EIGHTH)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from diophlab import dimension
 from diophlab.dimension import (
     CoverNode,
     binary_interval_tree,
@@ -105,6 +106,36 @@ def test_lower_cert_rejects_rho_outside_unit_interval():
     for rho in (0, 1, 2, F(-1, 3)):
         with pytest.raises(ValueError, match="rho"):
             lower_cert(tree, 0.5, rho)
+
+
+def test_lower_cert_power_sum_survives_underflow():
+    # at 10^-400 every float(diam) is 0.0; the diameter ratios are
+    # scale-free, so the tiny tree fails (iv) exactly as the unit one does
+    def two_tenths(length):
+        root = CoverNode("r", 0, length)
+        root.children = [CoverNode("a", 0, length / 10), CoverNode("b", 9 * length / 10, length)]
+        return root
+
+    for length in (F(1), F(1, 10**400)):
+        res = lower_cert(two_tenths(length), 0.9, rho=F(1, 2))
+        assert not res["pass"]
+        assert [v["cond"] for v in res["violations"]] == ["iv"]
+        assert abs(res["min_sum_ratio"] - 0.2518) < 1e-4
+
+
+def test_covering_solves_each_ratio_tuple_once(monkeypatch):
+    # all 63 internal nodes of a uniform Cantor tree share one ratio tuple
+    calls = []
+    real = dimension._solve_sum_pow
+
+    def counting(ratios):
+        calls.append(None)
+        return real(ratios)
+
+    monkeypatch.setattr(dimension, "_solve_sum_pow", counting)
+    est = covering_s_estimate(cantor_tree(F(1, 2), 6))
+    assert len(calls) == 1
+    assert abs(est.s - cantor_exact_dim(F(1, 2)).s) < 1e-10
 
 
 def test_cantor_exact_dim_frozen():
