@@ -27,12 +27,12 @@ from .bestapprox import (
 )
 from .cfrac import convergents, dn_gap_audit, neighbors, quotient_interval
 from .construct import (
-    cantor_children,
     expansion_tree,
     fixed_chain,
     growth_ok,
     nesting_ok,
     regularize_schedule,
+    slot_children,
     slow_chain,
     slow_step,
     tree_audit,
@@ -304,13 +304,11 @@ def cmd_cf(args) -> tuple[int, dict, list[dict] | None]:
 
 
 class ItemResult:
-    def __init__(self, name: str, description: str, checks: int = 0,
-                 failures: int = 0, witness: str | None = None):
+    def __init__(self, name: str, description: str):
         self.name = name
         self.description = description
-        self.checks = checks
-        self.failures = failures
-        self.witness = witness
+        self.checks = self.failures = 0
+        self.witness = None
 
     def check(self, ok: bool, witness: str) -> None:
         """Count one check; on a failure keep the first witness."""
@@ -355,10 +353,10 @@ def audit_item(name: str, description: str):
     return register
 
 
-def _random_targets(rng: random.Random, count: int, den_max: int = 60):
+def _random_targets(rng: random.Random, count: int):
     out = []
     while len(out) < count:
-        den = rng.randint(5, den_max)
+        den = rng.randint(5, 60)
         out.append(RatPoint(
             Fraction(rng.randint(1, den - 1), den),
             Fraction(rng.randint(1, den - 1), den),
@@ -484,7 +482,7 @@ def item_domain_sandwich(t, rng, fault):
 def item_domain_band(t, rng, fault):
     eps = Fraction(1, 8)
     seed_vec = pvec(0, 0, 1)
-    for ch in cantor_children(seed_vec, eps):
+    for _, ch in slot_children(seed_vec, eps):
         absL = absL_from_wedge(ch, seed_vec)
         t.check(cube_below(absL, ch.q, eps) and not cube_below(absL, ch.q, eps / 2),
                 f"child {ch} leaves the distortion band")
@@ -495,7 +493,7 @@ def item_domain_band(t, rng, fault):
 def item_sibling_spacing(t, rng, fault):
     eps = Fraction(1, 8)
     seed_vec = pvec(0, 0, 1)
-    kids = cantor_children(seed_vec, eps)
+    kids = [v for _, v in slot_children(seed_vec, eps)]
     for i in range(len(kids)):
         for j in range(i + 1, len(kids)):
             t.check(verify_spacing(seed_vec, kids[i], kids[j], eps)["ok"],

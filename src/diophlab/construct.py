@@ -169,11 +169,6 @@ def child_vector(u: PrimVec, a: int, b: int, c: int, eps) -> PrimVec:
     return v
 
 
-def cantor_children(u: PrimVec, eps, n: int = 1) -> list[PrimVec]:
-    """Every child of u over the admissible slots with a <= n, lex order."""
-    return [v for _, v in slot_children(u, eps, n)]
-
-
 def spacing_floor(eps, n: int) -> Fraction:
     """Separation constant rho: sibling domains under a common parent
     stay at least rho * diam apart, where diam bounds the parent domain.
@@ -279,20 +274,15 @@ def verify_spacing(u: PrimVec, va: PrimVec, vb: PrimVec, eps, n: int = 1) -> dic
     return {"ok": top > bottom, "ratio": _ratio_float(top, bottom)}
 
 
-def _successor_flags(
-    u: PrimVec, v: PrimVec, L: Wedge2, e3n: int, e3d: int,
-) -> tuple[bool, bool, bool]:
+def _successor_flags(u: PrimVec, v: PrimVec, L: Wedge2, eps: Fraction) -> tuple[bool, bool, bool]:
     """(wedge primitive, avoids the shortest class, height ok) for the edge
-    u -> v, given L = canonical_sign(L(u)) and eps^3 = e3n/e3d.
-
-    v's height must exceed eps^-3 |w|^2, w = v ^ u, i.e. |v| e3n > |w|^2 e3d.
-    """
+    u -> v, given L = canonical_sign(L(u)).  v's height must exceed
+    eps^-3 |w|^2, w = v ^ u: `cube_below(|w|, |v|, eps)`."""
     w = wedge(v, u)
     if w.is_zero():
         return False, False, False
-    s = seminorm(w)
     return (math.gcd(w.m12, w.m13, w.m23) == 1, canonical_sign(w) != L,
-            v.q * e3n > s * s * e3d)
+            cube_below(seminorm(w), v.q, eps))
 
 
 def admissible_successor(u: PrimVec, v: PrimVec, eps) -> dict:
@@ -302,9 +292,8 @@ def admissible_successor(u: PrimVec, v: PrimVec, eps) -> dict:
     class of u's pair lattice, and v's height must exceed eps^-3 times
     the squared wedge seminorm.
     """
-    eps = Fraction(eps)
     prim, avoids, height_ok = _successor_flags(
-        u, v, canonical_sign(invariants(u).L), eps.numerator**3, eps.denominator**3)
+        u, v, canonical_sign(invariants(u).L), Fraction(eps))
     return {
         "wedge_primitive": prim,
         "avoids_shortest": avoids,
@@ -395,13 +384,13 @@ class Chain:
         return rows
 
 
-def _append(chain: Chain, v: PrimVec, eps, slot=None, check_growth: bool = True) -> None:
+def _append(chain: Chain, v: PrimVec, eps, slot=None) -> None:
     """Adjoin v to the chain once the edge from its tip passes every chain
     invariant, exactly.
 
     Raises RuntimeError on any failure, leaving the chain unchanged.  The
-    eps^-6 growth bound is a property of the slotted height window, so
-    callers stepping by the minimal-height rule skip it.
+    eps^-6 growth bound is a property of the slotted height window, so it
+    is checked exactly when the edge has a slot (slow steps have none).
     """
     u = chain.tip
     nodes = chain.nodes
@@ -414,7 +403,7 @@ def _append(chain: Chain, v: PrimVec, eps, slot=None, check_growth: bool = True)
         raise fail(f"successor membership failed: {member}")
     if not nesting_ok(u, v)["ok"]:
         raise fail("child domain does not nest inside the parent")
-    if check_growth:
+    if slot is not None:
         growth = growth_ok(u, v, eps)
         if growth["applicable"] and not growth["ok"]:
             raise fail(
@@ -432,7 +421,7 @@ def fixed_chain(u0: PrimVec, eps, depth: int, n: int = 1) -> Chain:
     eps = Fraction(eps)
     chain = Chain([ChainNode(u0)])
     for _ in range(depth):
-        kid = next(slot_children(chain.tip, eps, n, per_pair=1), None)
+        kid = next(slot_children(chain.tip, eps, n), None)
         if kid is None:
             raise RuntimeError(f"no admissible slots at distortion {eps}")
         slot, v = kid
@@ -696,19 +685,23 @@ def slow_step(u: PrimVec, eps_prime) -> tuple[PrimVec, dict]:
     """One slow extension: the shortest admissible child over the tip's
     second-minimum sublattice at distortion target eps_prime.
 
-    The child is the minimal height in the forced residue class strictly
-    above eps_prime^-3 |Hhat(u)|^2.  Returns the child plus float gaps
-    measuring how closely the child's distortion tracks eps_prime and
-    how the log-height clock advanced.  Raises OverflowError when that
-    height has more than MAX_HEIGHT_DIGITS = 4300 digits.
+    The child is the minimal height h in the forced residue class strictly
+    above eps_prime^-3 A^2 and the nesting floor |u|(A + sqrt(A^2 + 4AB))/B,
+    with A = |Hhat(u)| and B = |L(u)|.  The floor nests the child's domain
+    in u's: u ^ v lies in v's pair lattice, so |L(v)| <= A, and
+    `_nesting_slack` is at least B h^2 - 2A|u|h - 4A|u|^2 > 0.  Returns the
+    child plus float gaps measuring how closely the child's distortion
+    tracks eps_prime and how the log-height clock advanced.  Raises
+    OverflowError when h has more than MAX_HEIGHT_DIGITS = 4300 digits.
     """
     eps_prime = Fraction(eps_prime)
     if not 0 < eps_prime < 1:
         raise ValueError("distortion target must lie in (0, 1)")
     inv = invariants(u)
     target = inv.Lhat
-    bound = Fraction(inv.absLhat**2) / eps_prime**3
-    base = math.floor(bound) + 1
+    A, B = inv.absLhat, inv.absL
+    base = math.floor(Fraction(A * A) / eps_prime**3) + 1
+    base = max(base, u.q * (A + math.isqrt(A * A + 4 * A * B) + 1) // B + 1)
     z = wedge_residue(u, target)
     h = base + ((z - base) % u.q)
     if h >= 10**MAX_HEIGHT_DIGITS:
@@ -763,7 +756,7 @@ def slow_chain(
         if not eps_p < 1:
             raise ValueError("schedule produced a non-shrinking distortion")
         v, _gaps = slow_step(u, eps_p)
-        _append(chain, v, eps_p, check_growth=False)
+        _append(chain, v, eps_p)
         aligns.append(abs(float(sched.value_at(Fraction(inv_u.tau))) + log_eps_u))
         eps_used.append(eps_p)
 
@@ -825,12 +818,13 @@ def expansion_tree(
     width: int = 50,
 ) -> TreeNode:
     """Branching family: every expanded node materialises its lex-first
-    `width` children (split evenly across sublattice pairs), and the
-    lex-first `expand` of those recurse until `depth` levels.  Only the
-    kept children are built, and only the slot pairs up to the last of
-    them have their windows computed.  Raises ValueError when eps is so
-    small that such a slot's height multiplier exceeds
-    MAX_SLOT_MULTIPLIER = 10^100."""
+    `width` children, at most per_pair = max(1, width // pairs) from each
+    slot pair in lex order (so once pairs outnumber `width`, the later
+    pairs get no child), and the lex-first `expand` of those recurse until
+    `depth` levels.  Only the kept children are built, and only the slot
+    pairs up to the last of them have their windows computed.  Raises
+    ValueError when eps is so small that such a slot's height multiplier
+    exceeds MAX_SLOT_MULTIPLIER = 10^100."""
     if min(depth, expand, width) < 0:
         raise ValueError(
             f"depth, expand and width must be nonnegative, got {depth}, {expand}, {width}"
@@ -875,7 +869,6 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
     """
     eps = Fraction(eps)
     half = eps / 2
-    e3n, e3d = eps.numerator**3, eps.denominator**3
     totals = {
         "nodes": 0,
         "expanded": 0,
@@ -900,7 +893,7 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
         kids = [(ch.u, absL_from_wedge(ch.u, u)) for ch in node.children]
         for v, lv in kids:
             totals["edges"] += 1
-            if not all(_successor_flags(u, v, L, e3n, e3d)):
+            if not all(_successor_flags(u, v, L, eps)):
                 fails["membership"] += 1
             if not (cube_below(lv, v.q, eps) and not cube_below(lv, v.q, half)):
                 fails["band"] += 1

@@ -48,12 +48,12 @@ class CoverNode:
     children.  The endpoints are converted to Fraction; lo < hi is
     required, so every diameter is positive."""
 
-    def __init__(self, id: str, lo, hi, children: list[CoverNode] | None = None):
+    def __init__(self, id: str, lo, hi):
         self.id = id
         self.lo, self.hi = Fraction(lo), Fraction(hi)
         if self.hi <= self.lo:
             raise ValueError("empty interval")
-        self.children = [] if children is None else children
+        self.children = []
 
     @property
     def diam(self) -> Fraction:

@@ -151,13 +151,12 @@ def _outer_grid(v: PrimVec, L: int) -> tuple[int, list[tuple[int, int]]]:
     return 5 * v.q * v.q, _grid(v, 5 * v.q, -20 * L, 8 * L, 6)
 
 
-def domain_samples(v: PrimVec, radius: Fraction, steps: int = 5) -> list[RatPoint]:
-    """Deterministic (steps x steps) rational grid in the open ball B(v_dot, radius)."""
-    half = (steps - 1) // 2
-    s = Fraction(radius) / (half + 1)
+def domain_samples(v: PrimVec, radius: Fraction) -> list[RatPoint]:
+    """Deterministic 5 x 5 rational grid in the open ball B(v_dot, radius)."""
+    s = Fraction(radius) / 3
     den, step = v.q * s.denominator, v.q * s.numerator
     return [RatPoint(Fraction(n1, den), Fraction(n2, den))
-            for n1, n2 in _grid(v, s.denominator, -half * step, step, steps)]
+            for n1, n2 in _grid(v, s.denominator, -2 * step, step, 5)]
 
 
 def audit_ball_sandwich(v: PrimVec) -> dict:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diophlab import construct
 from diophlab.cli import AUDIT_ITEMS, build_parser, run
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -119,7 +120,7 @@ def bench_ops():
     return module.all_ops()
 
 
-def test_every_bench_tree_op_matches_golden(capsys):
+def test_every_bench_op_matches_golden(capsys):
     # all 106 ops the benchmark draws, the 34 psi-tree ops among them,
     # print the pinned bytes and exit codes: every tree audit count and
     # margin, every audit-all item and witness, every chain and scan (the
@@ -192,10 +193,15 @@ def test_usage_errors_exit_two(capsys):
     assert "--level" in errs[2] and "4300 digits" in errs[2], errs[2]
 
 
-def test_failed_chain_edge_exits_one_naming_the_edge(capsys):
-    # the seed's first slow step does not nest: an audit failure, exit 1,
+def test_failed_chain_edge_exits_one_naming_the_edge(capsys, monkeypatch):
+    # slow steps nest by construction, so a nesting check that rejects
+    # every edge stands in for a failing one: an audit failure, exit 1,
     # reported as one line that names the edge, with no traceback
-    code = run(["slow-chain", "--seed-vec", "1,1,2", "--steps", "3", "--samples", "2"])
+    argv = ["slow-chain", "--seed-vec", "1,1,2", "--steps", "3", "--samples", "2"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(construct, "_nesting_slack", lambda u, v, lv: 0)
+    code = run(argv)
     err = capsys.readouterr().err
     assert code == 1
     assert "Traceback" not in err

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diophlab import construct
@@ -15,7 +15,6 @@ from diophlab.construct import (
     SING_C,
     Chain,
     admissible_successor,
-    cantor_children,
     child_vector,
     coprime_pairs,
     expansion_tree,
@@ -403,7 +402,7 @@ def test_spacing_floor_value():
 
 
 def test_spacing_all_sibling_pairs():
-    kids = cantor_children(SEED, EIGHTH)
+    kids = [v for _, v in slot_children(SEED, EIGHTH)]
     assert len(kids) == 50
     worst = None
     for i in range(len(kids)):
@@ -782,6 +781,19 @@ def test_slow_chain_certificate(slow15):
 def test_slow_chain_flags(slow15):
     chain, cert = slow15
     assert cert["sing_like"] and not cert["di_like"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p1=st.integers(-20, 20), p2=st.integers(-20, 20), q=st.integers(2, 60),
+       target=st.sampled_from([lambda t: -math.log1p(t), lambda t: -2.0]))
+def test_slow_chain_edges_nest(p1, p2, q, target):
+    # slow_step's nesting floor: every edge of a small-seed chain nests,
+    # under both CLI targets (log1p and the default const level)
+    assume(math.gcd(p1, p2, q) == 1)
+    chain, _ = slow_chain(pvec(p1, p2, q), target, 1, steps=3, samples=2)
+    vs = chain.vectors()
+    for u, v in zip(vs, vs[1:]):
+        assert nesting_ok(u, v)["ok"], (u, v)
 
 
 def test_slow_chain_constant_target_is_di_like():
