@@ -31,9 +31,9 @@ import functools
 import math
 from fractions import Fraction
 from itertools import accumulate, islice
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
-from .bestapprox import shortest_vector_reduced
+from .bestapprox import BestApproxSeq, shortest_vector_reduced, wx_profile
 from .core import PrimVec, RatPoint, Wedge2, residual, seminorm, wedge
 from .latinv import (
     absL_from_wedge,
@@ -74,20 +74,16 @@ SING_EPS_CAP = Fraction(1, 4)
 SING_SHRINK = Fraction(1023, 1024)
 
 
-def coprime_pairs(n: int) -> list[tuple[int, int]]:
-    """Slot pairs (a, b) with 1 <= a <= n, a >= b >= 0, gcd(a, b) = 1.
+def coprime_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """Slot pairs (a, b) with 1 <= a <= n, a >= b >= 0, gcd(a, b) = 1, in
+    lex order, generated lazily: the family has about 0.3 n^2 pairs.
 
     Only a = 1 admits the boundary values b = 0 and b = a; larger a
     contribute their phi(a) interior coprime residues.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    out = []
-    for a in range(1, n + 1):
-        for b in range(0, a + 1):
-            if math.gcd(a, b) == 1:
-                out.append((a, b))
-    return out
+    return ((a, b) for a in range(1, n + 1) for b in range(a + 1) if math.gcd(a, b) == 1)
 
 
 def slot_sublattice(u: PrimVec, a: int, b: int) -> Wedge2:
@@ -520,26 +516,37 @@ def _exp_fraction(y: float) -> Fraction:
     return Fraction(math.exp(y / m)) ** m
 
 
-def chain_score(chain: Chain, x: RatPoint, t: Fraction) -> Fraction:
-    """min over chain vectors of max(T * residual, height) at T = t."""
-    return min(max(t * residual(x, v), Fraction(v.q)) for v in chain.vectors())
+def _window_minima(chain: Chain, samples: int):
+    """Yield (t, T, M) for both chain certificates: t runs evenly over the
+    window [tau(v_1), tau(v_{k-1})], T = exp(3t) as an exact dyadic
+    rational, and M is the reduction-certified minimum over all of Z^3 of
+    max(T * residual, height) at the tip's rational point."""
+    x = chain.tip.proj()
+    t_lo, t_hi = invariants(chain.nodes[1].u).tau, invariants(chain.nodes[-2].u).tau
+    for i in range(samples):
+        t = t_lo + i * (t_hi - t_lo) / (samples - 1)
+        big_t = _exp_fraction(3 * t)
+        yield t, big_t, shortest_vector_reduced(x, big_t)[1]
 
 
 def sandwich_audit(chain: Chain, samples: int = 50) -> dict:
     """Two-sided audit of the chain envelope against the true lattice
-    minimum at sampled times, plus a cap on the envelope's local maxima.
-
-    At each sampled T inside the chain's window the exact checks are
+    minimum at the samples of `_window_minima`, plus a cap on the
+    envelope's local maxima.  The report gives t and the window in tau
+    units.  At each sample the exact checks, with eps the largest bound on
+    the chain's edges, are
 
         M_lattice <= M_chain        (the chain can only overestimate)
-        (1 - eps^6) M_chain <= M_lattice   (and not by much),
+        (1 - eps^6) M_chain <= M_lattice   (and not by much).
 
-    where M_chain minimises max(T * residual, height) over the chain and
-    M_lattice is the reduction-certified minimum over all of Z^3.  The
-    local maxima of the chain envelope sit at consecutive-pair crossings;
-    each cubed crossing value height * residual^2 must stay below
-    4 eps^3.  A single-vector chain passes vacuously; any other needs
-    depth >= 3 for a window and samples >= 2 to span it end to end.
+    M_chain is the `wx_profile` value of the chain read as a
+    best-approximation sequence at the tip's point: every edge nests, so
+    heights rise and residuals strictly fall there.  Each crossing maximum
+    of that profile, cubed (height * residual^2), must stay below 4 eps^3.
+    Claimed for fixed and singular chains; slow chains with bounds above
+    1/2 can fail the lower check at the window's ends.  A single-vector
+    chain passes vacuously; any other needs depth >= 3 for a window and
+    samples >= 2 to span it end to end.
     """
     vecs = chain.vectors()
     if len(vecs) == 1:
@@ -550,43 +557,29 @@ def sandwich_audit(chain: Chain, samples: int = 50) -> dict:
         raise ValueError(f"sandwich audit needs samples >= 2, got {samples}")
     eps = max(n.eps for n in chain.nodes[1:])
     x, _ = limit_box(chain)
-    invs = [invariants(v) for v in vecs]
-    t_lo, t_hi = invs[1].exp3tau, invs[-2].exp3tau
-    ln_lo, ln_hi = ln_fraction(t_lo), ln_fraction(t_hi)
+    residuals = tuple(residual(x, v) for v in vecs)
+    profile = wx_profile(BestApproxSeq(x, tuple(vecs), residuals, vecs[-1].q))
 
     slack = 1 - eps**6
     rows = []
-    for i in range(samples):
-        if i == 0:
-            t = t_lo
-        elif i == samples - 1:
-            t = t_hi
-        else:
-            t = _exp_fraction(ln_lo + i * (ln_hi - ln_lo) / (samples - 1))
-        m_chain = chain_score(chain, x, t)
-        _, m_lat = shortest_vector_reduced(x, t)
-        ln_t = ln_fraction(t)
+    for t, big_t, m_lat in _window_minima(chain, samples):
+        m_chain = profile.value_at(big_t)
         rows.append(
             {
-                "t": ln_t / 3,
-                "w_chain": ln_fraction(m_chain) - 2 * ln_t / 3,
-                "w_lattice": ln_fraction(m_lat) - 2 * ln_t / 3,
+                "t": t,
+                "w_chain": profile.log_length_at(big_t),
+                "w_lattice": ln_fraction(m_lat) - 2 * ln_fraction(big_t) / 3,
                 "upper_ok": m_lat <= m_chain,
                 "lower_ok": slack * m_chain <= m_lat,
             }
         )
 
     cap = 4 * eps**3
-    maxima = []
-    for k in range(len(vecs) - 1):
-        value_cubed = vecs[k + 1].q * residual(x, vecs[k]) ** 2
-        maxima.append(
-            {
-                "k": k,
-                "value_cubed": value_cubed,
-                "ok": value_cubed <= cap,
-            }
-        )
+    crossings = [b for b in profile.breakpoints if b.kind == "max"]
+    maxima = [
+        {"k": k, "value_cubed": b.value_cubed, "ok": b.value_cubed <= cap}
+        for k, b in enumerate(crossings)
+    ]
 
     ok = all(r["upper_ok"] and r["lower_ok"] for r in rows) and all(
         m["ok"] for m in maxima
@@ -595,7 +588,7 @@ def sandwich_audit(chain: Chain, samples: int = 50) -> dict:
         "vacuous": False,
         "ok": ok,
         "eps": float(eps),
-        "window": (ln_lo / 3, ln_hi / 3),
+        "window": (invariants(vecs[1]).tau, invariants(vecs[-2]).tau),
         "sandwich": rows,
         "maxima": maxima,
     }
@@ -730,12 +723,14 @@ def slow_chain(
     w_target is the desired profile bound (nonpositive, nonincreasing on
     the relevant range); one third of the negated target is regularised
     into a step schedule and each extension solves for the distortion
-    the schedule dictates at the current clock reading.  The returned certificate
-    samples the true profile of the limit point and checks it never dips
-    below the target by more than the measured envelope
-    3 * (alignment bound) + (float defect).  The sampled window runs from
-    the first child to the second-to-last node, so it needs steps >= 3;
-    the samples span it end to end, so they need samples >= 2.
+    the schedule dictates at the current clock reading.  The returned
+    certificate samples the true profile of the limit point at the times
+    of `_window_minima`, the window the sandwich audit samples too, and
+    checks it never dips below the target by more than the measured
+    envelope 3 * (alignment bound) + (float defect).  The sampled window
+    runs from the first child to the second-to-last node, so it needs
+    steps >= 3; the samples span it end to end, so they need samples >= 2.
+    Both are checked before any node is built.
     """
     if steps < 3:
         raise ValueError(f"slow chain needs steps >= 3, got {steps}")
@@ -746,7 +741,6 @@ def slow_chain(
     f_third = lambda t: -w_target(t) / 3
     sched = regularize_schedule(f_third, delta, Fraction(inv0.tau))
     aligns = []
-    eps_used = []
     for _ in range(steps):
         u = chain.tip
         inv_u = invariants(u)
@@ -758,7 +752,6 @@ def slow_chain(
         v, _gaps = slow_step(u, eps_p)
         _append(chain, v, eps_p)
         aligns.append(abs(float(sched.value_at(Fraction(inv_u.tau))) + log_eps_u))
-        eps_used.append(eps_p)
 
     vecs = chain.vectors()
     invs = [invariants(v) for v in vecs]
@@ -769,24 +762,19 @@ def slow_chain(
         for k in range(len(vecs) - 1)
     ]
     align_bound = max(aligns)
-    eps_max = max(max(eps_used), max(float(iv.eps) for iv in invs[1:]))
+    eps_max = max(max(n.eps for n in chain.nodes[1:]), max(float(iv.eps) for iv in invs[1:]))
     float_defect = abs(math.log(1 - eps_max**6))
     envelope = 3 * align_bound + float_defect
 
-    x, _ = limit_box(chain)
-    t_lo, t_hi = taus[1], taus[-2]
     worst = 0.0
     rows = []
-    for i in range(samples):
-        t = t_lo + i * (t_hi - t_lo) / (samples - 1)
-        big_t = _exp_fraction(3 * t)
-        _, m_lat = shortest_vector_reduced(x, big_t)
+    for t, big_t, m_lat in _window_minima(chain, samples):
         w_x = ln_fraction(m_lat) - 2 * ln_fraction(big_t) / 3
         gap = w_target(t) - w_x
         worst = max(worst, gap)
         rows.append({"t": t, "w_x": w_x, "w_target": w_target(t)})
     sing_like = all(b < a for a, b in zip(eps3s, eps3s[1:]))
-    di_like = len(set(eps_used)) == 1
+    di_like = len({n.eps for n in chain.nodes[1:]}) == 1
     cert = {
         "ok": worst <= envelope + 1e-9,
         "slack": worst,
@@ -797,7 +785,7 @@ def slow_chain(
         "defect_bound": max(abs(d) for d in defects),
         "sing_like": sing_like,
         "di_like": di_like,
-        "window": (t_lo, t_hi),
+        "window": (taus[1], taus[-2]),
         "samples": rows,
     }
     return chain, cert
@@ -821,15 +809,17 @@ def expansion_tree(
     `width` children, at most per_pair = max(1, width // pairs) from each
     slot pair in lex order (so once pairs outnumber `width`, the later
     pairs get no child), and the lex-first `expand` of those recurse until
-    `depth` levels.  Only the kept children are built, and only the slot
-    pairs up to the last of them have their windows computed.  Raises
+    `depth` levels.  Only the kept children are built, only the slot pairs
+    up to the last of them have their windows computed, and at most
+    width + 1 pairs are enumerated whatever the family size n.  Raises
     ValueError when eps is so small that such a slot's height multiplier
     exceeds MAX_SLOT_MULTIPLIER = 10^100."""
     if min(depth, expand, width) < 0:
         raise ValueError(
             f"depth, expand and width must be nonnegative, got {depth}, {expand}, {width}"
         )
-    pairs = len(coprime_pairs(n))
+    # pairs past width + 1 leave width // pairs at 0, so they are not counted
+    pairs = sum(1 for _ in islice(coprime_pairs(n), width + 1))
     per_pair = max(1, width // pairs)
     root = TreeNode(seed, None)
     frontier = [root]

@@ -260,10 +260,13 @@ CHEAP_ARGV = st.one_of(
     _argv(["domain"], {"v": SMALL_VEC}, x=POINT),
     _argv(["domain"], {"v": DOMAIN_VEC}, x=POINT),
     # sizes are always drawn: the default trees and chains take seconds,
-    # and at eps 1e-400 the default tree takes minutes
+    # and at eps 1e-400 the default tree takes minutes; a narrow tree
+    # enumerates at most width + 1 slot pairs of any family
     _argv(["psi-tree"], {"seed-vec": SMALL_VEC, "depth": st.integers(0, 1),
                          "width": st.integers(0, 4), "expand": st.integers(0, 2),
-                         "family": st.integers(1, 2)}, eps=NUMBER),
+                         "family": st.one_of(st.integers(1, 2),
+                                             st.integers(10**3, 10**9))},
+          eps=NUMBER),
     _argv(["slow-chain", "--target", "log1p"],
           {"seed-vec": SMALL_VEC, "steps": st.integers(3, 4),
            "samples": st.integers(2, 3)}, delta=NUMBER),

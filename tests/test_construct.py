@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -8,8 +9,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diophlab import construct
-from diophlab.bestapprox import shortest_vector_oracle, shortest_vector_reduced
-from diophlab.core import RatPoint, proj_dist, pvec, seminorm, wedge
+from diophlab.bestapprox import (
+    BestApproxSeq, shortest_vector_oracle, shortest_vector_reduced, wx_profile)
+from diophlab.core import RatPoint, proj_dist, pvec, residual, seminorm, wedge
+from diophlab.domains import in_domain
 from diophlab.latinv import absL_from_wedge, distortion_below, invariants, lattice_minima
 from diophlab.construct import (
     SING_C,
@@ -70,9 +73,9 @@ def tree3():
 
 
 def test_coprime_pairs_small():
-    assert coprime_pairs(1) == [(1, 0), (1, 1)]
-    assert coprime_pairs(2) == [(1, 0), (1, 1), (2, 1)]
-    assert coprime_pairs(3) == [(1, 0), (1, 1), (2, 1), (3, 1), (3, 2)]
+    assert list(coprime_pairs(1)) == [(1, 0), (1, 1)]
+    assert list(coprime_pairs(2)) == [(1, 0), (1, 1), (2, 1)]
+    assert list(coprime_pairs(3)) == [(1, 0), (1, 1), (2, 1), (3, 1), (3, 2)]
 
 
 def test_coprime_pairs_counts_totient():
@@ -81,7 +84,7 @@ def test_coprime_pairs_counts_totient():
 
     for n in range(1, 12):
         expected = 2 + sum(phi(a) for a in range(2, n + 1))
-        assert len(coprime_pairs(n)) == expected
+        assert len(list(coprime_pairs(n))) == expected
 
 
 def test_height_window_seed():
@@ -574,6 +577,19 @@ def test_wide_family_tree_builds_only_kept_children(monkeypatch):
     assert len(calls) == sum(len(node.children) for node in expanded)
 
 
+def test_wide_family_tree_memory_does_not_grow_with_the_family():
+    # family 1000 has about 3 * 10^5 slot pairs; a width-2 tree counts
+    # only the first three of them
+    tracemalloc.start()
+    try:
+        root = expansion_tree(SEED, EIGHTH, n=1000, depth=1, width=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [ch.slot for ch in root.children] == [(1, 0, 520), (1, 1, 520)]
+    assert peak < 2**20, peak
+
+
 def test_spacing_rejects_equal():
     u1 = child_vector(SEED, 1, 0, 520, EIGHTH)
     with pytest.raises(ValueError):
@@ -794,6 +810,13 @@ def test_slow_chain_edges_nest(p1, p2, q, target):
     vs = chain.vectors()
     for u, v in zip(vs, vs[1:]):
         assert nesting_ok(u, v)["ok"], (u, v)
+    # so the tip's point lies in every node's domain, and the chain is a
+    # best-approximation sequence there: sandwich_audit reads its envelope
+    # from wx_profile on that sequence
+    x = chain.tip.proj()
+    assert all(in_domain(x, v) for v in vs), vs
+    seq = BestApproxSeq(x, tuple(vs), tuple(residual(x, v) for v in vs), vs[-1].q)
+    assert len([b for b in wx_profile(seq).breakpoints if b.kind == "max"]) == 3
 
 
 def test_slow_chain_constant_target_is_di_like():
@@ -819,6 +842,32 @@ def test_sandwich_depth4(chain4):
     vs = chain4.vectors()
     assert lo == pytest.approx(invariants(vs[1]).tau)
     assert hi == pytest.approx(invariants(vs[3]).tau)
+
+
+@pytest.mark.parametrize("build, depth", [
+    (lambda: sing_chain(SEED, 8), 8),
+    (lambda: fixed_chain(SEED, F(1, 10), 3), 3),
+    (lambda: fixed_chain(SEED, F(3, 25), 3), 3),
+], ids=["sing8", "fixed3-eps1_10", "fixed3-eps3_25"])
+def test_sandwich_fixed_and_singular_chains(build, depth):
+    chain = build()
+    rep = sandwich_audit(chain, samples=20)
+    assert rep["ok"] and len(rep["sandwich"]) == 20
+    assert all(r["upper_ok"] and r["lower_ok"] for r in rep["sandwich"])
+    cap = 4 * max(n.eps for n in chain.nodes[1:]) ** 3
+    assert [m["k"] for m in rep["maxima"]] == list(range(depth))
+    assert all(m["value_cubed"] <= cap for m in rep["maxima"])
+
+
+def test_sandwich_samples_the_slow_chain_window():
+    # both chain certificates take their samples from one generator
+    chain, cert = slow_chain(pvec(67, 1, 1000), lambda t: -2.0, 1,
+                             steps=5, samples=40)
+    rep = sandwich_audit(chain, samples=40)
+    assert rep["window"] == cert["window"]
+    assert [r["t"] for r in rep["sandwich"]] == [r["t"] for r in cert["samples"]]
+    assert [r["w_lattice"] for r in rep["sandwich"]] == [
+        r["w_x"] for r in cert["samples"]]
 
 
 def test_sandwich_vacuous_and_short():
