@@ -207,10 +207,6 @@ class PLProfile(NamedTuple):
     breakpoints: tuple[Breakpoint, ...]
     window: tuple[Fraction, Fraction]
 
-    @property
-    def exact_hit(self) -> bool:
-        return self.seq.exact_hit
-
     def value_at(self, T) -> Fraction:
         """Exact normalised profile value min_j max(T*res_j, q_j)."""
         T = Fraction(T)
@@ -242,7 +238,7 @@ class PLProfile(NamedTuple):
             "target": [frac_str(c) for c in self.seq.target],
             "breakpoints": [b.to_jsonable() for b in self.breakpoints],
             "window_T": [frac_str(self.window[0]), frac_str(self.window[1])],
-            "exact_hit": self.exact_hit,
+            "exact_hit": self.seq.exact_hit,
         }
 
 

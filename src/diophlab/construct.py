@@ -17,7 +17,9 @@ the limit point tracks a prescribed decay target.  Spaced families
 enumerate every admissible slot, giving the Cantor-type branching whose
 sibling domains repel each other.  Fixed chains, spaced families and
 expansion trees all take their children from one slot enumerator,
-`slot_children`.
+`slot_children`.  Singular-type chains do not: `shrinking_slot` re-derives
+the window and stride, and adds a distortion-cube cap and the eps^-6
+growth floor that `slot_children` lacks.
 
 The sandwich audit closes the loop: it compares the chain's own minima
 envelope against a from-scratch lattice minimum at sampled times, in
@@ -34,7 +36,7 @@ from itertools import accumulate, islice
 from typing import Callable, Iterator, NamedTuple
 
 from .bestapprox import BestApproxSeq, shortest_vector_reduced, wx_profile
-from .core import PrimVec, RatPoint, Wedge2, residual, seminorm, wedge
+from .core import PrimVec, Wedge2, residual, seminorm, wedge
 from .latinv import (
     absL_from_wedge,
     canonical_sign,
@@ -492,18 +494,6 @@ def sing_chain(u0: PrimVec, depth: int) -> Chain:
     return chain
 
 
-def limit_box(chain: Chain) -> tuple[RatPoint, Fraction]:
-    """Center and radius of a box containing the chain's limit points.
-
-    Every continuation of the chain stays inside the tip's domain, which
-    lies within twice the tip's radius r = |L|/|v|^2 of its rational point.
-    """
-    v = chain.tip
-    if v.q <= 1:
-        raise ValueError("chain too short: tip height must exceed 1")
-    return v.proj(), Fraction(2 * invariants(v).absL, v.q * v.q)
-
-
 def _exp_fraction(y: float) -> Fraction:
     """exp(y) as an exact dyadic rational, safe for large y.
 
@@ -517,16 +507,17 @@ def _exp_fraction(y: float) -> Fraction:
 
 
 def _window_minima(chain: Chain, samples: int):
-    """Yield (t, T, M) for both chain certificates: t runs evenly over the
-    window [tau(v_1), tau(v_{k-1})], T = exp(3t) as an exact dyadic
-    rational, and M is the reduction-certified minimum over all of Z^3 of
-    max(T * residual, height) at the tip's rational point."""
+    """Yield (t, T, M, W) for both chain certificates: t runs evenly over
+    the window [tau(v_1), tau(v_{k-1})], T = exp(3t) as an exact dyadic
+    rational, M is the reduction-certified minimum over all of Z^3 of
+    max(T * residual, height) at the tip's point, W = ln M - (2/3) ln T."""
     x = chain.tip.proj()
     t_lo, t_hi = invariants(chain.nodes[1].u).tau, invariants(chain.nodes[-2].u).tau
     for i in range(samples):
         t = t_lo + i * (t_hi - t_lo) / (samples - 1)
         big_t = _exp_fraction(3 * t)
-        yield t, big_t, shortest_vector_reduced(x, big_t)[1]
+        m = shortest_vector_reduced(x, big_t)[1]
+        yield t, big_t, m, ln_fraction(m) - 2 * ln_fraction(big_t) / 3
 
 
 def sandwich_audit(chain: Chain, samples: int = 50) -> dict:
@@ -544,31 +535,28 @@ def sandwich_audit(chain: Chain, samples: int = 50) -> dict:
     heights rise and residuals strictly fall there.  Each crossing maximum
     of that profile, cubed (height * residual^2), must stay below 4 eps^3.
     Claimed for fixed and singular chains; slow chains with bounds above
-    1/2 can fail the lower check at the window's ends.  A single-vector
-    chain passes vacuously; any other needs depth >= 3 for a window and
-    samples >= 2 to span it end to end.
+    1/2 can fail the lower check at the window's ends.  The chain needs
+    depth >= 3 for a window and samples >= 2 to span it end to end.
     """
     vecs = chain.vectors()
-    if len(vecs) == 1:
-        return {"vacuous": True, "ok": True, "sandwich": [], "maxima": []}
     if len(vecs) < 4:
         raise ValueError("sandwich window needs chain depth >= 3")
     if samples < 2:
         raise ValueError(f"sandwich audit needs samples >= 2, got {samples}")
     eps = max(n.eps for n in chain.nodes[1:])
-    x, _ = limit_box(chain)
+    x = chain.tip.proj()
     residuals = tuple(residual(x, v) for v in vecs)
     profile = wx_profile(BestApproxSeq(x, tuple(vecs), residuals, vecs[-1].q))
 
     slack = 1 - eps**6
     rows = []
-    for t, big_t, m_lat in _window_minima(chain, samples):
+    for t, big_t, m_lat, w_lat in _window_minima(chain, samples):
         m_chain = profile.value_at(big_t)
         rows.append(
             {
                 "t": t,
                 "w_chain": profile.log_length_at(big_t),
-                "w_lattice": ln_fraction(m_lat) - 2 * ln_fraction(big_t) / 3,
+                "w_lattice": w_lat,
                 "upper_ok": m_lat <= m_chain,
                 "lower_ok": slack * m_chain <= m_lat,
             }
@@ -581,11 +569,9 @@ def sandwich_audit(chain: Chain, samples: int = 50) -> dict:
         for k, b in enumerate(crossings)
     ]
 
-    ok = all(r["upper_ok"] and r["lower_ok"] for r in rows) and all(
-        m["ok"] for m in maxima
-    )
+    ok = (all(r["upper_ok"] and r["lower_ok"] for r in rows)
+          and all(m["ok"] for m in maxima))
     return {
-        "vacuous": False,
         "ok": ok,
         "eps": float(eps),
         "window": (invariants(vecs[1]).tau, invariants(vecs[-2]).tau),
@@ -768,8 +754,7 @@ def slow_chain(
 
     worst = 0.0
     rows = []
-    for t, big_t, m_lat in _window_minima(chain, samples):
-        w_x = ln_fraction(m_lat) - 2 * ln_fraction(big_t) / 3
+    for t, _, _, w_x in _window_minima(chain, samples):
         gap = w_target(t) - w_x
         worst = max(worst, gap)
         rows.append({"t": t, "w_x": w_x, "w_target": w_target(t)})

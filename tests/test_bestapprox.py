@@ -120,7 +120,7 @@ def test_profile_half_half_frozen():
     assert prof.breakpoints[1].value_cubed == F(1, 2)
     assert prof.window == (F(4), F(4))
     assert prof.value_at(4) == 2
-    assert prof.exact_hit
+    assert prof.seq.exact_hit
 
 
 def test_profile_three_sevenths_frozen():

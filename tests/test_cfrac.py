@@ -5,6 +5,7 @@ import pytest
 
 from diophlab.bestapprox import best_approximations
 from diophlab.cfrac import (
+    MAX_FAMILY_CHILDREN,
     convergents,
     dn_children,
     dn_gap_audit,
@@ -87,6 +88,15 @@ def test_interval_length_bounds():
 
 def test_children_frozen():
     assert dn_children(F(1, 2), 1, 3) == [F(2, 5), F(3, 5), F(3, 7), F(4, 7)]
+
+
+def test_family_size_is_capped_before_any_child_is_built():
+    # 2 * (a_max - N) children: the cap admits the default family up to
+    # N = 10^5 and refuses one of about 2 * 10^12 without building it
+    assert len(dn_children(F(1, 2), 10**5)) == MAX_FAMILY_CHILDREN
+    for N, a_max in ((10**5 + 1, None), (72, 10**12)):
+        with pytest.raises(ValueError, match="children, more than 200000"):
+            dn_children(F(1, 2), N, a_max)
 
 
 def test_children_nested():

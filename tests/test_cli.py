@@ -152,14 +152,6 @@ def test_usage_errors_exit_two(capsys):
     assert run(["psi-tree", "--depth", "-1"]) == 2
     # --seed belongs to audit-all alone
     assert run(["psi-tree", "--seed", "1"]) == 2
-    # a tolerance must be positive
-    for argv in (["dims", "crossing", "--tol=0"], ["dims", "crossing", "--tol=nan"],
-                 ["dn", "--n", "72", "--tol=-1"]):
-        assert run(argv) == 2, argv
-    capsys.readouterr()
-    # the parser's error names the type it expected, not its converter
-    assert run(["dims", "crossing", "--tol=x"]) == 2
-    assert "invalid float value: 'x'" in capsys.readouterr().err
     # a delta beyond float range is out of range, not an overflow
     assert run(["dims", "cantor", "--delta", "1e400"]) == 2
     assert run(["dims", "bounds", "--delta", "1e400"]) == 2
@@ -169,9 +161,9 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     # extreme constant levels: a schedule of too many knots, an exponent
     # too large to raise exactly, heights too long to print; a tree whose
-    # heights would run to thousands of digits; and a covering tree that
-    # doubles with each of its 40 levels.  Each is one error line, within
-    # seconds
+    # heights would run to thousands of digits; a covering tree that
+    # doubles with each of its 40 levels; and a quotient family of more
+    # than 2 * 10^5 children.  Each is one error line, within seconds
     errs = []
     for argv in (
         ["slow-chain", "--target", "const", "--level=-1e-300", "--steps", "3",
@@ -182,6 +174,7 @@ def test_usage_errors_exit_two(capsys):
          "--samples", "2"],
         ["psi-tree", "--seed-vec=-5,-4,13", "--eps=1e-400"],
         ["dims", "cantor", "--delta", "1/2", "--depth", "40"],
+        ["dn", "--n", "100001", "--root", "1/2"],
     ):
         start = time.perf_counter()
         assert run(argv) == 2, argv
@@ -247,12 +240,13 @@ def _argv(head, required=None, **optional):
 CHEAP_ARGV = st.one_of(
     # depths past the tree cap must end as usage errors, not run away
     _argv(["dims", "cantor"], delta=NUMBER,
-          depth=st.one_of(st.integers(-2, 6), st.integers(13, 60)), tol=NUMBER),
-    _argv(["dims", "bounds"], delta=NUMBER, tol=NUMBER),
-    _argv(["dims", "crossing"], tol=NUMBER),
+          depth=st.one_of(st.integers(-2, 6), st.integers(13, 60))),
+    _argv(["dims", "bounds"], delta=NUMBER),
+    _argv(["dims", "crossing"]),
     _argv(["cf"], {"x": NUMBER}, n=st.integers(-5, 2000)),
-    # N stays small: 'dn --root' builds about 2N children
-    _argv(["dn"], {"n": st.integers(-5, 2000)}, root=NUMBER, tol=NUMBER),
+    # 'dn --root' builds 2N children up to N = 10^5 and refuses larger N
+    _argv(["dn"], {"n": st.one_of(st.integers(-5, 2000),
+                                  st.integers(10**5 + 1, 10**12))}, root=NUMBER),
     _argv(["invariants"], {"v": BIG_VEC}),
     _argv(["best-approx"], {"x": POINT, "qmax": st.integers(-3, 10**9)}),
     _argv(["profile"], {"x": POINT, "qmax": st.integers(-3, 10**9)},
@@ -295,10 +289,13 @@ def test_unknown_subcommand_exits_two(capsys):
     ["audit-all", "--jobs", "2"],
     ["domain", "--v", "1,2,5", "--rejects", "1000000"],
     ["best-approx", "--x", "1/3,2/3", "--qmax", "50", "--norm", "euclid"],
+    ["dims", "crossing", "--tol", "1e-6"],
+    ["dn", "--n", "72", "--tol", "1e-6"],
 ])
 def test_removed_options_are_usage_errors(capsys, argv):
-    # worker count, sweep density and report norm are fixed, not options:
-    # each is refused by the parser before any work starts
+    # worker count, sweep density, report norm and root tolerance are
+    # fixed, not options: each is refused by the parser before any work
+    # starts
     start = time.perf_counter()
     assert run(argv) == 2
     assert time.perf_counter() - start < 2
@@ -363,6 +360,25 @@ def test_fault_injection_breaks_realiser_line(capsys):
     assert "height 1" in witness
     assert "(0,0)" in witness
     assert doc["pass"] is False
+
+
+def test_fault_injection_report_keeps_the_first_witness(capsys):
+    # the realiser item fails twice at seed 1; its row keeps the first witness
+    code, doc = run_json(
+        capsys, ["audit-all", "--seed", "1", "--inject-fault", "tie-break"]
+    )
+    assert code == 1
+    assert [item for item in doc["items"] if not item["pass"]] == [{
+        "name": "best-approx-realiser",
+        "description": "each record realises its height minimum with "
+                       "lexicographic ties",
+        "checks": 30,
+        "failures": 2,
+        "pass": False,
+        "witness": "target (1/2,1/2) height 1: tie resolved to (0,0), "
+                   "expected (1,1)",
+    }]
+    assert doc["total_failures"] == 2
 
 
 def test_audit_failure_exit_code_from_dn(capsys):
