@@ -23,6 +23,11 @@ from .core import PrimVec, RatPoint, proj_dist, residual, seminorm, wedge
 from .latinv import wedge_constraint_ok
 from .util import frac_str, ln_fraction
 
+# Most (t, W) samples a profile or a slow-chain certificate takes.  On a
+# 2-core x86-64 host 'profile --samples' took 0.7 s at 10^4 (3.6 s at
+# 10^5), and 'slow-chain --samples', one 3-D reduction per sample, 3.9 s.
+MAX_PROFILE_SAMPLES = 10**4
+
 
 def height_minimum(x: RatPoint, q: int) -> tuple[Fraction, list[tuple[int, int]]]:
     """Smallest residual ||q x - p|| over integer p, with the achieving p.
@@ -223,10 +228,11 @@ class PLProfile(NamedTuple):
         return ln_fraction(self.value_at(T)) - 2.0 * ln_fraction(T) / 3.0
 
     def samples(self, n: int) -> list[tuple[float, float]]:
-        """n evenly spaced (t, W(t)) float pairs across the window."""
+        """n evenly spaced (t, W(t)) float pairs across the window, for
+        1 <= n <= MAX_PROFILE_SAMPLES = 10^4."""
         lo, hi = self.window
-        if n < 1:
-            raise ValueError("need at least one sample")
+        if not 1 <= n <= MAX_PROFILE_SAMPLES:
+            raise ValueError(f"need 1 to {MAX_PROFILE_SAMPLES} samples, got {n}")
         out = []
         for k in range(n):
             T = lo + (hi - lo) * Fraction(k, max(n - 1, 1))

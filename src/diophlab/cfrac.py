@@ -142,13 +142,14 @@ def dn_children(v, N: int, a_max: int | None = None) -> list[Fraction]:
     return out
 
 
-def dn_gap_audit(v, N: int, a_max: int | None = None) -> dict:
-    """Exact nesting, disjointness, and relative-gap report for one family.
+def dn_gap_audit(v, N: int) -> dict:
+    """Exact nesting, disjointness, and relative-gap report for the family
+    dn_children(v, N).
 
     Children intervals are sorted by left endpoint; since they must be
     pairwise disjoint, the adjacent gaps witness all pairwise ones.  The
     minimum gap is reported relative to the parent interval and compared
-    against 1/(36N), the guaranteed floor for N >= 72 with a_max <= 2N.
+    against 1/(36N), the guaranteed floor for N >= 72.
 
     These are conditions (i)-(iii) of `dimension.lower_cert` at
     rho = 1/(36N).  The audit says nothing of the power sums (iv), which
@@ -157,7 +158,7 @@ def dn_gap_audit(v, N: int, a_max: int | None = None) -> dict:
     v = Fraction(v)
     parent = quotient_interval(v, N)
     kids = sorted(
-        (quotient_interval(c, N) for c in dn_children(v, N, a_max)),
+        (quotient_interval(c, N) for c in dn_children(v, N)),
         key=lambda iv: iv.lo,
     )
     nested = all(parent.contains(k) for k in kids)

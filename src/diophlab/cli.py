@@ -166,16 +166,10 @@ def cmd_psi_tree(args) -> tuple[int, dict, list[dict] | None]:
         "eps": frac_str(eps),
         "depth": args.depth,
         "depth1_children": len(root.children),
-        "totals": rep["totals"],
-        "fails": rep["fails"],
-        "min_spacing_ratio": rep["min_spacing_ratio"],
-        "min_kappa": rep["min_kappa"],
-        "pass": rep["ok"],
+        **rep,
     }
-    rows = [
-        {"check": k, "failures": rep["fails"][k]} for k in sorted(rep["fails"])
-    ]
-    return (0 if rep["ok"] else 1), payload, rows
+    rows = [{"check": k, "failures": f} for k, f in sorted(rep["fails"].items())]
+    return (0 if rep["pass"] else 1), payload, rows
 
 
 def cmd_slow_chain(args) -> tuple[int, dict, list[dict] | None]:
@@ -195,25 +189,12 @@ def cmd_slow_chain(args) -> tuple[int, dict, list[dict] | None]:
         if args.target == "const":
             raise ValueError(f"--level {args.level}: {ex}") from None
         raise ValueError(f"--steps {args.steps}: {ex}") from None
+    del cert["defects"]
+    cert["samples"] = len(cert["samples"])
     rows = chain.to_jsonable()
-    payload = {
-        "target": args.target,
-        "steps": args.steps,
-        "nodes": rows,
-        "certificate": {
-            "pass": cert["ok"],
-            "slack": cert["slack"],
-            "alignment_bound": cert["alignment_bound"],
-            "float_defect": cert["float_defect"],
-            "envelope": cert["envelope"],
-            "defect_bound": cert["defect_bound"],
-            "strictly_decreasing_eps": cert["sing_like"],
-            "constant_eps": cert["di_like"],
-            "window": list(cert["window"]),
-            "samples": len(cert["samples"]),
-        },
-    }
-    return (0 if cert["ok"] else 1), payload, rows
+    payload = {"target": args.target, "steps": args.steps, "nodes": rows,
+               "certificate": cert}
+    return (0 if cert["pass"] else 1), payload, rows
 
 
 def cmd_dims(args) -> tuple[int, dict, list[dict] | None]:

@@ -1,12 +1,12 @@
 """Nested chains of approximation vectors with prescribed decay.
 
 A chain starts from a seed vector and repeatedly adjoins a child whose
-wedge with the current tip is a prescribed element of the tip's pair
-lattice and whose height sits in a prescribed slot.  Exact invariants are
-enforced at every step: the wedge is primitive and avoids the tip's
-shortest class, the height clears the distortion window, the child's
-domain nests strictly inside the parent's, and (when the parent is
-already distorted) the height grows by the required factor.
+wedge with the tip is a prescribed element of the tip's pair lattice and
+whose height sits in a prescribed slot.  One edge rule, `_edge_faults`,
+checks every chain step and tree edge exactly: the wedge is primitive
+and avoids the tip's shortest class, the height clears the distortion
+window, the child's domain nests strictly inside the parent's, and below
+a distorted parent the height grows by the required factor.
 
 Three flavours of chain are built here, each by a plain loop that adjoins
 every node through one audited append.  Fixed-distortion chains take the
@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Callable, Iterator, NamedTuple
 
-from .bestapprox import BestApproxSeq, shortest_vector_reduced, wx_profile
+from .bestapprox import MAX_PROFILE_SAMPLES, BestApproxSeq, shortest_vector_reduced, wx_profile
 from .core import PrimVec, Wedge2, residual, seminorm, wedge
 from .latinv import (
     absL_from_wedge,
@@ -67,6 +67,11 @@ MAX_HEIGHT_DIGITS = 4300
 # psi-tree from (-5,-4,13) took 7 s at eps = 10^-33 (multiplier near
 # 10^100) and 548 s at eps = 10^-400 (near 10^1200).
 MAX_SLOT_MULTIPLIER = 10**100
+# Expansion-tree caps.  On a 2-core x86-64 host the slowest shapes measured
+# under them took 36 s (172 MB; expand = width = 2, depth 16) and 31 s (expand
+# 1, width 1999, depth 100); the README shape at depth 6 took 6.3 s (114 MB).
+MAX_TREE_LEVELS = 100
+MAX_TREE_NODES = 2 * 10**5
 # The singular-type schedule (see sing_chain): the constant c, the family
 # size at step 0, the cap on every bound, and the factor by which each
 # node's distortion cube must undercut its parent's.
@@ -254,19 +259,19 @@ def _ratio_float(num: int, den: int) -> float:
         raise ValueError("spacing ratio exceeds the float range; eps is too small") from None
 
 
-def verify_spacing(u: PrimVec, va: PrimVec, vb: PrimVec, eps, n: int = 1) -> dict:
+def verify_spacing(u: PrimVec, va: PrimVec, vb: PrimVec, eps) -> dict:
     """Exact separation certificate for two children of u:
 
         dist(domain(va), domain(vb)) >= rho * diam(domain(u))
 
-    with rho = eps^9 / (2^11 n^3), on the gap bound of `_pair_gap`.  Both
-    of its bounds err on the safe side, so a pass is a proof.  Returns the
+    with rho = eps^9 / 2^11, on the gap bound of `_pair_gap`.  Both of
+    its bounds err on the safe side, so a pass is a proof.  Returns the
     pass flag and the gap bound over the floor.  Raises ValueError when
     the children coincide, eps <= 0, or the ratio leaves the float range.
     """
     if va == vb:
         raise ValueError("spacing needs two distinct children")
-    fn, fd = _floor_terms(u, eps, n)
+    fn, fd = _floor_terms(u, eps, 1)
     num, den = _pair_gap(va, absL_from_wedge(va, u), vb, absL_from_wedge(vb, u))
     top, bottom = num * fd, den * fn
     return {"ok": top > bottom, "ratio": _ratio_float(top, bottom)}
@@ -334,6 +339,21 @@ def _grows(u: PrimVec, v: PrimVec, eps: Fraction) -> bool:
     return v.q * eps.numerator**6 > u.q * eps.denominator**6
 
 
+def _edge_faults(u: PrimVec, v: PrimVec, lv: int, L: Wedge2, eps: Fraction,
+                 distorted: bool) -> Iterator[str]:
+    """The edge rule of chains and trees: yield, in order, the name of each
+    check that u -> v fails, given lv = |L(v)| and L = canonical_sign(L(u)):
+    "membership" (`_successor_flags`), "nesting" (`_nesting_slack`), and
+    "growth" (`_grows`) when the parent is distorted.  Lazy, so a caller
+    that stops at the first name skips the later checks."""
+    if not all(_successor_flags(u, v, L, eps)):
+        yield "membership"
+    if _nesting_slack(u, v, lv) <= 0:
+        yield "nesting"
+    if distorted and not _grows(u, v, eps):
+        yield "growth"
+
+
 def _proportional(a: Wedge2, b: Wedge2) -> bool:
     """Whether two wedge triples are parallel (all cross minors vanish)."""
     return (
@@ -383,43 +403,33 @@ class Chain:
 
 
 def _append(chain: Chain, v: PrimVec, eps, slot=None) -> None:
-    """Adjoin v to the chain once the edge from its tip passes every chain
-    invariant, exactly.
+    """Adjoin v to the chain once the edge from its tip passes the edge
+    rule `_edge_faults` and leaves the tip's rational line, exactly.
 
-    Raises RuntimeError on any failure, leaving the chain unchanged.  The
-    eps^-6 growth bound is a property of the slotted height window, so it
-    is checked exactly when the edge has a slot (slow steps have none).
-    """
+    Raises RuntimeError naming the first failed check, leaving the chain
+    unchanged.  The eps^-6 growth bound is a property of the slotted height
+    window, so it is checked exactly when the edge has a slot (slow steps
+    have none)."""
     u = chain.tip
-    nodes = chain.nodes
-
-    def fail(why: str) -> RuntimeError:
-        return RuntimeError(f"edge {u} -> {v}: {why}")
-
-    member = admissible_successor(u, v, eps)
-    if not member["ok"]:
-        raise fail(f"successor membership failed: {member}")
-    if not nesting_ok(u, v)["ok"]:
-        raise fail("child domain does not nest inside the parent")
-    if slot is not None:
-        growth = growth_ok(u, v, eps)
-        if growth["applicable"] and not growth["ok"]:
-            raise fail(
-                f"height grew by {Fraction(v.q, u.q)}, below the required {eps**-6}"
-            )
-    if len(nodes) >= 2 and _proportional(wedge(u, nodes[-2].u), wedge(v, u)):
-        raise fail("consecutive steps share a rational line")
-    nodes.append(ChainNode(v, eps, slot))
+    eps = Fraction(eps)
+    distorted = slot is not None and distortion_below(u, eps)
+    fault = next(_edge_faults(u, v, absL_from_wedge(v, u), canonical_sign(invariants(u).L),
+                              eps, distorted), None)
+    if fault is not None:
+        raise RuntimeError(f"edge {u} -> {v}: fails the {fault} check at eps {float(eps):g}")
+    if len(chain.nodes) >= 2 and _proportional(wedge(u, chain.nodes[-2].u), wedge(v, u)):
+        raise RuntimeError(f"edge {u} -> {v}: consecutive steps share a rational line")
+    chain.nodes.append(ChainNode(v, eps, slot))
 
 
-def fixed_chain(u0: PrimVec, eps, depth: int, n: int = 1) -> Chain:
+def fixed_chain(u0: PrimVec, eps, depth: int) -> Chain:
     """Depth many lex-first extensions at a constant distortion bound;
     depth 0 gives the chain of the seed alone.  Raises RuntimeError when
     no slot is admissible or an edge fails its audit."""
     eps = Fraction(eps)
     chain = Chain([ChainNode(u0)])
     for _ in range(depth):
-        kid = next(slot_children(chain.tip, eps, n), None)
+        kid = next(slot_children(chain.tip, eps), None)
         if kid is None:
             raise RuntimeError(f"no admissible slots at distortion {eps}")
         slot, v = kid
@@ -715,13 +725,13 @@ def slow_chain(
     checks it never dips below the target by more than the measured
     envelope 3 * (alignment bound) + (float defect).  The sampled window
     runs from the first child to the second-to-last node, so it needs
-    steps >= 3; the samples span it end to end, so they need samples >= 2.
-    Both are checked before any node is built.
+    steps >= 3; the samples span it end to end, so they need samples >= 2,
+    and at most MAX_PROFILE_SAMPLES = 10^4.  Both are checked first.
     """
     if steps < 3:
         raise ValueError(f"slow chain needs steps >= 3, got {steps}")
-    if samples < 2:
-        raise ValueError(f"slow chain needs samples >= 2, got {samples}")
+    if not 2 <= samples <= MAX_PROFILE_SAMPLES:
+        raise ValueError(f"slow chain needs 2 to {MAX_PROFILE_SAMPLES} samples, got {samples}")
     chain = Chain([ChainNode(u0)])
     inv0 = invariants(u0)
     f_third = lambda t: -w_target(t) / 3
@@ -758,18 +768,16 @@ def slow_chain(
         gap = w_target(t) - w_x
         worst = max(worst, gap)
         rows.append({"t": t, "w_x": w_x, "w_target": w_target(t)})
-    sing_like = all(b < a for a, b in zip(eps3s, eps3s[1:]))
-    di_like = len({n.eps for n in chain.nodes[1:]}) == 1
     cert = {
-        "ok": worst <= envelope + 1e-9,
+        "pass": worst <= envelope + 1e-9,
         "slack": worst,
         "alignment_bound": align_bound,
         "float_defect": float_defect,
         "envelope": envelope,
         "defects": defects,
         "defect_bound": max(abs(d) for d in defects),
-        "sing_like": sing_like,
-        "di_like": di_like,
+        "strictly_decreasing_eps": all(b < a for a, b in zip(eps3s, eps3s[1:])),
+        "constant_eps": len({n.eps for n in chain.nodes[1:]}) == 1,
         "window": (taus[1], taus[-2]),
         "samples": rows,
     }
@@ -798,11 +806,15 @@ def expansion_tree(
     up to the last of them have their windows computed, and at most
     width + 1 pairs are enumerated whatever the family size n.  Raises
     ValueError when eps is so small that such a slot's height multiplier
-    exceeds MAX_SLOT_MULTIPLIER = 10^100."""
-    if min(depth, expand, width) < 0:
-        raise ValueError(
-            f"depth, expand and width must be nonnegative, got {depth}, {expand}, {width}"
-        )
+    exceeds MAX_SLOT_MULTIPLIER = 10^100, and, before any work, when depth
+    exceeds MAX_TREE_LEVELS = 100 or the node bound 1 + width * sum_{k <
+    depth} min(expand, width)^k exceeds MAX_TREE_NODES = 2 * 10^5."""
+    r = min(expand, width)  # children expanded per node
+    if min(depth, r) < 0 or depth > MAX_TREE_LEVELS or (
+            1 + width * (depth if r == 1 else (r**depth - 1) // (r - 1)) > MAX_TREE_NODES):
+        raise ValueError(f"a tree needs depth in [0, {MAX_TREE_LEVELS}], nonnegative expand "
+                         f"and width, and at most {MAX_TREE_NODES} nodes; got depth {depth}, "
+                         f"expand {expand}, width {width}")
     # pairs past width + 1 leave width // pairs at 0, so they are not counted
     pairs = sum(1 for _ in islice(coprime_pairs(n), width + 1))
     per_pair = max(1, width // pairs)
@@ -830,11 +842,11 @@ def iter_tree(root: TreeNode):
 def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
     """Exact per-edge and per-sibling audit of an expansion tree.
 
-    Every parent-child edge must pass successor membership, strict
-    nesting, and (when the parent is distorted) the height growth bound;
-    every child must land in the half-open distortion band
-    [eps/2, eps); and every sibling pair must clear the spacing floor.
-    Reports the worst margins alongside the pass flags.
+    Every parent-child edge must pass the chain edge rule `_edge_faults`
+    (membership, nesting, and growth below a distorted parent); every
+    child must land in the half-open distortion band [eps/2, eps); and
+    every sibling pair must clear the spacing floor.  Reports the worst
+    margins alongside the pass flag.
 
     Only expanded nodes are reduced (`invariants`).  Each child's |L| is
     read once, from its wedge w with the parent (`absL_from_wedge`): when w
@@ -844,16 +856,9 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
     """
     eps = Fraction(eps)
     half = eps / 2
-    totals = {
-        "nodes": 0,
-        "expanded": 0,
-        "edges": 0,
-        "growth_checked": 0,
-        "spacing_pairs": 0,
-    }
-    fails = {"membership": 0, "band": 0, "nesting": 0, "growth": 0, "spacing": 0}
-    min_spacing_ratio = None
-    min_kappa = None
+    totals = dict.fromkeys(("nodes", "expanded", "edges", "growth_checked", "spacing_pairs"), 0)
+    fails = dict.fromkeys(("membership", "band", "nesting", "growth", "spacing"), 0)
+    min_ratio = min_kappa = None
     for node in iter_tree(root):
         totals["nodes"] += 1
         if not node.expanded:
@@ -863,33 +868,26 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
         inv = invariants(u)
         kappa = Fraction(inv.absLhat * inv.absL, u.q)
         min_kappa = kappa if min_kappa is None else min(min_kappa, kappa)
-        distorted = distortion_below(u, eps)  # growth_ok's test, once per parent
+        distorted = distortion_below(u, eps)  # once per parent, as is L
         L = canonical_sign(inv.L)
         kids = [(ch.u, absL_from_wedge(ch.u, u)) for ch in node.children]
         for v, lv in kids:
             totals["edges"] += 1
-            if not all(_successor_flags(u, v, L, eps)):
-                fails["membership"] += 1
+            totals["growth_checked"] += distorted
             if not (cube_below(lv, v.q, eps) and not cube_below(lv, v.q, half)):
                 fails["band"] += 1
-            if _nesting_slack(u, v, lv) <= 0:
-                fails["nesting"] += 1
-            if distorted:
-                totals["growth_checked"] += 1
-                if not _grows(u, v, eps):
-                    fails["growth"] += 1
+            for fault in _edge_faults(u, v, lv, L, eps, distorted):
+                fails[fault] += 1
         pairs, failed, least = _sibling_spacing(u, kids, eps, n)
         totals["spacing_pairs"] += pairs
         fails["spacing"] += failed
-        if least is not None and (min_spacing_ratio is None or least < min_spacing_ratio):
-            min_spacing_ratio = least
+        if least is not None and (min_ratio is None or least < min_ratio):
+            min_ratio = least
     return {
         "totals": totals,
         "fails": fails,
-        "ok": not any(fails.values()),
-        "min_spacing_ratio": _ratio_float(
-            min_spacing_ratio.numerator, min_spacing_ratio.denominator)
-        if min_spacing_ratio is not None
-        else None,
-        "min_kappa": float(min_kappa) if min_kappa is not None else None,
+        "pass": not any(fails.values()),
+        "min_spacing_ratio": None if min_ratio is None else _ratio_float(
+            min_ratio.numerator, min_ratio.denominator),
+        "min_kappa": None if min_kappa is None else float(min_kappa),
     }

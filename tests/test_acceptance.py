@@ -174,7 +174,7 @@ def test_descendant_tree_fifty_wide_depth_three():
     )
     assert len(root.children) == 50
     rep = tree_audit(root, F(1, 8), n=1)
-    assert rep["ok"]
+    assert rep["pass"]
     assert rep["totals"] == {
         "nodes": 1551,
         "expanded": 31,
@@ -206,7 +206,7 @@ def test_slow_chain_tracks_logarithmic_decay():
     chain, cert = slow_chain(
         pvec(67, 1, 1000), lambda t: -math.log1p(t), 1, steps=15, samples=200
     )
-    assert cert["ok"]
+    assert cert["pass"]
     assert len(cert["samples"]) == 200
     assert cert["slack"] <= cert["envelope"]
     from diophlab.latinv import invariants

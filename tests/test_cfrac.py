@@ -120,7 +120,7 @@ def test_children_reduced_and_bounds():
 
 
 def test_gap_audit_72():
-    rep = dn_gap_audit(F(1, 2), 72, 144)
+    rep = dn_gap_audit(F(1, 2), 72)
     assert rep["children"] == 144
     assert rep["nested"] and rep["disjoint"] and rep["gaps_ok"]
     ratio = F(rep["min_gap_ratio"])
@@ -157,7 +157,7 @@ def test_tree_counts():
     assert len(nodes2) == 1 + 4 + 2 * 4
     for n in nodes2:
         if n.children:
-            audit = dn_gap_audit(F(n.id), 2, 4)
+            audit = dn_gap_audit(F(n.id), 2)
             assert audit["disjoint"]
 
 

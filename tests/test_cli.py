@@ -162,8 +162,10 @@ def test_usage_errors_exit_two(capsys):
     # extreme constant levels: a schedule of too many knots, an exponent
     # too large to raise exactly, heights too long to print; a tree whose
     # heights would run to thousands of digits; a covering tree that
-    # doubles with each of its 40 levels; and a quotient family of more
-    # than 2 * 10^5 children.  Each is one error line, within seconds
+    # doubles with each of its 40 levels; a quotient family of more than
+    # 2 * 10^5 children; a descendant tree past the depth cap of 100 and
+    # one past the bound of 2 * 10^5 nodes; and more than 10^4 profile or
+    # slow-chain samples.  Each is one error line, within seconds
     errs = []
     for argv in (
         ["slow-chain", "--target", "const", "--level=-1e-300", "--steps", "3",
@@ -175,6 +177,10 @@ def test_usage_errors_exit_two(capsys):
         ["psi-tree", "--seed-vec=-5,-4,13", "--eps=1e-400"],
         ["dims", "cantor", "--delta", "1/2", "--depth", "40"],
         ["dn", "--n", "100001", "--root", "1/2"],
+        ["psi-tree", "--depth", "300", "--expand", "1", "--width", "1"],
+        ["psi-tree", "--depth", "17", "--expand", "2", "--width", "2"],
+        ["profile", "--x", "2/7,3/7", "--qmax", "50", "--samples", "100000"],
+        ["slow-chain", "--samples", "100000"],
     ):
         start = time.perf_counter()
         assert run(argv) == 2, argv
@@ -221,6 +227,8 @@ SMALL_VEC = _csv(st.integers(-20, 20), st.integers(-20, 20), st.integers(-3, 60)
 DOMAIN_VEC = _csv(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4),
                   st.integers(-3, 10**4))
 BIG_VEC = _csv(*[st.integers(-10**6, 10**6)] * 3)
+# a slow chain takes 2 to 10^4 samples, one reduction each
+CHAIN_SAMPLES = st.one_of(st.integers(2, 3), st.integers(10**4 + 1, 10**9))
 
 
 def _argv(head, required=None, **optional):
@@ -249,24 +257,29 @@ CHEAP_ARGV = st.one_of(
                                   st.integers(10**5 + 1, 10**12))}, root=NUMBER),
     _argv(["invariants"], {"v": BIG_VEC}),
     _argv(["best-approx"], {"x": POINT, "qmax": st.integers(-3, 10**9)}),
+    # sample counts past the cap of 10^4 must end as usage errors
     _argv(["profile"], {"x": POINT, "qmax": st.integers(-3, 10**9)},
-          samples=st.integers(-2, 6)),
+          samples=st.one_of(st.integers(-2, 6), st.integers(10**4 + 1, 10**9))),
     _argv(["domain"], {"v": SMALL_VEC}, x=POINT),
     _argv(["domain"], {"v": DOMAIN_VEC}, x=POINT),
     # sizes are always drawn: the default trees and chains take seconds,
     # and at eps 1e-400 the default tree takes minutes; a narrow tree
-    # enumerates at most width + 1 slot pairs of any family
-    _argv(["psi-tree"], {"seed-vec": SMALL_VEC, "depth": st.integers(0, 1),
-                         "width": st.integers(0, 4), "expand": st.integers(0, 2),
+    # enumerates at most width + 1 slot pairs of any family; depths past
+    # the cap of 100, and widths whose node bound passes 2 * 10^5, are
+    # refused before any node is built
+    _argv(["psi-tree"], {"seed-vec": SMALL_VEC,
+                         "depth": st.one_of(st.integers(0, 1), st.integers(101, 10**9)),
+                         "width": st.one_of(st.integers(0, 4), st.integers(2 * 10**5, 10**9)),
+                         "expand": st.one_of(st.integers(0, 2), st.integers(3, 10**9)),
                          "family": st.one_of(st.integers(1, 2),
                                              st.integers(10**3, 10**9))},
           eps=NUMBER),
     _argv(["slow-chain", "--target", "log1p"],
           {"seed-vec": SMALL_VEC, "steps": st.integers(3, 4),
-           "samples": st.integers(2, 3)}, delta=NUMBER),
+           "samples": CHAIN_SAMPLES}, delta=NUMBER),
     _argv(["slow-chain", "--target", "const"],
           {"seed-vec": SMALL_VEC, "level": NUMBER, "steps": st.integers(3, 4),
-           "samples": st.integers(2, 3)}, delta=NUMBER),
+           "samples": CHAIN_SAMPLES}, delta=NUMBER),
 )
 
 

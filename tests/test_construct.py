@@ -17,6 +17,7 @@ from diophlab.latinv import absL_from_wedge, distortion_below, invariants, latti
 from diophlab.construct import (
     SING_C,
     Chain,
+    ChainNode,
     admissible_successor,
     child_vector,
     coprime_pairs,
@@ -766,7 +767,7 @@ def test_slow_chain_tau_and_defects(slow15):
 
 def test_slow_chain_certificate(slow15):
     chain, cert = slow15
-    assert cert["ok"]
+    assert cert["pass"]
     assert 0 <= cert["slack"] <= cert["envelope"] + 1e-9
     assert cert["envelope"] == pytest.approx(
         3 * cert["alignment_bound"] + cert["float_defect"])
@@ -780,7 +781,7 @@ def test_slow_chain_certificate(slow15):
 
 def test_slow_chain_flags(slow15):
     chain, cert = slow15
-    assert cert["sing_like"] and not cert["di_like"]
+    assert cert["strictly_decreasing_eps"] and not cert["constant_eps"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -806,9 +807,9 @@ def test_slow_chain_edges_nest(p1, p2, q, target):
 def test_slow_chain_constant_target_is_di_like():
     chain, cert = slow_chain(pvec(67, 1, 1000), lambda t: -2.0, 1,
                              steps=5, samples=40)
-    assert cert["di_like"]
-    assert not cert["sing_like"]
-    assert cert["ok"]
+    assert cert["constant_eps"]
+    assert not cert["strictly_decreasing_eps"]
+    assert cert["pass"]
 
 
 # ------------------------------------------------------ sandwich audit
@@ -906,6 +907,47 @@ def test_tree_small_shape():
     assert rep["totals"]["nodes"] == 19
     assert rep["totals"]["edges"] == 18
     assert all(v == 0 for v in rep["fails"].values())
+
+
+@pytest.mark.parametrize("root_vec, width", [(SEED, 8), (pvec(1, 1, 3), 50)],
+                         ids=["readme-root-width8", "root-1-1-3"])
+def test_chains_and_trees_share_one_edge_rule(root_vec, width):
+    # both depth-2 trees carry D3 growth failures; adjoining each child,
+    # with its slot, to a one-node chain at its parent fails exactly when
+    # one of the three dict views rejects the edge, naming the first
+    root = expansion_tree(root_vec, EIGHTH, depth=2, width=width)
+    counts = Counter()
+    for node in iter_tree(root):
+        u = node.u
+        for ch in node.children:
+            v = ch.u
+            growth = growth_ok(u, v, EIGHTH)
+            rejected = [name for name, ok in (
+                ("membership", admissible_successor(u, v, EIGHTH)["ok"]),
+                ("nesting", nesting_ok(u, v)["ok"]),
+                ("growth", not growth["applicable"] or growth["ok"]),
+            ) if not ok]
+            counts.update(rejected)
+            chain = Chain([ChainNode(u)])
+            if rejected:
+                with pytest.raises(RuntimeError) as err:
+                    construct._append(chain, v, EIGHTH, ch.slot)
+                assert str(err.value).startswith(
+                    f"edge {u} -> {v}: fails the {rejected[0]} check")
+                assert chain.vectors() == [u]
+            else:
+                construct._append(chain, v, EIGHTH, ch.slot)
+                assert chain.vectors() == [u, v]
+    assert counts["growth"] > 0
+    fails = tree_audit(root, EIGHTH)["fails"]
+    assert {k: counts[k] for k in ("membership", "nesting", "growth")} == {
+        k: fails[k] for k in ("membership", "nesting", "growth")}
+
+
+def test_fixed_chain_fails_the_growth_check_at_depth_five():
+    # D3: the slot window lacks the eps^-6 growth floor
+    with pytest.raises(RuntimeError, match="fails the growth check"):
+        fixed_chain(SEED, EIGHTH, 5)
 
 
 # --------------------------------------------------- wedge independence

@@ -123,7 +123,7 @@ def test_tree_computes_each_vector_once(reduced):
     # nodes of the 19 reach lattice_minima, each once
     eps = Fraction(1, 8)
     root = expansion_tree(pvec(0, 0, 1), eps, depth=2, expand=2, width=6)
-    assert tree_audit(root, eps)["ok"]
+    assert tree_audit(root, eps)["pass"]
     expanded = [node.u for node in iter_tree(root) if node.expanded]
     assert sum(1 for _ in iter_tree(root)) == 19
     assert reduced == expanded and len(set(reduced)) == 3
@@ -134,7 +134,7 @@ def test_readme_tree_reduces_31_lattices(reduced):
     # of which the 31 expanded parents are the only ones reduced
     eps = Fraction(1, 8)
     root = expansion_tree(pvec(0, 0, 1), eps)
-    assert tree_audit(root, eps)["ok"]
+    assert tree_audit(root, eps)["pass"]
     assert sum(1 for _ in iter_tree(root)) == 1551
     assert len(reduced) == len(set(reduced)) == 31
 
