@@ -197,6 +197,14 @@ def cmd_slow_chain(args) -> tuple[int, dict, list[dict] | None]:
     return (0 if cert["pass"] else 1), payload, rows
 
 
+def _root_verdict(payload: dict, residual: float) -> int:
+    """Add the tolerance and the verdict on a root-finding residual to the
+    payload; the exit code is 0 within ROOT_TOLERANCE, else 1."""
+    payload["tolerance"] = ROOT_TOLERANCE
+    payload["within_tolerance"] = ok = residual <= ROOT_TOLERANCE
+    return 0 if ok else 1
+
+
 def cmd_dims(args) -> tuple[int, dict, list[dict] | None]:
     if args.action != "crossing" and args.delta is None:
         raise ValueError(f"--delta is required for 'dims {args.action}'")
@@ -207,10 +215,7 @@ def cmd_dims(args) -> tuple[int, dict, list[dict] | None]:
         if args.depth:
             est = covering_s_estimate(cantor_tree(Fraction(args.delta), args.depth))
             payload["covering_estimate"] = est.to_jsonable()
-        ok = res.residual <= ROOT_TOLERANCE
-        payload["tolerance"] = ROOT_TOLERANCE
-        payload["within_tolerance"] = ok
-        return (0 if ok else 1), payload, None
+        return _root_verdict(payload, res.residual), payload, None
     if args.action == "bounds":
         h_d, h_g = cantor_bounds(Fraction(args.delta))
         return 0, {
@@ -220,28 +225,15 @@ def cmd_dims(args) -> tuple[int, dict, list[dict] | None]:
             "gap": h_g,
         }, None
     rep = bounds_crossing()
-    ok = rep["residual"] <= ROOT_TOLERANCE
-    payload = {
-        "action": "crossing",
-        "delta": rep["delta"],
-        "h": rep["h"],
-        "residual": rep["residual"],
-        "tolerance": ROOT_TOLERANCE,
-        "within_tolerance": ok,
-    }
-    return (0 if ok else 1), payload, None
+    payload = {"action": "crossing", "delta": rep["delta"], "h": rep["h"],
+               "residual": rep["residual"]}
+    return _root_verdict(payload, rep["residual"]), payload, None
 
 
 def cmd_dn(args) -> tuple[int, dict, list[dict] | None]:
     s_minus, s_plus = dn_bounds(args.n)
-    payload = {
-        "n": args.n,
-        "s_minus": s_minus.to_jsonable(),
-        "s_plus": s_plus.to_jsonable(),
-        "tolerance": ROOT_TOLERANCE,
-        "within_tolerance": max(s_minus.residual, s_plus.residual) <= ROOT_TOLERANCE,
-    }
-    code = 0 if payload["within_tolerance"] else 1
+    payload = {"n": args.n, "s_minus": s_minus.to_jsonable(), "s_plus": s_plus.to_jsonable()}
+    code = _root_verdict(payload, max(s_minus.residual, s_plus.residual))
     if args.root is not None:
         audit = dn_gap_audit(Fraction(args.root), args.n)
         payload["gap_audit"] = audit

@@ -38,6 +38,7 @@ from typing import Callable, Iterator, NamedTuple
 from .bestapprox import MAX_PROFILE_SAMPLES, BestApproxSeq, shortest_vector_reduced, wx_profile
 from .core import PrimVec, Wedge2, residual, seminorm, wedge
 from .latinv import (
+    Invariants,
     absL_from_wedge,
     canonical_sign,
     cube_below,
@@ -277,14 +278,14 @@ def verify_spacing(u: PrimVec, va: PrimVec, vb: PrimVec, eps) -> dict:
     return {"ok": top > bottom, "ratio": _ratio_float(top, bottom)}
 
 
-def _successor_flags(u: PrimVec, v: PrimVec, L: Wedge2, eps: Fraction) -> tuple[bool, bool, bool]:
-    """(wedge primitive, avoids the shortest class, height ok) for the edge
-    u -> v, given L = canonical_sign(L(u)).  v's height must exceed
-    eps^-3 |w|^2, w = v ^ u: `cube_below(|w|, |v|, eps)`."""
-    w = wedge(v, u)
+def _successor_flags(inv: Invariants, v: PrimVec, eps: Fraction) -> tuple[bool, bool, bool]:
+    """(wedge primitive, avoids the shortest class inv.L, height ok) for the
+    edge inv.v -> v.  v's height must exceed eps^-3 |w|^2, w = v ^ inv.v:
+    `cube_below(|w|, |v|, eps)`."""
+    w = wedge(v, inv.v)
     if w.is_zero():
         return False, False, False
-    return (math.gcd(w.m12, w.m13, w.m23) == 1, canonical_sign(w) != L,
+    return (math.gcd(w.m12, w.m13, w.m23) == 1, canonical_sign(w) != inv.L,
             cube_below(seminorm(w), v.q, eps))
 
 
@@ -295,8 +296,7 @@ def admissible_successor(u: PrimVec, v: PrimVec, eps) -> dict:
     class of u's pair lattice, and v's height must exceed eps^-3 times
     the squared wedge seminorm.
     """
-    prim, avoids, height_ok = _successor_flags(
-        u, v, canonical_sign(invariants(u).L), Fraction(eps))
+    prim, avoids, height_ok = _successor_flags(invariants(u), v, Fraction(eps))
     return {
         "wedge_primitive": prim,
         "avoids_shortest": avoids,
@@ -311,16 +311,18 @@ def nesting_ok(u: PrimVec, v: PrimVec) -> dict:
     inner radius.  Valid for any parent height; the inner ball of a
     height-one parent is the direct half-residual box.
     """
-    num = _nesting_slack(u, v, absL_from_wedge(v, u))
+    num = _nesting_slack(invariants(u), v, absL_from_wedge(v, u))
     return {"ok": num > 0, "slack": Fraction(num, 2 * (u.q * v.q) ** 2)}
 
 
-def _nesting_slack(u: PrimVec, v: PrimVec, lv: int) -> int:
-    """nesting_ok's slack times 2|u|^2|v|^2, for a child v with |L(v)| = lv."""
+def _nesting_slack(inv: Invariants, v: PrimVec, lv: int) -> int:
+    """nesting_ok's slack times 2|u|^2|v|^2 for the edge u = inv.v -> v,
+    given |L(v)| = lv."""
+    u = inv.v
     if v.q < 2:
         raise ValueError("child height must exceed 1 for the outer bound")
     # |L(u)|/(2|u|^2) - proj_dist(u, v) - 2|L(v)|/|v|^2 over 2|u|^2|v|^2
-    return (invariants(u).absL * v.q**2 - 2 * seminorm(wedge(u, v)) * u.q * v.q
+    return (inv.absL * v.q**2 - 2 * seminorm(wedge(u, v)) * u.q * v.q
             - 4 * lv * u.q**2)
 
 
@@ -339,18 +341,18 @@ def _grows(u: PrimVec, v: PrimVec, eps: Fraction) -> bool:
     return v.q * eps.numerator**6 > u.q * eps.denominator**6
 
 
-def _edge_faults(u: PrimVec, v: PrimVec, lv: int, L: Wedge2, eps: Fraction,
+def _edge_faults(inv: Invariants, v: PrimVec, lv: int, eps: Fraction,
                  distorted: bool) -> Iterator[str]:
     """The edge rule of chains and trees: yield, in order, the name of each
-    check that u -> v fails, given lv = |L(v)| and L = canonical_sign(L(u)):
-    "membership" (`_successor_flags`), "nesting" (`_nesting_slack`), and
-    "growth" (`_grows`) when the parent is distorted.  Lazy, so a caller
-    that stops at the first name skips the later checks."""
-    if not all(_successor_flags(u, v, L, eps)):
+    check that inv.v -> v fails, for the parent's `invariants` inv and lv =
+    |L(v)|: "membership" (`_successor_flags`), "nesting" (`_nesting_slack`),
+    and "growth" (`_grows`) when the parent is distorted.  Lazy, so a
+    caller that stops at the first name skips the later checks."""
+    if not all(_successor_flags(inv, v, eps)):
         yield "membership"
-    if _nesting_slack(u, v, lv) <= 0:
+    if _nesting_slack(inv, v, lv) <= 0:
         yield "nesting"
-    if distorted and not _grows(u, v, eps):
+    if distorted and not _grows(inv.v, v, eps):
         yield "growth"
 
 
@@ -413,8 +415,7 @@ def _append(chain: Chain, v: PrimVec, eps, slot=None) -> None:
     u = chain.tip
     eps = Fraction(eps)
     distorted = slot is not None and distortion_below(u, eps)
-    fault = next(_edge_faults(u, v, absL_from_wedge(v, u), canonical_sign(invariants(u).L),
-                              eps, distorted), None)
+    fault = next(_edge_faults(invariants(u), v, absL_from_wedge(v, u), eps, distorted), None)
     if fault is not None:
         raise RuntimeError(f"edge {u} -> {v}: fails the {fault} check at eps {float(eps):g}")
     if len(chain.nodes) >= 2 and _proportional(wedge(u, chain.nodes[-2].u), wedge(v, u)):
@@ -868,15 +869,14 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
         inv = invariants(u)
         kappa = Fraction(inv.absLhat * inv.absL, u.q)
         min_kappa = kappa if min_kappa is None else min(min_kappa, kappa)
-        distorted = distortion_below(u, eps)  # once per parent, as is L
-        L = canonical_sign(inv.L)
+        distorted = distortion_below(u, eps)  # once per parent, as is inv
         kids = [(ch.u, absL_from_wedge(ch.u, u)) for ch in node.children]
         for v, lv in kids:
             totals["edges"] += 1
             totals["growth_checked"] += distorted
             if not (cube_below(lv, v.q, eps) and not cube_below(lv, v.q, half)):
                 fails["band"] += 1
-            for fault in _edge_faults(u, v, lv, L, eps, distorted):
+            for fault in _edge_faults(inv, v, lv, eps, distorted):
                 fails[fault] += 1
         pairs, failed, least = _sibling_spacing(u, kids, eps, n)
         totals["spacing_pairs"] += pairs

@@ -140,8 +140,8 @@ def _grid(v: PrimVec, k: int, lo: int, step: int, n: int) -> list[tuple[int, int
 
 
 def _inner_grid(v: PrimVec, L: int) -> tuple[int, list[tuple[int, int]]]:
-    """audit_ball_sandwich's inner grid, domain_samples(v, r/2), as
-    (D, numerator pairs) over D = 6|v|^2, for r = L/|v|^2."""
+    """audit_ball_sandwich's inner grid, v_dot + (i, j) r/6 for |i|, |j| <= 2,
+    as (D, numerator pairs) over D = 6|v|^2, for r = L/|v|^2."""
     return 6 * v.q * v.q, _grid(v, 6 * v.q, -2 * L, L, 5)
 
 
@@ -151,21 +151,13 @@ def _outer_grid(v: PrimVec, L: int) -> tuple[int, list[tuple[int, int]]]:
     return 5 * v.q * v.q, _grid(v, 5 * v.q, -20 * L, 8 * L, 6)
 
 
-def domain_samples(v: PrimVec, radius: Fraction) -> list[RatPoint]:
-    """Deterministic 5 x 5 rational grid in the open ball B(v_dot, radius)."""
-    s = Fraction(radius) / 3
-    den, step = v.q * s.denominator, v.q * s.numerator
-    return [RatPoint(Fraction(n1, den), Fraction(n2, den))
-            for n1, n2 in _grid(v, s.denominator, -2 * step, step, 5)]
-
-
 def audit_ball_sandwich(v: PrimVec) -> dict:
     """Sampled check of the two-sided ball inclusion for one vector.
 
     Every point of a 5x5 grid inside the inner ball must be a member;
     every member found on a 6x6 sweep of the 4r box must lie within the
     outer ball.  All comparisons exact, in integers: with r = |L|/|v|^2,
-    the inner grid (domain_samples at radius r/2, step r/6) is numerators
+    the inner grid (in the ball of radius r/2, step r/6) is numerators
     over 6|v|^2, the outer sweep (from v_dot - 4r in steps of 8r/5) is
     numerators over 5|v|^2, on which the outer radius 2r is 10|L|.  Each
     point goes to the integer core of in_domain (see there: R, D,

@@ -106,6 +106,48 @@ def test_dims_cantor_tree_estimate_bytes_pinned(capsys, delta, depth, digest):
     assert hashlib.sha256(out).hexdigest() == digest
 
 
+# The README's example commands, `dims bounds`, and one tsv and one table
+# rendering: each subcommand's exit code and stdout bytes, frozen.
+SUBCOMMAND_BYTES = [
+    ("best-approx --x 1/2,1/2 --qmax 10", 0,
+     "64d630b950d644d04dace5cfb94d9159d435dfde01c74fe07dc0d6de1756f6fb"),
+    ("profile --x 2/7,3/7 --qmax 50 --samples 9", 0,
+     "9677a7c368b9309392c8dde243aea9e5dc939d95175957f6ff6cf547bc14875b"),
+    ("invariants --v 67,1,1000", 0,
+     "2cb74f7abb593d0afb8f2a83ad565c567828ddd31d91365e34ee5fbd3bdacda7"),
+    ("domain --v 1,1,3 --x 1/3,1/3", 0,
+     "8cfe56ba8c49933231492430df9717c0ef67ee89b9ee2881e03155597a739a8c"),
+    ("psi-tree --eps 1/8 --depth 3 --expand 5 --width 50", 0,
+     "5f471ae9cd2607f5e641b98befcf193acf3043492c3c37ef47a26b8ee718621e"),
+    ("slow-chain --target log1p --steps 15", 0,
+     "fa398322c1e79cbd1b3fb267da310ba93f2c5126c6e6506acc82b96ee9f5b8c5"),
+    ("dims cantor --delta 1/2", 0,
+     "5955f739f971431e2d3edae94f52593825f20b4ad2086e18493d9447f8b57c06"),
+    ("dims crossing", 0,
+     "7d398f60844229ef665b02f8fc697c456ef1fe948da14836e82b2aec1754324d"),
+    ("dn --n 72 --root 1/2", 0,
+     "138d8892023703521b8438662be34ae96b3055eb1140dd9da7e77adeac5f48c3"),
+    ("cf --x 5/8 --n 72", 0,
+     "7cc785ae37a70dbb60884edeb0d6f1e1224ca33ff35e7d59e91035671dd386c7"),
+    ("audit-all --seed 42", 0,
+     "bebcf63a7fb71f3b2a9263691fc0290c05fa916348470a93ae1bcac52bb7d88f"),
+    ("dims bounds --delta 1/4", 0,
+     "1f8908b27aa78a5cbc8f2039f5e467dd82f08101fffc97bb5e781d8e6075f419"),
+    ("best-approx --x 1/3,2/3 --qmax 5 --format tsv", 0,
+     "0965dfcdca59a790c6cb5a4f870b96bae6748437f9452f0c27d1f4ee3703a535"),
+    ("profile --x 2/7,3/7 --qmax 20 --format table", 0,
+     "62b6ada519b9458030bc63b7bc83d2ce582979ac2ff1be79f075362c6268f89b"),
+]
+
+
+@pytest.mark.parametrize("line,exit_code,digest", SUBCOMMAND_BYTES,
+                         ids=[line for line, _, _ in SUBCOMMAND_BYTES])
+def test_subcommand_bytes_pinned(capsys, line, exit_code, digest):
+    code = run(line.split())
+    out = capsys.readouterr().out.encode()
+    assert (code, hashlib.sha256(out).hexdigest()) == (exit_code, digest)
+
+
 def bench_ops():
     # compiled from source, so no bytecode cache is written beside it; the
     # module is registered while it runs, as its dataclass needs
@@ -199,7 +241,7 @@ def test_failed_chain_edge_exits_one_naming_the_edge(capsys, monkeypatch):
     argv = ["slow-chain", "--seed-vec", "1,1,2", "--steps", "3", "--samples", "2"]
     assert run(argv) == 0
     capsys.readouterr()
-    monkeypatch.setattr(construct, "_nesting_slack", lambda u, v, lv: 0)
+    monkeypatch.setattr(construct, "_nesting_slack", lambda inv, v, lv: 0)
     code = run(argv)
     err = capsys.readouterr().err
     assert code == 1

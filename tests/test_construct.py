@@ -944,6 +944,40 @@ def test_chains_and_trees_share_one_edge_rule(root_vec, width):
         k: fails[k] for k in ("membership", "nesting", "growth")}
 
 
+@pytest.fixture
+def parents_read(monkeypatch):
+    """The vectors passed to construct's `invariants` from here on, counted."""
+    calls = Counter()
+    real = construct.invariants
+
+    def counting(v):
+        calls[v] += 1
+        return real(v)
+
+    monkeypatch.setattr(construct, "invariants", counting)
+    return calls
+
+
+def test_tree_audit_reads_each_parent_once(parents_read):
+    # each expanded parent is read once for its edges and once more by the
+    # spacing floor (`_floor_terms`, emptied here); children never are
+    root = expansion_tree(SEED, EIGHTH, depth=2, width=8)
+    parents_read.clear()
+    construct._floor_terms.cache_clear()
+    tree_audit(root, EIGHTH)
+    expanded = [node.u for node in iter_tree(root) if node.expanded]
+    assert parents_read == Counter({u: 2 for u in expanded})
+
+
+def test_append_reads_the_tip_once(parents_read):
+    chain = Chain([ChainNode(SEED)])
+    slot, v = next(slot_children(SEED, EIGHTH))
+    parents_read.clear()
+    construct._append(chain, v, EIGHTH, slot)
+    assert chain.vectors() == [SEED, v]
+    assert parents_read == Counter({SEED: 1})
+
+
 def test_fixed_chain_fails_the_growth_check_at_depth_five():
     # D3: the slot window lacks the eps^-6 growth floor
     with pytest.raises(RuntimeError, match="fails the growth check"):

@@ -12,6 +12,7 @@ from diophlab.core import PrimVec, Wedge2, pvec, wedge
 from diophlab.latinv import (
     Invariants,
     absL_from_wedge,
+    canonical_sign,
     class_key,
     companion_pair,
     distortion_below,
@@ -100,6 +101,18 @@ def test_invariants_psi_output_window():
     assert Fraction(1, 8) ** 3 > inv.eps3 > Fraction(1, 16) ** 3
     assert distortion_below(pvec(0, 1, 520), Fraction(1, 8))
     assert not distortion_below(pvec(0, 1, 520), Fraction(1, 16))
+
+
+def test_invariants_classes_are_sign_normalised():
+    # lattice_minima signs both classes canonically, so the edge rule
+    # compares canonical_sign(w) with a parent's inv.L as it stands
+    for q in range(1, 11):
+        for p1 in range(-q, 2 * q):
+            for p2 in range(-q, 2 * q):
+                if math.gcd(p1, p2, q) == 1:
+                    inv = invariants(pvec(p1, p2, q))
+                    assert canonical_sign(inv.L) == inv.L
+                    assert canonical_sign(inv.Lhat) == inv.Lhat
 
 
 @pytest.fixture
