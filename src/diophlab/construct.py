@@ -68,11 +68,16 @@ MAX_HEIGHT_DIGITS = 4300
 # psi-tree from (-5,-4,13) took 7 s at eps = 10^-33 (multiplier near
 # 10^100) and 548 s at eps = 10^-400 (near 10^1200).
 MAX_SLOT_MULTIPLIER = 10**100
-# Expansion-tree caps.  On a 2-core x86-64 host the slowest shapes measured
-# under them took 36 s (172 MB; expand = width = 2, depth 16) and 31 s (expand
-# 1, width 1999, depth 100); the README shape at depth 6 took 6.3 s (114 MB).
+# Expansion-tree caps.  Heights gain digits at every level, so the work per
+# node grows with the depth, and the node bound times the depth is capped as
+# well as the node bound.  On a 2-core x86-64 host the node caps alone let
+# through shapes of 36 s (172 MB; expand = width = 2, depth 16) and 31 s
+# (expand 1, width 1999, depth 100); under the work cap the slowest shape
+# measured took 10 s (expand = width = 2, depth 14: 32,767 nodes, times depth
+# 458,738), and the README shape at depth 5 took 1.9 s.
 MAX_TREE_LEVELS = 100
 MAX_TREE_NODES = 2 * 10**5
+MAX_TREE_WORK = 5 * 10**5
 # The singular-type schedule (see sing_chain): the constant c, the family
 # size at step 0, the cap on every bound, and the factor by which each
 # node's distortion cube must undercut its parent's.
@@ -808,13 +813,16 @@ def expansion_tree(
     width + 1 pairs are enumerated whatever the family size n.  Raises
     ValueError when eps is so small that such a slot's height multiplier
     exceeds MAX_SLOT_MULTIPLIER = 10^100, and, before any work, when depth
-    exceeds MAX_TREE_LEVELS = 100 or the node bound 1 + width * sum_{k <
-    depth} min(expand, width)^k exceeds MAX_TREE_NODES = 2 * 10^5."""
+    exceeds MAX_TREE_LEVELS = 100, the node bound 1 + width * sum_{k <
+    depth} min(expand, width)^k exceeds MAX_TREE_NODES = 2 * 10^5, or the
+    node bound times depth exceeds MAX_TREE_WORK = 5 * 10^5."""
     r = min(expand, width)  # children expanded per node
     if min(depth, r) < 0 or depth > MAX_TREE_LEVELS or (
-            1 + width * (depth if r == 1 else (r**depth - 1) // (r - 1)) > MAX_TREE_NODES):
+            nodes := 1 + width * (depth if r == 1 else (r**depth - 1) // (r - 1))
+    ) > MAX_TREE_NODES or nodes * depth > MAX_TREE_WORK:
         raise ValueError(f"a tree needs depth in [0, {MAX_TREE_LEVELS}], nonnegative expand "
-                         f"and width, and at most {MAX_TREE_NODES} nodes; got depth {depth}, "
+                         f"and width, at most {MAX_TREE_NODES} nodes, and at most "
+                         f"{MAX_TREE_WORK} for nodes times depth; got depth {depth}, "
                          f"expand {expand}, width {width}")
     # pairs past width + 1 leave width // pairs at 0, so they are not counted
     pairs = sum(1 for _ in islice(coprime_pairs(n), width + 1))

@@ -30,19 +30,6 @@ IV_REL_TOL = 1e-9
 # (92 MB peak) at 16.
 MAX_TREE_DEPTH = 12
 
-# Known limiting dimensions this package deliberately does not recompute.
-# The full values concern infinite constructions (the set of singular
-# planar targets, and the reals whose partial quotients diverge); no
-# finite run reproduces them.  What the suites certify instead is every
-# finite ingredient those limits are assembled from: the exact Cantor
-# dimension and its two bounds, the quotient-level brackets shrinking to
-# 1/2, and the nested/spaced tree constructions at fixed depth.
-KNOWN_LIMIT_DIMENSIONS = {
-    "singular_planar_targets": Fraction(4, 3),
-    "divergent_quotient_reals": Fraction(1, 2),
-}
-
-
 class CoverNode:
     """A node of a covering tree: the closed interval [lo, hi] with its
     children.  The endpoints are converted to Fraction; lo < hi is

@@ -61,20 +61,20 @@ def canonical_sign(w: Wedge2) -> Wedge2:
     return w
 
 
-def _canonical_pair(x: int, y: int) -> Pair:
-    if y < 0 or (y == 0 and x < 0):
-        return (-x, -y)
-    return (x, y)
-
-
 def class_key(x: int, y: int) -> tuple[int, int, int, int]:
-    """Ordering key for +-classes of pair-lattice elements.
+    """Ordering key for +-classes of pair-lattice elements: the one sign
+    rule and the one order of both minima routes.
 
     Sign-normalize (y > 0, or y = 0 and x > 0), then order by sup norm,
-    squared Euclidean norm, y, x.  Deterministic and total on classes.
+    squared Euclidean norm, y, x.  Deterministic and total on classes, and
+    the key (sup, e2, y, x) carries the normalized pair itself.  On a
+    nonzero pair part this sign rule is `canonical_sign`'s, so
+    wedge_from_pair(v, x, y) of a key's pair is already canonically signed.
     """
-    x, y = _canonical_pair(x, y)
-    return (max(abs(x), abs(y)), x * x + y * y, y, x)
+    if y < 0 or (y == 0 and x < 0):
+        x, y = -x, -y
+    ax = abs(x)  # the sup norm is max(ax, y), as y >= 0 now
+    return (ax if ax > y else y, x * x + y * y, y, x)
 
 
 def pair_basis(v: PrimVec) -> tuple[Pair, Pair]:
@@ -146,27 +146,23 @@ def lattice_minima(v: PrimVec) -> tuple[Wedge2, Wedge2]:
     and +-classes identify the two, so ranking a together with the best two
     points of the single line b + Z*a finds both minima: whichever of L and
     Hhat is not a lies on that line, and so does the runner-up when L does.
+    The at most six candidates are ranked as a sorted set of class keys, so
+    the sign rule and the tie order are `class_key`'s, as in `scan_minima`.
     """
     a, b = _lagrange_reduce(*pair_basis(v))
-    pts = {_canonical_pair(*a)}
-    pts.update(_canonical_pair(*p) for p in _line_candidates(b, a))
-    ranked = sorted(pts, key=lambda p: class_key(*p))
-    Lp = ranked[0]
-    Hp = None
-    for p in ranked[1:]:
-        if Lp[0] * p[1] - Lp[1] * p[0] != 0:
-            Hp = p
-            break
-    if Hp is None:  # pragma: no cover - enumeration always spans two lines
+    ranked = sorted({class_key(*p) for p in (a, *_line_candidates(b, a))})
+    _, _, ly, lx = ranked[0]
+    Hk = next((k for k in ranked if lx * k[2] != ly * k[3]), None)
+    if Hk is None:  # pragma: no cover - enumeration always spans two lines
         raise RuntimeError(f"minima enumeration failed for {v}")
-    L = canonical_sign(wedge_from_pair(v, *Lp))
-    H = canonical_sign(wedge_from_pair(v, *Hp))
+    _, _, hy, hx = Hk
+    L = wedge_from_pair(v, lx, ly)
+    H = wedge_from_pair(v, hx, hy)
     if math.gcd(*L) != 1 or math.gcd(*H) != 1:
         # impossible: an imprimitive element at a minimum level would yield a
         # strictly shorter lattice point below that level
         raise RuntimeError(f"imprimitive minimum for {v}")
-    det = Lp[0] * Hp[1] - Lp[1] * Hp[0]
-    if abs(det) != v.q:
+    if abs(lx * hy - ly * hx) != v.q:
         raise RuntimeError(f"minima of {v} do not span the pair lattice")
     return L, H
 
@@ -174,33 +170,27 @@ def lattice_minima(v: PrimVec) -> tuple[Wedge2, Wedge2]:
 def scan_minima(v: PrimVec) -> tuple[Wedge2, Wedge2]:
     """Independent O(|v|) verification route for lattice_minima.
 
-    Walks every residue class k*(p1,p2) + qZ^2 and keeps the per-class
-    nearest representatives; used by the audits as a second opinion and by
-    the test suite as an oracle.  Not for large heights.
+    Walks the residue classes k*(p1,p2) + qZ^2 for k = 0..q//2 (the rest
+    are their negatives) and keys every lift with both coordinates in
+    [-q, q] (0 and +-q for a zero residue) except the origin.  L is the
+    least `class_key`, Hhat the least key off L's line.  Used by the audits
+    as a second opinion and by the test suite as an oracle.  Not for large
+    heights.
     """
     q = v.q
     if q == 1:
-        return (canonical_sign(wedge_from_pair(v, 1, 0)),
-                canonical_sign(wedge_from_pair(v, 0, 1)))
+        return wedge_from_pair(v, 1, 0), wedge_from_pair(v, 0, 1)
 
     def lifts(r: int) -> list[int]:
         # all representatives of r mod q with absolute value <= q
         r %= q
         return [0, q, -q] if r == 0 else [r, r - q]
 
-    best: list[tuple[tuple[int, int, int, int], Pair]] = []
-    for k in range(0, q // 2 + 1):
-        for x in lifts(k * v.p1):
-            for y in lifts(k * v.p2):
-                if x == 0 and y == 0:
-                    continue
-                p = _canonical_pair(x, y)
-                best.append((class_key(*p), p))
-    best.sort()
-    Lp = best[0][1]
-    Hp = next(p for _, p in best if Lp[0] * p[1] - Lp[1] * p[0] != 0)
-    return (canonical_sign(wedge_from_pair(v, *Lp)),
-            canonical_sign(wedge_from_pair(v, *Hp)))
+    keys = [class_key(x, y) for k in range(q // 2 + 1)
+            for x in lifts(k * v.p1) for y in lifts(k * v.p2) if x or y]
+    _, _, ly, lx = min(keys)
+    _, _, hy, hx = min([k for k in keys if lx * k[2] != ly * k[3]])
+    return wedge_from_pair(v, lx, ly), wedge_from_pair(v, hx, hy)
 
 
 class Invariants(NamedTuple):

@@ -34,7 +34,6 @@ from diophlab.construct import fixed_chain, sandwich_audit, slow_chain
 from diophlab.construct import expansion_tree, tree_audit
 from diophlab.core import RatPoint, pvec
 from diophlab.dimension import (
-    KNOWN_LIMIT_DIMENSIONS,
     bounds_crossing,
     cantor_bounds,
     cantor_exact_dim,
@@ -253,8 +252,6 @@ def test_quotient_tree_power_sums_reach_one():
 
 
 def test_full_scale_limits_stated_not_recomputed():
-    assert KNOWN_LIMIT_DIMENSIONS["singular_planar_targets"] == F(4, 3)
-    assert KNOWN_LIMIT_DIMENSIONS["divergent_quotient_reals"] == F(1, 2)
     with open(README) as fh:
         text = fh.read()
     assert "4/3" in text

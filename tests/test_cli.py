@@ -205,9 +205,11 @@ def test_usage_errors_exit_two(capsys):
     # too large to raise exactly, heights too long to print; a tree whose
     # heights would run to thousands of digits; a covering tree that
     # doubles with each of its 40 levels; a quotient family of more than
-    # 2 * 10^5 children; a descendant tree past the depth cap of 100 and
-    # one past the bound of 2 * 10^5 nodes; and more than 10^4 profile or
-    # slow-chain samples.  Each is one error line, within seconds
+    # 2 * 10^5 children; a descendant tree past the depth cap of 100, one
+    # past the bound of 2 * 10^5 nodes, and two under both whose node bound
+    # times depth passes 5 * 10^5 (36 s and 31 s of work uncapped); and more
+    # than 10^4 profile or slow-chain samples.  Each is one error line,
+    # within seconds
     errs = []
     for argv in (
         ["slow-chain", "--target", "const", "--level=-1e-300", "--steps", "3",
@@ -221,6 +223,8 @@ def test_usage_errors_exit_two(capsys):
         ["dn", "--n", "100001", "--root", "1/2"],
         ["psi-tree", "--depth", "300", "--expand", "1", "--width", "1"],
         ["psi-tree", "--depth", "17", "--expand", "2", "--width", "2"],
+        ["psi-tree", "--depth", "16", "--expand", "2", "--width", "2"],
+        ["psi-tree", "--depth", "100", "--expand", "1", "--width", "1999"],
         ["profile", "--x", "2/7,3/7", "--qmax", "50", "--samples", "100000"],
         ["slow-chain", "--samples", "100000"],
     ):
@@ -307,8 +311,9 @@ CHEAP_ARGV = st.one_of(
     # sizes are always drawn: the default trees and chains take seconds,
     # and at eps 1e-400 the default tree takes minutes; a narrow tree
     # enumerates at most width + 1 slot pairs of any family; depths past
-    # the cap of 100, and widths whose node bound passes 2 * 10^5, are
-    # refused before any node is built
+    # the cap of 100, widths whose node bound passes 2 * 10^5, and shapes
+    # whose node bound times depth passes 5 * 10^5 are refused before any
+    # node is built
     _argv(["psi-tree"], {"seed-vec": SMALL_VEC,
                          "depth": st.one_of(st.integers(0, 1), st.integers(101, 10**9)),
                          "width": st.one_of(st.integers(0, 4), st.integers(2 * 10**5, 10**9)),
@@ -316,6 +321,10 @@ CHEAP_ARGV = st.one_of(
                          "family": st.one_of(st.integers(1, 2),
                                              st.integers(10**3, 10**9))},
           eps=NUMBER),
+    _argv(["psi-tree"], {"seed-vec": SMALL_VEC, "depth": st.integers(15, 100),
+                         "width": st.just(2), "expand": st.just(2)}),
+    _argv(["psi-tree"], {"seed-vec": SMALL_VEC, "depth": st.integers(16, 100),
+                         "width": st.integers(1999, 10**5), "expand": st.just(1)}),
     _argv(["slow-chain", "--target", "log1p"],
           {"seed-vec": SMALL_VEC, "steps": st.integers(3, 4),
            "samples": CHAIN_SAMPLES}, delta=NUMBER),

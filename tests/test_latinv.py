@@ -269,6 +269,51 @@ def test_minima_match_class_scan():
         assert H == Hs, v
 
 
+def sorted_scan_minima(v):
+    """Reference selection for scan_minima: the same residue-class walk,
+    with every (class key, sign-normalised pair) sorted in full; L is the
+    first pair, Hhat the first one off its line."""
+    q = v.q
+    if q == 1:
+        return (canonical_sign(wedge_from_pair(v, 1, 0)),
+                canonical_sign(wedge_from_pair(v, 0, 1)))
+
+    def lifts(r):
+        r %= q
+        return [0, q, -q] if r == 0 else [r, r - q]
+
+    def canonical_pair(x, y):
+        return (-x, -y) if y < 0 or (y == 0 and x < 0) else (x, y)
+
+    best = []
+    for k in range(0, q // 2 + 1):
+        for x in lifts(k * v.p1):
+            for y in lifts(k * v.p2):
+                if x == 0 and y == 0:
+                    continue
+                p = canonical_pair(x, y)
+                best.append((class_key(*p), p))
+    best.sort()
+    Lp = best[0][1]
+    Hp = next(p for _, p in best if Lp[0] * p[1] - Lp[1] * p[0] != 0)
+    return (canonical_sign(wedge_from_pair(v, *Lp)),
+            canonical_sign(wedge_from_pair(v, *Hp)))
+
+
+def test_scan_minima_selection_matches_full_sort():
+    # scan_minima takes L and Hhat with min over the walk's class keys; a
+    # full sort of the same walk must pick the same pair.  On pvec(1, 0, q)
+    # and pvec(0, 1, q) Hhat is the +-q lift of a zero residue, so a walk
+    # that drops that lift fails there.
+    rng = random.Random(26)
+    vs = [random_primvec(rng, 500) for _ in range(300)]
+    vs += [pvec(1, 0, q) for q in range(2, 61)] + [pvec(0, 1, q) for q in range(2, 61)]
+    for v in vs:
+        got = scan_minima(v)
+        assert got == sorted_scan_minima(v), v
+        assert lattice_minima(v) == got, v
+
+
 def test_line_candidates_hold_the_best_two_points():
     # Brute force over |n| <= 3R + 1: past it the sup norm exceeds 2R, more
     # than at n = 0 and n = 1, so the best two points and the whole flat
