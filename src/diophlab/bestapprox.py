@@ -25,7 +25,7 @@ from .util import frac_str, ln_fraction
 
 # Most (t, W) samples a profile or a slow-chain certificate takes.  On a
 # 2-core x86-64 host 'profile --samples' took 0.7 s at 10^4 (3.6 s at
-# 10^5), and 'slow-chain --samples', one 3-D reduction per sample, 3.9 s.
+# 10^5), and 'slow-chain --samples', one 3-D reduction per sample, 3.0 s.
 MAX_PROFILE_SAMPLES = 10**4
 
 
@@ -307,104 +307,91 @@ def shortest_vector_oracle(
     return best_vec, best_val
 
 
-def _integral_gso(
-    basis: list[tuple[int, int, int]],
-) -> tuple[list[int], list[list[int]]]:
-    """Integral Gram-Schmidt data of independent integer rows.
-
-    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7:
-    d[i] is the Gram determinant of rows 0..i-1 (d[0] = 1), so the i-th
-    Gram-Schmidt vector has squared length d[i+1]/d[i], and
-    lam[i][j] = d[j+1] * mu[i][j] for j < i.  Every division is exact.
-    """
-    n = len(basis)
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    for i, bi in enumerate(basis):
-        for j in range(i + 1):
-            bj = basis[j]
-            u = bi[0] * bj[0] + bi[1] * bj[1] + bi[2] * bj[2]
-            for k in range(j):
-                u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
-            if j < i:
-                lam[i][j] = u
-            else:
-                d[i + 1] = u
-    return d, lam
-
-
 def _reduced_lattice(
     n1: int, n2: int, den: int, a: int, b: int,
-) -> tuple[list[tuple[int, int, int]], list[int], list[list[int]]]:
+) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
     """LLL-reduced basis of phi(Z^3) for x = (n1/den, n2/den) at parameter
-    T = a/b, with its integral Gram-Schmidt data (d, lam) as _integral_gso
-    defines them.
+    T = a/b, with its integral Gram-Schmidt data.
 
-    phi is the integer map of shortest_vector_reduced.  LLL uses the
-    classical 3/4 parameter; size reduction rounds mu = lam/d to the
-    nearest integer, halves up, over j = k-1, ..., 0 before the Lovasz
-    test.  The Gram-Schmidt data are computed once and then updated in
-    place: REDI on each size reduction, SWAPI on each swap (Cohen, Alg.
-    2.6.7), with every division exact.
+    phi is the integer map of shortest_vector_reduced.  Returns the three
+    reduced rows and the six scalars (d1, d2, d3, l10, l20, l21) of Cohen,
+    A Course in Computational Algebraic Number Theory, Alg. 2.6.7: d_i is
+    the Gram determinant of rows 0..i-1, so the i-th Gram-Schmidt vector
+    has squared length d_{i+1}/d_i, and l_ij = d_{j+1} mu_ij.  For the
+    starting rows (-aD, 0, 0), (0, -aD, 0), (a n1, a n2, bD) they are
+    d1 = (aD)^2, d2 = (aD)^4, d3 = (a^2 b D^3)^2, l10 = 0,
+    l20 = -a^2 D n1 and l21 = -(aD)^3 a n2; d3, the squared covolume,
+    never changes.  LLL uses the classical 3/4 parameter; size reduction
+    rounds mu = l/d to the nearest integer, halves up, over j = k-1, ..., 0
+    before the Lovasz test, and the data are updated in place: REDI on
+    each size reduction, SWAPI on each swap, with every division exact.
     """
-    basis = [(-a * den, 0, 0), (0, -a * den, 0), (a * n1, a * n2, b * den)]
-    d, lam = _integral_gso(basis)
-    k = 1
-    while k < 3:
-        for j in range(k - 1, -1, -1):
-            dj = d[j + 1]
-            r = (2 * lam[k][j] + dj) // (2 * dj)
-            if r:
-                bk, bj = basis[k], basis[j]
-                basis[k] = (bk[0] - r * bj[0], bk[1] - r * bj[1], bk[2] - r * bj[2])
-                lam[k][j] -= r * dj
-                for i in range(j):
-                    lam[k][i] -= r * lam[j][i]
-        mu = lam[k][k - 1]
-        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * mu * mu:
-            k += 1
+    ad = a * den
+    b0, b1, b2 = (-ad, 0, 0), (0, -ad, 0), (a * n1, a * n2, b * den)
+    d1 = ad * ad
+    d2 = d1 * d1
+    d3 = (a * ad * b * den * den) ** 2
+    l10, l20, l21 = 0, -a * ad * n1, -d1 * ad * a * n2
+    while True:
+        # k = 1
+        r = (2 * l10 + d1) // (2 * d1)
+        if r:
+            b1 = (b1[0] - r * b0[0], b1[1] - r * b0[1], b1[2] - r * b0[2])
+            l10 -= r * d1
+        if 4 * d2 < 3 * d1 * d1 - 4 * l10 * l10:
+            b0, b1 = b1, b0
+            dk = (d2 + l10 * l10) // d1
+            l21, t = (d2 * l20 - l10 * l21) // d1, l21
+            l20 = (dk * t + l10 * l21) // d2
+            d1 = dk
             continue
-        basis[k], basis[k - 1] = basis[k - 1], basis[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        dk = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
-        for i in range(k + 1, 3):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
-            lam[i][k - 1] = (dk * t + mu * lam[i][k]) // d[k + 1]
-        d[k] = dk
-        k = max(k - 1, 1)
-    return basis, d, lam
+        # k = 2
+        r = (2 * l21 + d2) // (2 * d2)
+        if r:
+            b2 = (b2[0] - r * b1[0], b2[1] - r * b1[1], b2[2] - r * b1[2])
+            l21 -= r * d2
+            l20 -= r * l10
+        r = (2 * l20 + d1) // (2 * d1)
+        if r:
+            b2 = (b2[0] - r * b0[0], b2[1] - r * b0[1], b2[2] - r * b0[2])
+            l20 -= r * d1
+        if 4 * d3 * d1 >= 3 * d2 * d2 - 4 * l21 * l21:
+            return (b0, b1, b2), (d1, d2, d3, l10, l20, l21)
+        b1, b2 = b2, b1
+        l10, l20 = l20, l10
+        d2 = (d1 * d3 + l21 * l21) // d2
 
 
 def _ball_points(
-    basis: list[tuple[int, int, int]], d: list[int], lam: list[list[int]],
-    radius: int,
+    basis: tuple[tuple[int, int, int], ...], gso: tuple[int, ...], radius: int,
 ):
-    """Yield every nonzero lattice point w with ||w||^2 <= radius.
+    """Yield every nonzero lattice point w with ||w||^2 <= radius, for a
+    basis and its scalars (d1, d2, d3, l10, l20, l21) as _reduced_lattice
+    returns them.
 
     The ball ||c0 b0 + c1 b1 + c2 b2||^2 <= radius is
         d3 c2^2 / d2 + t1^2 / (d1 d2) + t0^2 / d1 <= radius
-    with t1 = d2 c1 + lam21 c2 and t0 = d1 c0 + lam10 c1 + lam20 c2,
+    with t1 = d2 c1 + l21 c2 and t0 = d1 c0 + l10 c1 + l20 c2,
     so each coordinate range is an integer square root.
     """
-    s2 = math.isqrt(d[2] * radius // d[3])
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = basis
+    d1, d2, d3, l10, l20, l21 = gso
+    s2 = math.isqrt(d2 * radius // d3)
     for c2 in range(-s2, s2 + 1):
-        r2 = d[2] * radius - d[3] * c2 * c2
-        s1 = math.isqrt(d[1] * r2)
-        off1 = lam[2][1] * c2
-        for c1 in range(-((s1 + off1) // d[2]), (s1 - off1) // d[2] + 1):
-            t1 = d[2] * c1 + off1
-            s0 = math.isqrt((d[1] * r2 - t1 * t1) // d[2])
-            off0 = lam[1][0] * c1 + lam[2][0] * c2
-            for c0 in range(-((s0 + off0) // d[1]), (s0 - off0) // d[1] + 1):
+        r2 = d2 * radius - d3 * c2 * c2
+        s1 = math.isqrt(d1 * r2)
+        off1 = l21 * c2
+        for c1 in range(-((s1 + off1) // d2), (s1 - off1) // d2 + 1):
+            t1 = d2 * c1 + off1
+            s0 = math.isqrt((d1 * r2 - t1 * t1) // d2)
+            off0 = l10 * c1 + l20 * c2
+            x = c1 * x1 + c2 * x2
+            y = c1 * y1 + c2 * y2
+            z = c1 * z1 + c2 * z2
+            for c0 in range(-((s0 + off0) // d1), (s0 - off0) // d1 + 1):
                 if c0 == 0 and c1 == 0 and c2 == 0:
                     continue
-                yield (
-                    c0 * basis[0][0] + c1 * basis[1][0] + c2 * basis[2][0],
-                    c0 * basis[0][1] + c1 * basis[1][1] + c2 * basis[2][1],
-                    c0 * basis[0][2] + c1 * basis[1][2] + c2 * basis[2][2],
-                )
+                yield c0 * x0 + x, c0 * y0 + y, c0 * z0 + z
 
 
 def shortest_vector_reduced(x: RatPoint, T) -> tuple[tuple[int, int, int], Fraction]:
@@ -430,10 +417,10 @@ def shortest_vector_reduced(x: RatPoint, T) -> tuple[tuple[int, int, int], Fract
         raise ValueError("T must be positive")
     a, b = T.numerator, T.denominator
     n1, n2, den = x.common_denominator()
-    basis, d, lam = _reduced_lattice(n1, n2, den, a, b)
+    basis, gso = _reduced_lattice(n1, n2, den, a, b)
     best_vec = min(basis, key=lambda w: max(map(abs, w)))
     best = m0 = max(map(abs, best_vec))
-    for w in _ball_points(basis, d, lam, 3 * m0 * m0):
+    for w in _ball_points(basis, gso, 3 * m0 * m0):
         val = max(abs(w[0]), abs(w[1]), abs(w[2]))
         if val < best:
             best = val
@@ -463,10 +450,10 @@ def _box_heights(n1: int, n2: int, den: int, Q: int, R: int):
     """
     g = math.gcd(Q * den, R)
     a, b = Q * den // g, R // g
-    basis, d, lam = _reduced_lattice(n1, n2, den, a, b)
+    basis, gso = _reduced_lattice(n1, n2, den, a, b)
     bd = b * den
     m = Q * bd
-    for w in _ball_points(basis, d, lam, 3 * m * m):
+    for w in _ball_points(basis, gso, 3 * m * m):
         if 0 < w[2] <= m and abs(w[0]) <= m and abs(w[1]) <= m:
             yield w[2] // bd, max(abs(w[0]), abs(w[1])) // a
 

@@ -264,22 +264,24 @@ AUDIT_ITEMS: list[Callable[[int, str | None], dict]] = []
 def audit_item(name: str, description: str):
     """Register the decorated body as the next line item of `audit-all`.
 
-    The body is called as body(rng, fault) and yields one (ok, witness)
-    pair per check; rng is seeded by "<seed>:<name>", so an item's draws
-    depend on its name and not on its place in the corpus.  The registered
-    item takes (seed, fault), counts the checks and failures, and returns
-    the item's report row with the witness of its first failure.
+    The body is called as body(rng, fault) and yields `ok or witness` per
+    check, so a witness string is formatted only on failure; rng is seeded
+    by "<seed>:<name>", so an item's draws depend on its name and not on
+    its place in the corpus.  The registered item takes (seed, fault),
+    counts the checks and the failures (values other than True), and
+    returns the item's report row with the witness of its first failure.
     """
     def register(body):
         @functools.wraps(body)
         def item(seed: int, fault: str | None) -> dict:
             checks = failures = 0
             witness = None
-            for ok, why in body(random.Random(f"{seed}:{name}"), fault):
+            for result in body(random.Random(f"{seed}:{name}"), fault):
                 checks += 1
-                if not ok:
+                if result is not True:
                     failures += 1
-                    witness = witness or why
+                    if witness is None:
+                        witness = result
             return {"name": name, "description": description, "checks": checks,
                     "failures": failures, "pass": failures == 0, "witness": witness}
 
@@ -316,9 +318,9 @@ def item_best_approx_records(rng, fault):
     for x in _random_targets(rng, 12):
         seq = best_approximations(x, 400)
         for a, b in zip(seq.items, seq.items[1:]):
-            yield not a.q >= b.q, f"heights stall at {a} -> {b}"
+            yield not a.q >= b.q or f"heights stall at {a} -> {b}"
         for a, b in zip(seq.residuals, seq.residuals[1:]):
-            yield not a <= b, f"residual rises near {frac_str(b)}"
+            yield not a <= b or f"residual rises near {frac_str(b)}"
 
 
 @audit_item("best-approx-realiser",
@@ -332,10 +334,10 @@ def item_best_approx_realiser(rng, fault):
             _, realisers = height_minimum(x, v.q)
             expected = pick(realisers)
             yield (
-                (v.p1, v.p2) == expected,
-                f"target ({frac_str(x.x1)},{frac_str(x.x2)}) height "
+                (v.p1, v.p2) == expected
+                or f"target ({frac_str(x.x1)},{frac_str(x.x2)}) height "
                 f"{v.q}: tie resolved to ({v.p1},{v.p2}), "
-                f"expected ({expected[0]},{expected[1]})",
+                f"expected ({expected[0]},{expected[1]})"
             )
 
 
@@ -346,8 +348,8 @@ def item_profile_alternation(rng, fault):
         prof = wx_profile(best_approximations(x, 300))
         bps = prof.breakpoints
         for a, b in zip(bps, bps[1:]):
-            yield (a.T < b.T and a.kind != b.kind,
-                   f"breakpoints collide at T={frac_str(b.T)}")
+            yield (a.T < b.T and a.kind != b.kind
+                   or f"breakpoints collide at T={frac_str(b.T)}")
 
 
 @audit_item("profile-crossings",
@@ -357,16 +359,16 @@ def item_profile_crossings(rng, fault):
         prof = wx_profile(best_approximations(x, 300))
         for bp in prof.breakpoints:
             if bp.kind == "max":
-                yield (prof.value_at(bp.T) == Fraction(bp.height),
-                       f"crossing value off at T={frac_str(bp.T)}")
+                yield (prof.value_at(bp.T) == Fraction(bp.height)
+                       or f"crossing value off at T={frac_str(bp.T)}")
 
 
 @audit_item("lattice-minima-agreement",
             "reduced shortest pair matches the brute-force scan")
 def item_lattice_minima_agreement(rng, fault):
     for v in _random_vectors(rng, 40):
-        yield (lattice_minima(v) == scan_minima(v),
-               f"reduced pair disagrees with scan at {v}")
+        yield (lattice_minima(v) == scan_minima(v)
+               or f"reduced pair disagrees with scan at {v}")
 
 
 @audit_item("wedge-constraint",
@@ -375,8 +377,8 @@ def item_wedge_constraint(rng, fault):
     for v in _random_vectors(rng, 40):
         l, h = lattice_minima(v)
         for w in (l, h):
-            yield (wedge_constraint_ok(w, v),
-                   f"class {w} violates the constraint at {v}")
+            yield (wedge_constraint_ok(w, v)
+                   or f"class {w} violates the constraint at {v}")
 
 
 @audit_item("distortion-identities",
@@ -388,8 +390,8 @@ def item_distortion_identities(rng, fault):
             iv.eps3 == Fraction(iv.absL**2, v.q)
             and iv.exp3tau == Fraction(v.q**2, iv.absL)
             and iv.eps3 * iv.exp3tau == iv.absL * v.q
-            and iv.absL <= iv.absLhat,
-            f"invariant identities fail at {v}",
+            and iv.absL <= iv.absLhat
+            or f"invariant identities fail at {v}"
         )
 
 
@@ -401,8 +403,8 @@ def item_companion_pair(rng, fault):
         um, up = companion_pair(v, l)
         for u in (um, up):
             w = wedge(v, u)
-            yield (not (abs(w.m13) != abs(l.m13) or abs(w.m23) != abs(l.m23)),
-                   f"companion wedge differs from class at {v}")
+            yield (not (abs(w.m13) != abs(l.m13) or abs(w.m23) != abs(l.m23))
+                   or f"companion wedge differs from class at {v}")
 
 
 @audit_item("domain-sandwich",
@@ -410,7 +412,7 @@ def item_companion_pair(rng, fault):
 def item_domain_sandwich(rng, fault):
     for v in _random_vectors(rng, 15, q_max=120):
         rep = audit_ball_sandwich(v)
-        yield rep["pass"], f"ball sandwich fails at {v}"
+        yield rep["pass"] or f"ball sandwich fails at {v}"
 
 
 @audit_item("domain-band",
@@ -420,8 +422,8 @@ def item_domain_band(rng, fault):
     seed_vec = pvec(0, 0, 1)
     for _, ch in slot_children(seed_vec, eps):
         absL = absL_from_wedge(ch, seed_vec)
-        yield (cube_below(absL, ch.q, eps) and not cube_below(absL, ch.q, eps / 2),
-               f"child {ch} leaves the distortion band")
+        yield (cube_below(absL, ch.q, eps) and not cube_below(absL, ch.q, eps / 2)
+               or f"child {ch} leaves the distortion band")
 
 
 @audit_item("sibling-spacing",
@@ -432,8 +434,8 @@ def item_sibling_spacing(rng, fault):
     kids = [v for _, v in slot_children(seed_vec, eps)]
     for i in range(len(kids)):
         for j in range(i + 1, len(kids)):
-            yield (verify_spacing(seed_vec, kids[i], kids[j], eps)["ok"],
-                   f"siblings {kids[i]},{kids[j]} too close")
+            yield (verify_spacing(seed_vec, kids[i], kids[j], eps)["ok"]
+                   or f"siblings {kids[i]},{kids[j]} too close")
 
 
 @audit_item("nested-domains", "chain domains nest strictly with positive slack")
@@ -441,7 +443,7 @@ def item_nested_domains(rng, fault):
     chain = fixed_chain(pvec(0, 0, 1), Fraction(1, 8), 3)
     vs = chain.vectors()
     for u, v in zip(vs, vs[1:]):
-        yield nesting_ok(u, v)["ok"], f"domain of {v} escapes {u}"
+        yield nesting_ok(u, v)["ok"] or f"domain of {v} escapes {u}"
 
 
 @audit_item("height-growth",
@@ -452,9 +454,9 @@ def item_height_growth(rng, fault):
     for u, v in zip(vs, vs[1:]):
         rep = growth_ok(u, v, Fraction(1, 8))
         if rep["applicable"]:
-            yield rep["ok"], f"edge {u}->{v} grows too slowly"
-    yield (vs[2].q > 8**6 * vs[1].q,
-           "second extension misses the sixth-power factor")
+            yield rep["ok"] or f"edge {u}->{v} grows too slowly"
+    yield (vs[2].q > 8**6 * vs[1].q
+           or "second extension misses the sixth-power factor")
 
 
 @audit_item("schedule-regularity",
@@ -463,7 +465,7 @@ def item_schedule_regularity(rng, fault):
     sched = regularize_schedule(lambda s: Fraction(s), 1, Fraction(2))
     rep = sched.verify()
     for k in ("below_target", "nondecreasing", "slope_ok"):
-        yield rep[k], f"schedule verify flags: {rep}"
+        yield rep[k] or f"schedule verify flags: {rep}"
 
 
 @audit_item("slow-step-gaps",
@@ -471,33 +473,33 @@ def item_schedule_regularity(rng, fault):
 def item_slow_step_gaps(rng, fault):
     for eps_p, q_expected in ((Fraction(1, 2), 9), (Fraction(1, 8), 513)):
         v, gaps = slow_step(pvec(0, 0, 1), eps_p)
-        yield (not (v.q != q_expected or abs(gaps["log_eps_gap"]) > 0.05),
-               f"slow step at {frac_str(eps_p)} lands on {v}")
+        yield (not (v.q != q_expected or abs(gaps["log_eps_gap"]) > 0.05)
+               or f"slow step at {frac_str(eps_p)} lands on {v}")
 
 
 @audit_item("cantor-dimension",
             "exact Cantor dimension is monotone and matches covering estimates")
 def item_cantor_dimension(rng, fault):
-    yield (not abs(cantor_exact_dim(1).s - 1.0) > 1e-12,
-           "undistorted construction misses dimension one")
+    yield (not abs(cantor_exact_dim(1).s - 1.0) > 1e-12
+           or "undistorted construction misses dimension one")
     prev = 0.0
     for k in range(1, 11):
         d = Fraction(k, 10)
         s = cantor_exact_dim(d).s
-        yield not s <= prev, f"dimension not increasing at delta={d}"
+        yield not s <= prev or f"dimension not increasing at delta={d}"
         prev = s
     est = covering_s_estimate(cantor_tree(Fraction(1, 2), 4)).s
-    yield (not abs(est - cantor_exact_dim(Fraction(1, 2)).s) > 1e-9,
-           "covering estimate drifts from the exact root")
+    yield (not abs(est - cantor_exact_dim(Fraction(1, 2)).s) > 1e-9
+           or "covering estimate drifts from the exact root")
 
 
 @audit_item("bounds-crossing",
             "density and gap dimension bounds cross at the frozen point")
 def item_bounds_crossing(rng, fault):
     rep = bounds_crossing()
-    yield (not abs(rep["delta"] - 0.2726604) > 1e-6,
-           f"crossing delta={rep['delta']!r}")
-    yield not abs(rep["h"] - 0.3478475) > 1e-6, f"crossing height={rep['h']!r}"
+    yield (not abs(rep["delta"] - 0.2726604) > 1e-6
+           or f"crossing delta={rep['delta']!r}")
+    yield not abs(rep["h"] - 0.3478475) > 1e-6 or f"crossing height={rep['h']!r}"
 
 
 @audit_item("dn-brackets",
@@ -506,10 +508,10 @@ def item_dn_brackets(rng, fault):
     prev_minus = prev_plus = None
     for n in (72, 100, 1000, 10**6):
         s_minus, s_plus = dn_bounds(n)
-        yield 0.5 < s_minus.s < s_plus.s < 1.0, f"brackets out of order at N={n}"
+        yield 0.5 < s_minus.s < s_plus.s < 1.0 or f"brackets out of order at N={n}"
         if prev_minus is not None:
-            yield (s_minus.s < prev_minus and s_plus.s < prev_plus,
-                   f"brackets not shrinking at N={n}")
+            yield (s_minus.s < prev_minus and s_plus.s < prev_plus
+                   or f"brackets not shrinking at N={n}")
         prev_minus, prev_plus = s_minus.s, s_plus.s
 
 
@@ -526,12 +528,12 @@ def item_quotient_intervals(rng, fault):
         yield (
             vm.denominator + vp.denominator == den
             and vp.numerator * den - num * vp.denominator == 1
-            and quotient_interval(v, 72).contains_point(v),
-            f"neighbor identities fail at {v}",
+            and quotient_interval(v, 72).contains_point(v)
+            or f"neighbor identities fail at {v}"
         )
     rep = dn_gap_audit(Fraction(1, 2), 72)
-    yield (rep["nested"] and rep["disjoint"] and rep["gaps_ok"],
-           "gap audit fails for the half family")
+    yield (rep["nested"] and rep["disjoint"] and rep["gaps_ok"]
+           or "gap audit fails for the half family")
 
 
 @audit_item("shortest-vector-duality",
@@ -545,8 +547,8 @@ def item_shortest_vector_duality(rng, fault):
         )
         t_val = Fraction(rng.randint(2, 2500))
         yield (
-            shortest_vector_oracle(x, t_val)[1] == shortest_vector_reduced(x, t_val)[1],
-            f"oracles disagree at T={t_val}",
+            shortest_vector_oracle(x, t_val)[1] == shortest_vector_reduced(x, t_val)[1]
+            or f"oracles disagree at T={t_val}"
         )
 
 

@@ -106,33 +106,42 @@ def _lagrange_reduce(b1: Pair, b2: Pair) -> tuple[Pair, Pair]:
 
 def _line_candidates(base: Pair, step: Pair) -> list[Pair]:
     """Every point of the line base + n*step that can rank first or second
-    on it by `class_key`.
+    on it by `class_key`, in increasing n.
 
-    The sup norm along the line is convex and piecewise linear in n, so its
-    integer minimum s lies next to one of the four breakpoints (the zeros
-    of the two forms and their two crossings), and {n : sup <= s} is an
-    interval [lo, hi].  Inside it the squared Euclidean norm, a convex
-    quadratic, ranks the points from its real minimizer outwards; outside
-    it the sup norm rises strictly, so lo - 1 and hi + 1 beat every other
-    point off the bottom.  All arithmetic is on integers.
+    The sup norm along the line is convex and piecewise linear in n.  When
+    both forms vary, its real minimum lies where their absolute values
+    cross: anywhere else the larger one is nonzero (the line misses the
+    origin), and moving toward its zero lowers the sup norm.  When one
+    form is constant, the minimum is attained at the other's zero.  So the
+    integer minimum s is at the floor or the ceiling of one of these
+    points, and {n : sup <= s} is an interval [lo, hi].  Inside it the
+    squared Euclidean norm, a convex quadratic, ranks the points from its
+    real minimizer outwards; outside it the sup norm rises strictly, so
+    lo - 1 and hi + 1 beat every other point off the bottom.  All
+    arithmetic is on integers.
     """
     A, B = base
     C, D = step
-
-    def sup(n: int) -> int:
-        return max(abs(A + n * C), abs(B + n * D))
-
-    breaks = ((-A, C), (-B, D), (B - A, C - D), (-B - A, C + D))
-    s = min(sup(n) for num, den in breaks if den
-            for n in (num // den, num // den + 1))
-    forms = [(K, S) if S > 0 else (-K, -S) for K, S in ((A, C), (B, D)) if S]
-    lo = max(-((s + K) // S) for K, S in forms)
-    hi = min((s - K) // S for K, S in forms)
+    s = min([max(abs(A + n * C), abs(B + n * D))
+             for num, den in (((B - A, C - D), (-B - A, C + D)) if C and D
+                              else ((-B, D),) if D else ((-A, C),)) if den
+             for n in (num // den, num // den + 1)])
+    lo = hi = None
+    for K, S in ((A, C), (B, D)):
+        if S:
+            if S < 0:
+                K, S = -K, -S
+            n, m = -((s + K) // S), (s - K) // S
+            if lo is None or n > lo:
+                lo = n
+            if hi is None or m < hi:
+                hi = m
     # the floor of the Euclidean minimizer, clamped into the bottom: the
     # best two points of the bottom lie in f-1..f+1
-    f = min(max(-(A * C + B * D) // (C * C + D * D), lo), hi)
-    ns = {lo - 1, hi + 1, *range(max(f - 1, lo), min(f + 1, hi) + 1)}
-    return [(A + n * C, B + n * D) for n in sorted(ns)]
+    f = -(A * C + B * D) // (C * C + D * D)
+    f = lo if f < lo else hi if f > hi else f
+    return [(A + n * C, B + n * D)
+            for n in (lo - 1, *range(max(f - 1, lo), min(f + 1, hi) + 1), hi + 1)]
 
 
 def lattice_minima(v: PrimVec) -> tuple[Wedge2, Wedge2]:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from diophlab.bestapprox import (
     Breakpoint,
     _box_heights,
-    _integral_gso,
     _reduced_lattice,
     accelerated_subsequence,
     audit_best_inequalities,
@@ -339,6 +338,88 @@ def test_best_approximations_match_scan(d, a, b, half, bound):
     assert best_approximations(x, bound) == best_approximations_scan(x, bound)
 
 
+def _integral_gso(
+    basis: list[tuple[int, int, int]],
+) -> tuple[list[int], list[list[int]]]:
+    """Integral Gram-Schmidt data of independent integer rows.
+
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7:
+    d[i] is the Gram determinant of rows 0..i-1 (d[0] = 1), so the i-th
+    Gram-Schmidt vector has squared length d[i+1]/d[i], and
+    lam[i][j] = d[j+1] * mu[i][j] for j < i.  Every division is exact.
+    """
+    n = len(basis)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i, bi in enumerate(basis):
+        for j in range(i + 1):
+            bj = basis[j]
+            u = bi[0] * bj[0] + bi[1] * bj[1] + bi[2] * bj[2]
+            for k in range(j):
+                u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
+    return d, lam
+
+
+def general_reduced_lattice(n1, n2, den, a, b):
+    """The n-row integral LLL that _reduced_lattice unrolls for its one
+    3-row shape: _integral_gso, then the REDI/SWAPI loop, returning the
+    rows and (d, lam) as lists."""
+    basis = [(-a * den, 0, 0), (0, -a * den, 0), (a * n1, a * n2, b * den)]
+    d, lam = _integral_gso(basis)
+    k = 1
+    while k < 3:
+        for j in range(k - 1, -1, -1):
+            dj = d[j + 1]
+            r = (2 * lam[k][j] + dj) // (2 * dj)
+            if r:
+                bk, bj = basis[k], basis[j]
+                basis[k] = (bk[0] - r * bj[0], bk[1] - r * bj[1], bk[2] - r * bj[2])
+                lam[k][j] -= r * dj
+                for i in range(j):
+                    lam[k][i] -= r * lam[j][i]
+        mu = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * mu * mu:
+            k += 1
+            continue
+        basis[k], basis[k - 1] = basis[k - 1], basis[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        dk = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+        for i in range(k + 1, 3):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+            lam[i][k - 1] = (dk * t + mu * lam[i][k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
+    return basis, d, lam
+
+
+def _scalars(d, lam):
+    return d[1], d[2], d[3], lam[1][0], lam[2][0], lam[2][1]
+
+
+def test_reduced_lattice_matches_general_lll():
+    # the unrolled 3-row reduction must take every step of the general one:
+    # the same reduced rows and the same Gram-Schmidt data, so that
+    # _ball_points yields the same points in the same order.  The small
+    # grid holds exact Lovasz ties at k = 1, e.g. x = (1/2, 1/2) at T = 2.
+    rng = random.Random(27)
+    cases = [(n1, n2, d, a, b) for d in range(1, 7) for n1 in range(d)
+             for n2 in range(d) for a in range(1, 5) for b in range(1, 5)]
+    for digits in (1, 3, 8, 20, 31):
+        for _ in range(200):
+            d = rng.randint(2, 10**digits)
+            cases.append((rng.randrange(d), rng.randrange(d), d,
+                          rng.randint(1, 10**rng.randint(1, 62)), rng.randint(1, 1000)))
+    for args in cases:
+        basis, dd, lam = general_reduced_lattice(*args)
+        assert _reduced_lattice(*args) == (tuple(basis), _scalars(dd, lam)), args
+
+
 def test_reduced_lattice_is_lll_reduced():
     # the in-place REDI/SWAPI data must equal a fresh Gram-Schmidt pass,
     # and that pass must show a size-reduced basis passing the Lovasz test
@@ -348,10 +429,10 @@ def test_reduced_lattice_is_lll_reduced():
         d = rng.randint(2, 10**digits)
         x = RatPoint(F(rng.randrange(d), d), F(rng.randrange(d), d))
         t = F(rng.randint(1, 10**rng.randint(1, 2 * digits)), rng.randint(1, 1000))
-        basis, dd, lam = _reduced_lattice(
+        basis, gso = _reduced_lattice(
             *x.common_denominator(), t.numerator, t.denominator)
         fresh_d, fresh_lam = _integral_gso(basis)
-        assert (dd, lam) == (fresh_d, fresh_lam)
+        assert gso == _scalars(fresh_d, fresh_lam)
         for k in range(1, 3):
             for j in range(k):
                 assert -fresh_d[j + 1] <= 2 * fresh_lam[k][j] < fresh_d[j + 1]

@@ -329,6 +329,49 @@ def test_line_candidates_hold_the_best_two_points():
         assert set(best) <= set(latinv._line_candidates((A, B), (C, D))), (A, B, C, D)
 
 
+def breakpoint_line_candidates(base, step):
+    """Reference for latinv._line_candidates: the sup-norm minimum taken
+    over all four breakpoints of the line, and the candidates gathered in a
+    set and sorted."""
+    A, B = base
+    C, D = step
+
+    def sup(n: int) -> int:
+        return max(abs(A + n * C), abs(B + n * D))
+
+    breaks = ((-A, C), (-B, D), (B - A, C - D), (-B - A, C + D))
+    s = min(sup(n) for num, den in breaks if den
+            for n in (num // den, num // den + 1))
+    forms = [(K, S) if S > 0 else (-K, -S) for K, S in ((A, C), (B, D)) if S]
+    lo = max(-((s + K) // S) for K, S in forms)
+    hi = min((s - K) // S for K, S in forms)
+    f = min(max(-(A * C + B * D) // (C * C + D * D), lo), hi)
+    ns = {lo - 1, hi + 1, *range(max(f - 1, lo), min(f + 1, hi) + 1)}
+    return [(A + n * C, B + n * D) for n in sorted(ns)]
+
+
+def test_line_candidates_match_breakpoint_reference():
+    # the crossings alone must find the same sup-norm minimum as all four
+    # breakpoints, and the list must come out in the same order; a step
+    # with a zero coordinate has one constant form and no crossing to use
+    rng = random.Random(27)
+    cases = 0
+    while cases < 1200:
+        R = rng.choice([2, 15, 500, 10**12])
+        A, B, C, D = (rng.randint(-R, R) for _ in range(4))
+        if cases % 4 == 1:
+            C = 0
+        elif cases % 4 == 2:
+            D = 0
+        elif cases % 8 == 3:
+            D = rng.choice([C, -C])
+        if (C, D) == (0, 0) or A * D - B * C == 0:  # the line must miss 0
+            continue
+        cases += 1
+        assert (latinv._line_candidates((A, B), (C, D))
+                == breakpoint_line_candidates((A, B), (C, D))), (A, B, C, D)
+
+
 @pytest.mark.parametrize("eps", [Fraction(1, 8), Fraction(3, 25)])
 def test_minima_routes_agree_on_tree_children(eps):
     # the skewed lattices of the expansion trees, whose sup norm has a
