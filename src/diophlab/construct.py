@@ -15,11 +15,10 @@ Singular-type chains shrink the bound slowly along a fixed schedule.  Slow
 chains follow a regularised step schedule so that the minima profile of
 the limit point tracks a prescribed decay target.  Spaced families
 enumerate every admissible slot, giving the Cantor-type branching whose
-sibling domains repel each other.  Fixed chains, spaced families and
-expansion trees all take their children from one slot enumerator,
-`slot_children`.  Singular-type chains do not: `shrinking_slot` re-derives
-the window and stride, and adds a distortion-cube cap and the eps^-6
-growth floor that `slot_children` lacks.
+sibling domains repel each other.  Fixed and singular-type chains,
+spaced families and expansion trees all take their slots and children
+from one slot enumerator, `slot_children`; singular-type chains only
+raise the lower end of each slot window.
 
 The sandwich audit closes the loop: it compares the chain's own minima
 envelope against a from-scratch lattice minimum at sampled times, in
@@ -130,7 +129,8 @@ def height_window(u: PrimVec, target: Wedge2, eps) -> tuple[Fraction, Fraction]:
     return m, 2 * m - 1
 
 
-def slot_children(u: PrimVec, eps, n: int = 1, per_pair: int | None = None):
+def slot_children(u: PrimVec, eps, n: int = 1, per_pair: int | None = None,
+                  eps3_cap: Fraction | None = None):
     """Yield ((a, b, c), child) for the admissible slots of u with a <= n,
     in lex order, each child equal to child_vector(u, a, b, c, eps).  Per
     pair, c runs over the first floor((M - 1)/stride) stride multiples
@@ -141,12 +141,26 @@ def slot_children(u: PrimVec, eps, n: int = 1, per_pair: int | None = None):
     window and residue class are computed once, when the pair is reached;
     its window raises ValueError there.  The full family can be enormous
     away from small seeds (about M/stride heights per pair).
+
+    Given eps3_cap, the lower end rises to max(M, M eps^3 / eps3_cap), and
+    to eps^-6 too when u is below distortion eps.  The first bound makes
+    eps(child)^3 < eps3_cap exact (the child's height exceeds c|u| and its
+    shortest class is at most the slot wedge); the second is the growth
+    the edge rule asks of a distorted parent.  This only drops multiples
+    from the front: the last stays at first(M) + stride * (floor((M -
+    1)/stride) - 1), inside the window.
     """
+    if eps3_cap is not None:
+        eps = Fraction(eps)
+        scale = eps**3 / eps3_cap
+        growth = eps**-6 if distortion_below(u, eps) else 0
     for a, b in coprime_pairs(n):
         target = slot_sublattice(u, a, b)
         m, _ = height_window(u, target, eps)
         first = SLOT_STRIDE * (m // SLOT_STRIDE + 1)
         heights = range(first, first + SLOT_STRIDE * ((m - 1) // SLOT_STRIDE), SLOT_STRIDE)
+        if eps3_cap is not None:  # drop the multiples at or below the raised lower end
+            heights = heights[max(0, (max(m * scale, growth) - first) // SLOT_STRIDE + 1):]
         z = wedge_residue(u, target)
         for c in islice(heights, per_pair):
             yield (a, b, c), vector_with_wedge(u, target, c * u.q + z)
@@ -428,6 +442,17 @@ def _append(chain: Chain, v: PrimVec, eps, slot=None) -> None:
     chain.nodes.append(ChainNode(v, eps, slot))
 
 
+def _adjoin_first(chain: Chain, eps: Fraction, n: int = 1,
+                  eps3_cap: Fraction | None = None) -> None:
+    """Adjoin the tip's first child from `slot_children`; raises
+    RuntimeError when no slot is admissible or the edge fails its audit."""
+    kid = next(slot_children(chain.tip, eps, n, eps3_cap=eps3_cap), None)
+    if kid is None:
+        raise RuntimeError(f"no admissible slots at distortion {eps}")
+    slot, v = kid
+    _append(chain, v, eps, slot)
+
+
 def fixed_chain(u0: PrimVec, eps, depth: int) -> Chain:
     """Depth many lex-first extensions at a constant distortion bound;
     depth 0 gives the chain of the seed alone.  Raises RuntimeError when
@@ -435,11 +460,7 @@ def fixed_chain(u0: PrimVec, eps, depth: int) -> Chain:
     eps = Fraction(eps)
     chain = Chain([ChainNode(u0)])
     for _ in range(depth):
-        kid = next(slot_children(chain.tip, eps), None)
-        if kid is None:
-            raise RuntimeError(f"no admissible slots at distortion {eps}")
-        slot, v = kid
-        _append(chain, v, eps, slot)
+        _adjoin_first(chain, eps)
     return chain
 
 
@@ -465,48 +486,26 @@ def sing_params(step: int, prev_eps) -> tuple[Fraction, int]:
     return eps, n_k
 
 
-def shrinking_slot(u: PrimVec, eps, n: int, eps3_cap: Fraction):
-    """Lex-least admissible slot whose child is forced below the given
-    distortion cube: the height floor c*|u| > |L'|^2 / eps3_cap makes
-    eps(child)^3 < eps3_cap exact, since the child height only exceeds
-    the floor and the child's shortest class is at most the slot wedge.
-    When the parent sits below the working bound, the slot is also kept
-    above the height-growth threshold that nested domains require."""
-    eps = Fraction(eps)
-    growth = eps**-6 if distortion_below(u, eps) else Fraction(0)
-    for a, b in coprime_pairs(n):
-        m, hi = height_window(u, slot_sublattice(u, a, b), eps)
-        lo = max(m, m * eps**3 / eps3_cap, growth)
-        c = SLOT_STRIDE * (lo // SLOT_STRIDE + 1)
-        if lo < c < hi:
-            return (a, b, int(c))
-    return None
-
-
 def sing_chain(u0: PrimVec, depth: int) -> Chain:
     """Singular-type chain of depth many steps with shrinking bounds.
 
     Step k uses the bound and family size of sing_params(k, eps_{k-1}),
-    which keeps eps_k near 1/4 for small k.  The slot rule also forces
-    each node's distortion cube below SING_SHRINK times its parent's, so
-    the node distortions decrease strictly by construction rather than by
-    the band position of whichever slot comes first (the schedule's own
-    decrement is smaller than the slot granularity).  Each node lands just
-    under the bound used for its edge while the next bound shrinks
-    further, so parents sit above the later bounds and the conditional
-    height-growth clause stays dormant; the slot rule enforces it anyway
-    whenever it does apply.  Raises RuntimeError when no slot is
-    admissible or an edge fails its audit.
+    which keeps eps_k near 1/4 for small k, and takes the first child of
+    `slot_children` under eps3_cap = SING_SHRINK times the tip's
+    distortion cube.  So the node distortions decrease strictly by
+    construction rather than by the band position of whichever slot comes
+    first (the schedule's own decrement is smaller than the slot
+    granularity).  Where a parent sits below its edge's bound, the growth
+    floor of the window gives the edge the growth the edge rule asks for;
+    without it, sing_chain(pvec(0, 0, 1), 8) fails the growth check.
+    Raises RuntimeError when no slot is admissible or an edge fails its
+    audit.
     """
     chain = Chain([ChainNode(u0)])
     eps = None
     for step in range(depth):
-        u = chain.tip
         eps, n = sing_params(step, eps)
-        slot = shrinking_slot(u, eps, n, SING_SHRINK * invariants(u).eps3)
-        if slot is None:
-            raise RuntimeError(f"no admissible slots at distortion {eps}")
-        _append(chain, child_vector(u, *slot, eps), eps, slot)
+        _adjoin_first(chain, eps, n, SING_SHRINK * invariants(chain.tip).eps3)
     return chain
 
 

@@ -29,7 +29,6 @@ from diophlab.construct import (
     nesting_ok,
     regularize_schedule,
     sandwich_audit,
-    shrinking_slot,
     sing_chain,
     sing_params,
     slot_children,
@@ -153,18 +152,28 @@ def test_first_admissible_slot():
 
 @settings(max_examples=40, deadline=None)
 @given(u=small_roots(), eps=st.sampled_from([EIGHTH, F(1, 5), F(2, 5), F(49, 100)]),
-       n=st.sampled_from([1, 2]), per_pair=st.sampled_from([None, 1, 3]))
-def test_slot_children_match_child_vector(u, eps, n, per_pair):
-    # the enumerator against the validated single-slot constructor
-    out = list(slot_children(u, eps, n, per_pair))
+       n=st.sampled_from([1, 2]), per_pair=st.sampled_from([None, 1, 3]),
+       shrink=st.sampled_from([None, F(1023, 1024), F(1, 2), F(1, 10)]))
+# a distorted parent from a singular chain's first step, where eps^-6 lies
+# above both M and the cube cap's bound: the growth floor sets the lower end
+@example(u=pvec(14171, 16184, 21176), eps=sing_params(1, None)[0], n=1, per_pair=3,
+         shrink=F(1023, 1024))
+def test_slot_children_match_child_vector(u, eps, n, per_pair, shrink):
+    # the enumerator against the validated single-slot constructor, with
+    # the window's lower end raised by a cap of shrink times u's eps^3
+    cap = None if shrink is None else shrink * invariants(u).eps3
+    out = list(slot_children(u, eps, n, per_pair, eps3_cap=cap))
     slots = [s for s, _ in out]
     assert slots == sorted(set(slots))
     per_slot_pair = Counter(s[:2] for s in slots)
     assert per_pair is None or max(per_slot_pair.values(), default=0) <= per_pair
+    floor = cap is not None and distortion_below(u, eps)
     for (a, b, c), v in out:
         m, hi = height_window(u, slot_sublattice(u, a, b), eps)
         assert m < c < hi
         assert v == child_vector(u, a, b, c, eps)
+        assert cap is None or invariants(v).eps3 < cap
+        assert not floor or v.q * eps**6 > u.q
 
 
 # ------------------------------------------------------- child vectors
@@ -661,12 +670,59 @@ def test_sing_chain_radii_supergeometric(sing6):
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
 
-def test_shrinking_slot_exact_cap():
+def cube_capped_slot(u, eps, n, eps3_cap):
+    # the slot rule singular chains used before they took their slots from
+    # slot_children, kept verbatim: its own window, stride and lower bounds
+    eps = F(eps)
+    growth = eps**-6 if distortion_below(u, eps) else F(0)
+    for a, b in coprime_pairs(n):
+        m, hi = height_window(u, slot_sublattice(u, a, b), eps)
+        lo = max(m, m * eps**3 / eps3_cap, growth)
+        c = construct.SLOT_STRIDE * (lo // construct.SLOT_STRIDE + 1)
+        if lo < c < hi:
+            return (a, b, int(c))
+    return None
+
+
+def reference_sing_chain(u0, depth):
+    chain = Chain([ChainNode(u0)])
+    eps = None
+    for step in range(depth):
+        u = chain.tip
+        eps, n = sing_params(step, eps)
+        slot = cube_capped_slot(u, eps, n, construct.SING_SHRINK * invariants(u).eps3)
+        if slot is None:
+            raise RuntimeError(f"no admissible slots at distortion {eps}")
+        construct._append(chain, child_vector(u, *slot, eps), eps, slot)
+    return chain
+
+
+def sing_pin_roots():
+    rng = random.Random(29)
+    roots = [SEED]
+    while len(roots) < 60:
+        q = rng.randint(2, 500)
+        p1, p2 = rng.randrange(q), rng.randrange(q)
+        if math.gcd(p1, p2, q) == 1:
+            roots.append(pvec(p1, p2, q))
+    return roots
+
+
+def test_sing_chain_matches_the_cube_capped_slot_rule():
+    # slot_children under eps3_cap must pick every slot the old rule picked:
+    # same nodes, bounds and slots at every depth from every root
+    for u0 in sing_pin_roots():
+        for depth in range(1, 9):
+            want = reference_sing_chain(u0, depth).nodes
+            assert sing_chain(u0, depth).nodes == want, (u0, depth)
+
+
+def test_slot_children_exact_cap():
     u1 = child_vector(SEED, 1, 0, 520, EIGHTH)
     cap = F(1023, 1024) * invariants(u1).eps3
-    slot = shrinking_slot(u1, EIGHTH, 1, cap)
+    slot, child = next(slot_children(u1, EIGHTH, 1, eps3_cap=cap))
     assert slot == (1, 0, 270680)
-    child = child_vector(u1, *slot, EIGHTH)
+    assert child == child_vector(u1, *slot, EIGHTH)
     assert invariants(child).eps3 < cap
 
 
