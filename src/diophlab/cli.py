@@ -53,6 +53,7 @@ from .latinv import (
     absL_from_wedge,
     companion_pair,
     cube_below,
+    distortion_below,
     invariants,
     lattice_minima,
     scan_minima,
@@ -431,11 +432,10 @@ def item_domain_band(rng, fault):
 def item_sibling_spacing(rng, fault):
     eps = Fraction(1, 8)
     seed_vec = pvec(0, 0, 1)
-    kids = [v for _, v in slot_children(seed_vec, eps)]
-    for i in range(len(kids)):
-        for j in range(i + 1, len(kids)):
-            yield (verify_spacing(seed_vec, kids[i], kids[j], eps)["ok"]
-                   or f"siblings {kids[i]},{kids[j]} too close")
+    kids = [(v, absL_from_wedge(v, seed_vec)) for _, v in slot_children(seed_vec, eps)]
+    for i, a in enumerate(kids):
+        for b in kids[i + 1:]:
+            yield verify_spacing(seed_vec, a, b, eps) or f"siblings {a[0]},{b[0]} too close"
 
 
 @audit_item("nested-domains", "chain domains nest strictly with positive slack")
@@ -443,18 +443,18 @@ def item_nested_domains(rng, fault):
     chain = fixed_chain(pvec(0, 0, 1), Fraction(1, 8), 3)
     vs = chain.vectors()
     for u, v in zip(vs, vs[1:]):
-        yield nesting_ok(u, v)["ok"] or f"domain of {v} escapes {u}"
+        yield (nesting_ok(invariants(u), v, absL_from_wedge(v, u))
+               or f"domain of {v} escapes {u}")
 
 
 @audit_item("height-growth",
             "distorted parents grow height by the sixth-power factor")
 def item_height_growth(rng, fault):
-    chain = fixed_chain(pvec(0, 0, 1), Fraction(1, 8), 3)
-    vs = chain.vectors()
+    eps = Fraction(1, 8)
+    vs = fixed_chain(pvec(0, 0, 1), eps, 3).vectors()
     for u, v in zip(vs, vs[1:]):
-        rep = growth_ok(u, v, Fraction(1, 8))
-        if rep["applicable"]:
-            yield rep["ok"] or f"edge {u}->{v} grows too slowly"
+        if distortion_below(u, eps):
+            yield growth_ok(u, v, eps) or f"edge {u}->{v} grows too slowly"
     yield (vs[2].q > 8**6 * vs[1].q
            or "second extension misses the sixth-power factor")
 

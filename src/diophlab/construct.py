@@ -3,10 +3,12 @@
 A chain starts from a seed vector and repeatedly adjoins a child whose
 wedge with the tip is a prescribed element of the tip's pair lattice and
 whose height sits in a prescribed slot.  One edge rule, `_edge_faults`,
-checks every chain step and tree edge exactly: the wedge is primitive
-and avoids the tip's shortest class, the height clears the distortion
-window, the child's domain nests strictly inside the parent's, and below
-a distorted parent the height grows by the required factor.
+checks every chain step and tree edge exactly with three predicates:
+`admissible_successor` (the wedge is primitive and avoids the tip's
+shortest class, and the height clears the distortion window),
+`nesting_ok` (the child's domain nests strictly inside the parent's) and,
+below a distorted parent, `growth_ok` (the height grows by the required
+factor).
 
 Three flavours of chain are built here, each by a plain loop that adjoins
 every node through one audited append.  Fixed-distortion chains take the
@@ -279,84 +281,55 @@ def _ratio_float(num: int, den: int) -> float:
         raise ValueError("spacing ratio exceeds the float range; eps is too small") from None
 
 
-def verify_spacing(u: PrimVec, va: PrimVec, vb: PrimVec, eps) -> dict:
-    """Exact separation certificate for two children of u:
+def verify_spacing(u: PrimVec, a: tuple[PrimVec, int], b: tuple[PrimVec, int], eps) -> bool:
+    """Exact separation certificate for two children of u, each given with
+    its |L| as `_sibling_spacing` takes them, a = (va, |L(va)|) and b =
+    (vb, |L(vb)|):
 
         dist(domain(va), domain(vb)) >= rho * diam(domain(u))
 
     with rho = eps^9 / 2^11, on the gap bound of `_pair_gap`.  Both of
-    its bounds err on the safe side, so a pass is a proof.  Returns the
-    pass flag and the gap bound over the floor.  Raises ValueError when
-    the children coincide, eps <= 0, or the ratio leaves the float range.
+    its bounds err on the safe side, so True is a proof.  Raises
+    ValueError when the children coincide or eps <= 0.
     """
-    if va == vb:
+    if a[0] == b[0]:
         raise ValueError("spacing needs two distinct children")
     fn, fd = _floor_terms(u, eps, 1)
-    num, den = _pair_gap(va, absL_from_wedge(va, u), vb, absL_from_wedge(vb, u))
-    top, bottom = num * fd, den * fn
-    return {"ok": top > bottom, "ratio": _ratio_float(top, bottom)}
+    num, den = _pair_gap(*a, *b)
+    return num * fd > den * fn
 
 
-def _successor_flags(inv: Invariants, v: PrimVec, eps: Fraction) -> tuple[bool, bool, bool]:
-    """(wedge primitive, avoids the shortest class inv.L, height ok) for the
-    edge inv.v -> v.  v's height must exceed eps^-3 |w|^2, w = v ^ inv.v:
-    `cube_below(|w|, |v|, eps)`."""
+def admissible_successor(inv: Invariants, v: PrimVec, eps: Fraction) -> bool:
+    """Whether v may follow u = inv.v, for the parent's `invariants` record
+    inv and the distortion bound eps, a Fraction: the wedge w = v ^ u is
+    primitive, differs from u's shortest class inv.L, and v's height
+    exceeds eps^-3 |w|^2 (`cube_below(|w|, |v|, eps)`).  A zero wedge has
+    gcd 0, so v = u is rejected."""
     w = wedge(v, inv.v)
-    if w.is_zero():
-        return False, False, False
-    return (math.gcd(w.m12, w.m13, w.m23) == 1, canonical_sign(w) != inv.L,
-            cube_below(seminorm(w), v.q, eps))
+    return (math.gcd(w.m12, w.m13, w.m23) == 1 and canonical_sign(w) != inv.L
+            and cube_below(seminorm(w), v.q, eps))
 
 
-def admissible_successor(u: PrimVec, v: PrimVec, eps) -> dict:
-    """Exact membership checks for v as a chain successor of u.
-
-    The wedge of the two must be primitive and differ from the shortest
-    class of u's pair lattice, and v's height must exceed eps^-3 times
-    the squared wedge seminorm.
+def nesting_ok(inv: Invariants, v: PrimVec, lv: int) -> bool:
+    """Strict nesting of v's domain inside the domain of u = inv.v, for the
+    parent's `invariants` record inv and lv = |L(v)|, certified via the
+    ball bounds: center distance plus v's outer radius must fall short of
+    u's inner radius, |L(u)|/(2|u|^2) - proj_dist(u, v) - 2 lv/|v|^2 > 0,
+    here times 2|u|^2|v|^2.  Valid for any parent height; the inner ball
+    of a height-one parent is the direct half-residual box.  Raises
+    ValueError when |v| < 2, where the outer bound does not hold.
     """
-    prim, avoids, height_ok = _successor_flags(invariants(u), v, Fraction(eps))
-    return {
-        "wedge_primitive": prim,
-        "avoids_shortest": avoids,
-        "height_ok": height_ok,
-        "ok": prim and avoids and height_ok,
-    }
-
-
-def nesting_ok(u: PrimVec, v: PrimVec) -> dict:
-    """Strict nesting of v's domain inside u's, certified via the ball
-    bounds: center distance plus v's outer radius must fall short of u's
-    inner radius.  Valid for any parent height; the inner ball of a
-    height-one parent is the direct half-residual box.
-    """
-    num = _nesting_slack(invariants(u), v, absL_from_wedge(v, u))
-    return {"ok": num > 0, "slack": Fraction(num, 2 * (u.q * v.q) ** 2)}
-
-
-def _nesting_slack(inv: Invariants, v: PrimVec, lv: int) -> int:
-    """nesting_ok's slack times 2|u|^2|v|^2 for the edge u = inv.v -> v,
-    given |L(v)| = lv."""
     u = inv.v
     if v.q < 2:
         raise ValueError("child height must exceed 1 for the outer bound")
-    # |L(u)|/(2|u|^2) - proj_dist(u, v) - 2|L(v)|/|v|^2 over 2|u|^2|v|^2
     return (inv.absL * v.q**2 - 2 * seminorm(wedge(u, v)) * u.q * v.q
-            - 4 * lv * u.q**2)
+            - 4 * lv * u.q**2) > 0
 
 
-def growth_ok(u: PrimVec, v: PrimVec, eps) -> dict:
-    """Conditional height growth: once the parent is below distortion
-    eps, the child must be taller by a factor above eps^-6.  Parents not
-    yet distorted are exempt (the check reports inapplicable)."""
-    eps = Fraction(eps)
-    applicable = distortion_below(u, eps)
-    return {"applicable": applicable, "ok": _grows(u, v, eps) if applicable else None}
-
-
-def _grows(u: PrimVec, v: PrimVec, eps: Fraction) -> bool:
-    """|v| > eps^-6 |u|, exactly: the growth a child of a parent below
-    distortion eps must show."""
+def growth_ok(u: PrimVec, v: PrimVec, eps: Fraction) -> bool:
+    """|v| > eps^-6 |u|, exactly, for parent u, child v and the distortion
+    bound eps, a Fraction: the growth the edge rule asks of a child whose
+    parent is below distortion eps."""
     return v.q * eps.numerator**6 > u.q * eps.denominator**6
 
 
@@ -364,14 +337,14 @@ def _edge_faults(inv: Invariants, v: PrimVec, lv: int, eps: Fraction,
                  distorted: bool) -> Iterator[str]:
     """The edge rule of chains and trees: yield, in order, the name of each
     check that inv.v -> v fails, for the parent's `invariants` inv and lv =
-    |L(v)|: "membership" (`_successor_flags`), "nesting" (`_nesting_slack`),
-    and "growth" (`_grows`) when the parent is distorted.  Lazy, so a
+    |L(v)|: "membership" (`admissible_successor`), "nesting" (`nesting_ok`),
+    and "growth" (`growth_ok`) when the parent is distorted.  Lazy, so a
     caller that stops at the first name skips the later checks."""
-    if not all(_successor_flags(inv, v, eps)):
+    if not admissible_successor(inv, v, eps):
         yield "membership"
-    if _nesting_slack(inv, v, lv) <= 0:
+    if not nesting_ok(inv, v, lv):
         yield "nesting"
-    if distorted and not _grows(inv.v, v, eps):
+    if distorted and not growth_ok(inv.v, v, eps):
         yield "growth"
 
 
@@ -682,8 +655,8 @@ def slow_step(u: PrimVec, eps_prime) -> tuple[PrimVec, dict]:
     The child is the minimal height h in the forced residue class strictly
     above eps_prime^-3 A^2 and the nesting floor |u|(A + sqrt(A^2 + 4AB))/B,
     with A = |Hhat(u)| and B = |L(u)|.  The floor nests the child's domain
-    in u's: u ^ v lies in v's pair lattice, so |L(v)| <= A, and
-    `_nesting_slack` is at least B h^2 - 2A|u|h - 4A|u|^2 > 0.  Returns the
+    in u's: u ^ v lies in v's pair lattice, so |L(v)| <= A, and the slack
+    of `nesting_ok` is at least B h^2 - 2A|u|h - 4A|u|^2 > 0.  Returns the
     child plus float gaps measuring how closely the child's distortion
     tracks eps_prime and how the log-height clock advanced.  Raises
     OverflowError when h has more than MAX_HEIGHT_DIGITS = 4300 digits.

@@ -3,9 +3,12 @@ renamed or deleted name would only show when the benchmark runs.  These
 checks catch it in the fast suite."""
 
 import importlib
+import json
+import os
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 from diophlab import cli
@@ -47,3 +50,22 @@ def test_cli_import_loads_every_traced_module():
     assert int(items) > 0
     for module in load_tracer().SPANS:
         assert f"diophlab.{module}" in loaded, f"diophlab.{module}"
+
+
+def test_tracer_counts_the_edge_predicates():
+    # the traced run of a small tree, as the benchmark makes it: the edge
+    # rule reads its three predicates through the module names the tracer
+    # wraps, so every one of them shows calls
+    root = TRACER.parent.parent
+    env = dict(os.environ, PYTHONPATH="src")
+    argv = ["--", "psi-tree", "--depth", "2", "--width", "3", "--expand", "1"]
+    proc = subprocess.run([sys.executable, str(TRACER), *argv], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1, proc.stdout
+    calls = Counter()
+    for _, name, n, *_ in json.loads(lines[0])["spans"]:
+        calls[name] += n
+    for name in ("admissible_successor", "nesting_ok", "growth_ok"):
+        assert calls[f"construct.{name}"] > 0, name

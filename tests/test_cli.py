@@ -245,7 +245,7 @@ def test_failed_chain_edge_exits_one_naming_the_edge(capsys, monkeypatch):
     argv = ["slow-chain", "--seed-vec", "1,1,2", "--steps", "3", "--samples", "2"]
     assert run(argv) == 0
     capsys.readouterr()
-    monkeypatch.setattr(construct, "_nesting_slack", lambda inv, v, lv: 0)
+    monkeypatch.setattr(construct, "nesting_ok", lambda inv, v, lv: False)
     code = run(argv)
     err = capsys.readouterr().err
     assert code == 1

@@ -301,67 +301,71 @@ def test_chain_jsonable_rows(chain4):
 # --------------------------------------------- successor predicates
 
 
+def radius(v):
+    """|L(v)|/|v|^2 as a Fraction, from the reduced pair lattice."""
+    return F(invariants(v).absL, v.q * v.q)
+
+
+def nesting_slack(u, v):
+    """The Fraction formula `nesting_ok` certifies as positive."""
+    return radius(u) / 2 - proj_dist(u, v) - 2 * radius(v)
+
+
 def test_admissible_successor_frozen_edge(chain4):
     vs = chain4.vectors()
-    rep = admissible_successor(vs[0], vs[1], EIGHTH)
-    assert rep == {
-        "wedge_primitive": True,
-        "avoids_shortest": True,
-        "height_ok": True,
-        "ok": True,
-    }
+    assert admissible_successor(invariants(vs[0]), vs[1], EIGHTH) is True
 
 
 def test_admissible_successor_rejects_shortest_direction():
-    # wedge(seed, (1,0,1)) is proportional to the shortest class of the
-    # seed lattice, so the candidate rides the forbidden rational line
-    rep = admissible_successor(SEED, pvec(1, 0, 1), EIGHTH)
-    assert not rep["avoids_shortest"]
-    assert not rep["ok"]
+    # at height 1000 > 8^3 the height clause passes and both wedges are
+    # primitive, so only the shortest class can reject: (1,0,1000) and
+    # (-1,0,1000) give the wedges +L(seed) and -L(seed), the latter only
+    # through canonical_sign; (0,1,1000) is the control off the class
+    inv = invariants(SEED)
+    for v in (pvec(1, 0, 1000), pvec(-1, 0, 1000)):
+        w = wedge(v, SEED)
+        assert math.gcd(*w) == 1 and F(v.q) * EIGHTH**3 > seminorm(w) ** 2
+        assert off_shortest_class(SEED, w) is False
+        assert admissible_successor(inv, v, EIGHTH) is False
+    assert admissible_successor(inv, pvec(0, 1, 1000), EIGHTH) is True
 
 
 def test_admissible_successor_low_height():
-    rep = admissible_successor(SEED, pvec(0, 1, 9), EIGHTH)
-    assert rep["wedge_primitive"] and rep["avoids_shortest"]
-    assert not rep["height_ok"]
+    # the same wedge passes at a looser bound, so only the height fails
+    v = pvec(0, 1, 9)
+    assert admissible_successor(invariants(SEED), v, EIGHTH) is False
+    assert admissible_successor(invariants(SEED), v, F(1, 2)) is True
 
 
 def test_admissible_successor_degenerate_self():
-    rep = admissible_successor(SEED, SEED, EIGHTH)
-    assert rep == {
-        "wedge_primitive": False,
-        "avoids_shortest": False,
-        "height_ok": False,
-        "ok": False,
-    }
+    assert admissible_successor(invariants(SEED), SEED, EIGHTH) is False
 
 
 def test_nesting_frozen_edges(chain4):
     vs = chain4.vectors()
     for u, v in zip(vs, vs[1:]):
-        rep = nesting_ok(u, v)
-        assert rep["ok"] and rep["slack"] > 0
+        assert nesting_slack(u, v) > 0
+        assert nesting_ok(invariants(u), v, invariants(v).absL) is True
 
 
 def test_nesting_rejects_sibling():
     u1a = child_vector(SEED, 1, 0, 520, EIGHTH)
     u1b = child_vector(SEED, 1, 1, 520, EIGHTH)
-    rep = nesting_ok(u1a, u1b)
-    assert not rep["ok"]
-    assert rep["slack"] == F(-1043, 540800)
+    assert nesting_slack(u1a, u1b) == F(-1043, 540800)
+    assert nesting_ok(invariants(u1a), u1b, invariants(u1b).absL) is False
 
 
 def test_nesting_needs_child_height():
     with pytest.raises(ValueError):
-        nesting_ok(SEED, pvec(1, 0, 1))
+        nesting_ok(invariants(SEED), pvec(1, 0, 1), 1)
 
 
 def test_growth_conditional(chain4):
     vs = chain4.vectors()
     # the seed is undistorted at 1/8, so no growth obligation there
-    assert not growth_ok(vs[0], vs[1], EIGHTH)["applicable"]
-    rep = growth_ok(vs[1], vs[2], EIGHTH)
-    assert rep["applicable"] and rep["ok"]
+    assert not distortion_below(vs[0], EIGHTH)
+    assert distortion_below(vs[1], EIGHTH)
+    assert growth_ok(vs[1], vs[2], EIGHTH) is True
 
 
 @settings(max_examples=40, deadline=None)
@@ -370,25 +374,40 @@ def test_integer_edge_predicates_match_fraction_formulas(u, eps):
     # each predicate against the Fraction formula it replaced, on the
     # children of u and of two of them (distorted parents, so the growth
     # clause applies), at the construction's eps and at the band's eps/2
-    def radius(v):
-        return F(invariants(v).absL, v.q * v.q)
-
     def kids(w):
         return [v for _, v in slot_children(w, eps, 1, per_pair=3)]
 
     edges = [(u, v) for v in kids(u)]
     edges += [(v, w) for _, v in edges[:2] for w in kids(v)]
     for w, v in edges:
-        slack = radius(w) / 2 - proj_dist(w, v) - 2 * radius(v)
-        assert nesting_ok(w, v) == {"ok": slack > 0, "slack": slack}
+        assert nesting_ok(invariants(w), v, invariants(v).absL) == (nesting_slack(w, v) > 0)
         for e in (eps, eps / 2):
             assert distortion_below(v, e) == (invariants(v).eps3 < e**3)
-            assert admissible_successor(w, v, e)["height_ok"] == (
-                F(v.q) * e**3 > seminorm(wedge(v, w)) ** 2)
-            applicable = invariants(w).eps3 < e**3
-            assert growth_ok(w, v, e) == {
-                "applicable": applicable,
-                "ok": F(v.q) * e**6 > w.q if applicable else None}
+            assert admissible_successor(invariants(w), v, e) == formula_admissible(w, v, e)
+            assert growth_ok(w, v, e) == (F(v.q) * e**6 > w.q)
+
+
+def off_shortest_class(u, w):
+    """Whether the wedge w is neither +L(u) nor -L(u)."""
+    return invariants(u).L not in (tuple(w), tuple(-m for m in w))
+
+
+def formula_admissible(u, v, eps):
+    """Membership of the edge u -> v from its definition: the wedge is
+    primitive, off the shortest class of u, and eps^3 |v| > |wedge|^2."""
+    w = wedge(v, u)
+    return (math.gcd(*w) == 1 and off_shortest_class(u, w)
+            and F(v.q) * eps**3 > seminorm(w) ** 2)
+
+
+def formula_faults(u, v, eps):
+    """The names of the edge checks u -> v fails, in the edge rule's order,
+    each from its Fraction formula."""
+    return [name for name, ok in (
+        ("membership", formula_admissible(u, v, eps)),
+        ("nesting", nesting_slack(u, v) > 0),
+        ("growth", not invariants(u).eps3 < eps**3 or F(v.q) * eps**6 > u.q),
+    ) if not ok]
 
 
 def test_integer_predicates_keep_strict_ties():
@@ -399,11 +418,11 @@ def test_integer_predicates_keep_strict_ties():
     assert not distortion_below(tie, half)
     assert distortion_below(above, half)
     # |v| eps^3 = 1 = seminorm(wedge(v, seed))^2 at the tie
-    assert not admissible_successor(SEED, tie, half)["height_ok"]
-    assert admissible_successor(SEED, above, half)["height_ok"]
+    assert not admissible_successor(invariants(SEED), tie, half)
+    assert admissible_successor(invariants(SEED), above, half)
     # a parent of height 9 below 1/2 needs a child taller than 9 * 2^6 = 576
-    assert growth_ok(above, pvec(0, 1, 576), half) == {"applicable": True, "ok": False}
-    assert growth_ok(above, pvec(0, 1, 577), half) == {"applicable": True, "ok": True}
+    assert not growth_ok(above, pvec(0, 1, 576), half)
+    assert growth_ok(above, pvec(0, 1, 577), half)
 
 
 # ------------------------------------------------------------ spacing
@@ -413,22 +432,25 @@ def test_spacing_floor_value():
     assert spacing_floor(EIGHTH, 1) == F(1, 2**38)
 
 
+def reduced_records(kids):
+    """The children paired with |L(v)| from the reduced pair lattice, a
+    route apart from the wedge certificate the library reads, as
+    `verify_spacing` takes them."""
+    return [(v, invariants(v).absL) for v in kids]
+
+
 def test_spacing_all_sibling_pairs():
-    kids = [v for _, v in slot_children(SEED, EIGHTH)]
+    kids = reduced_records([v for _, v in slot_children(SEED, EIGHTH)])
     assert len(kids) == 50
-    worst = None
-    for i in range(len(kids)):
-        for j in range(i + 1, len(kids)):
-            rep = verify_spacing(SEED, kids[i], kids[j], EIGHTH)
-            assert rep["ok"]
-            worst = rep["ratio"] if worst is None else min(worst, rep["ratio"])
-    assert worst > 1
+    for i, a in enumerate(kids):
+        for b in kids[i + 1:]:
+            assert verify_spacing(SEED, a, b, EIGHTH) is True
 
 
 def test_spacing_adjacent_same_pair():
     u1 = child_vector(SEED, 1, 0, 520, EIGHTH)
     u2 = child_vector(SEED, 1, 0, 540, EIGHTH)
-    assert verify_spacing(SEED, u1, u2, EIGHTH)["ok"]
+    assert verify_spacing(SEED, *reduced_records([u1, u2]), EIGHTH) is True
 
 
 @pytest.mark.parametrize("eps, spacing_fails", [(EIGHTH, 0), (F(49, 100), 58)])
@@ -439,20 +461,16 @@ def test_tree_audit_spacing_matches_verify_spacing(eps, spacing_fails):
     # sibling pairs miss the floor
     root = expansion_tree(SEED, EIGHTH, depth=2, width=8)
     rep = tree_audit(root, eps)
-
-    def radius(v):
-        return F(invariants(v).absL, v.q * v.q)
-
     ratios = []
     for node in iter_tree(root):
-        kids = [ch.u for ch in node.children]
+        kids = reduced_records([ch.u for ch in node.children])
         floor_val = spacing_floor(eps, 1) * 4 * radius(node.u)
-        for i, va in enumerate(kids):
-            for vb in kids[i + 1:]:
+        for i, a in enumerate(kids):
+            for b in kids[i + 1:]:
+                va, vb = a[0], b[0]
                 ratio = (proj_dist(va, vb) - 2 * radius(va) - 2 * radius(vb)) / floor_val
                 ratios.append(ratio)
-                assert verify_spacing(node.u, va, vb, eps) == {
-                    "ok": ratio > 1, "ratio": float(ratio)}
+                assert verify_spacing(node.u, a, b, eps) == (ratio > 1)
     assert len(ratios) == rep["totals"]["spacing_pairs"]
     assert sum(r <= 1 for r in ratios) == rep["fails"]["spacing"] == spacing_fails
     assert float(min(ratios)) == rep["min_spacing_ratio"]
@@ -600,16 +618,21 @@ def test_wide_family_tree_memory_does_not_grow_with_the_family():
 
 
 def test_spacing_rejects_equal():
-    u1 = child_vector(SEED, 1, 0, 520, EIGHTH)
+    a, b = reduced_records([child_vector(SEED, 1, 0, c, EIGHTH) for c in (520, 540)])
     with pytest.raises(ValueError):
-        verify_spacing(SEED, u1, u1, EIGHTH)
+        verify_spacing(SEED, a, a, EIGHTH)
     # a zero distortion bound gives a zero floor, which no ratio can use
-    u2 = child_vector(SEED, 1, 0, 540, EIGHTH)
     with pytest.raises(ValueError):
-        verify_spacing(SEED, u1, u2, 0)
-    # a tiny eps shrinks the floor until the gap ratio has no float
+        verify_spacing(SEED, a, b, 0)
+    # the exact verdict needs no float, so a tiny eps only tightens it
+    assert verify_spacing(SEED, a, b, F(1, 10**40)) is True
+
+
+def test_tree_audit_spacing_ratio_leaves_float_range():
+    # a tiny eps shrinks the floor until the least gap ratio has no float
+    root = expansion_tree(SEED, EIGHTH, depth=1, width=2)
     with pytest.raises(ValueError, match="float range"):
-        verify_spacing(SEED, u1, u2, F(1, 10**40))
+        tree_audit(root, F(1, 10**40))
 
 
 # ------------------------------------------------- singular schedule
@@ -655,8 +678,7 @@ def test_sing_chain_strictly_decreasing(sing6):
 def test_sing_chain_growth_and_ratios(sing6):
     vs = sing6.vectors()
     for node, u, v in zip(sing6.nodes[1:], vs, vs[1:]):
-        rep = growth_ok(u, v, node.eps)
-        assert rep["ok"] or not rep["applicable"]
+        assert growth_ok(u, v, node.eps) or not distortion_below(u, node.eps)
     eps_used = [n.eps for n in sing6.nodes[1:]]
     for a, b in zip(eps_used, eps_used[1:]):
         assert F(1, 2) <= b / a <= 2
@@ -850,7 +872,7 @@ def test_slow_chain_edges_nest(p1, p2, q, target):
     chain, _ = slow_chain(pvec(p1, p2, q), target, 1, steps=3, samples=2)
     vs = chain.vectors()
     for u, v in zip(vs, vs[1:]):
-        assert nesting_ok(u, v)["ok"], (u, v)
+        assert nesting_ok(invariants(u), v, invariants(v).absL), (u, v)
     # so the tip's point lies in every node's domain, and the chain is a
     # best-approximation sequence there: sandwich_audit reads its envelope
     # from wx_profile on that sequence
@@ -970,19 +992,15 @@ def test_tree_small_shape():
 def test_chains_and_trees_share_one_edge_rule(root_vec, width):
     # both depth-2 trees carry D3 growth failures; adjoining each child,
     # with its slot, to a one-node chain at its parent fails exactly when
-    # one of the three dict views rejects the edge, naming the first
+    # the Fraction formula of one of the three checks rejects the edge,
+    # naming the first, and tree_audit counts the same rejections
     root = expansion_tree(root_vec, EIGHTH, depth=2, width=width)
     counts = Counter()
     for node in iter_tree(root):
         u = node.u
         for ch in node.children:
             v = ch.u
-            growth = growth_ok(u, v, EIGHTH)
-            rejected = [name for name, ok in (
-                ("membership", admissible_successor(u, v, EIGHTH)["ok"]),
-                ("nesting", nesting_ok(u, v)["ok"]),
-                ("growth", not growth["applicable"] or growth["ok"]),
-            ) if not ok]
+            rejected = formula_faults(u, v, EIGHTH)
             counts.update(rejected)
             chain = Chain([ChainNode(u)])
             if rejected:
@@ -998,6 +1016,30 @@ def test_chains_and_trees_share_one_edge_rule(root_vec, width):
     fails = tree_audit(root, EIGHTH)["fails"]
     assert {k: counts[k] for k in ("membership", "nesting", "growth")} == {
         k: fails[k] for k in ("membership", "nesting", "growth")}
+
+
+@pytest.mark.parametrize("predicate, name", [
+    ("admissible_successor", "membership"), ("nesting_ok", "nesting"),
+    ("growth_ok", "growth")])
+def test_edge_rule_is_its_three_predicates(monkeypatch, chain4, predicate, name):
+    # a predicate that rejects every edge makes tree_audit count every edge
+    # it sees under its check's name, and a chain append raise naming it:
+    # the edge rule reads each check from that predicate and nowhere else
+    root = expansion_tree(SEED, EIGHTH, depth=2, width=8)
+    vs, slot = chain4.vectors(), chain4.nodes[2].slot
+    construct._append(Chain([ChainNode(vs[1])]), vs[2], EIGHTH, slot)
+    before = tree_audit(root, EIGHTH)
+    monkeypatch.setattr(construct, predicate, lambda *args: False)
+    rep = tree_audit(root, EIGHTH)
+    seen = rep["totals"]["growth_checked" if name == "growth" else "edges"]
+    assert seen > 0 and rep["fails"][name] == seen
+    assert {k: n for k, n in rep["fails"].items() if k != name} == {
+        k: n for k, n in before["fails"].items() if k != name}
+    # the edge vs[1] -> vs[2] passes every check, below a distorted parent
+    chain = Chain([ChainNode(vs[1])])
+    with pytest.raises(RuntimeError, match=f"fails the {name} check"):
+        construct._append(chain, vs[2], EIGHTH, slot)
+    assert chain.vectors() == [vs[1]]
 
 
 @pytest.fixture
