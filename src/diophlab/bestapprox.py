@@ -39,20 +39,19 @@ def height_minimum(x: RatPoint, q: int) -> tuple[Fraction, list[tuple[int, int]]
     if q < 1:
         raise ValueError(f"height must be positive, got {q}")
     n1, n2, d = x.common_denominator()
-    per_coord: list[tuple[list[int], int]] = []
-    for n in (n1, n2):
-        lo = (q * n) // d
-        r = q * n - lo * d
-        if 2 * r < d:
-            per_coord.append(([lo], r))
-        elif 2 * r > d:
-            per_coord.append(([lo + 1], d - r))
-        else:
-            per_coord.append(([lo, lo + 1], r))
-    (opts1, r1), (opts2, r2) = per_coord
-    res = Fraction(max(r1, r2), d)
-    cands = [(p1, p2) for p1 in opts1 for p2 in opts2]
-    return res, cands
+    r, opts1, opts2 = _height_step(n1, n2, d, q)
+    return Fraction(r, d), [(p1, p2) for p1 in opts1 for p2 in opts2]
+
+
+def _height_step(n1: int, n2: int, d: int, q: int) -> tuple[int, list[int], list[int]]:
+    """height_minimum in integers at x = (n1/d, n2/d): the residual
+    numerator r = max_i min_p |q n_i - p d| and each coordinate's
+    minimizing p, ascending (two only on a half-integer tie)."""
+    r1, r2 = q * n1 % d, q * n2 % d
+    lo1, lo2 = (q * n1 - r1) // d, (q * n2 - r2) // d
+    opts1 = [lo1] if 2 * r1 < d else [lo1 + 1] if 2 * r1 > d else [lo1, lo1 + 1]
+    opts2 = [lo2] if 2 * r2 < d else [lo2 + 1] if 2 * r2 > d else [lo2, lo2 + 1]
+    return max(min(r1, d - r1), min(r2, d - r2)), opts1, opts2
 
 
 class _BestApproxSeqFields(NamedTuple):
@@ -276,11 +275,15 @@ def shortest_vector_oracle(
     """Certified minimum of max(T*|q*x1 - p1|, T*|q*x2 - p2|, |q|) over Z^3.
 
     Independent of the best-approximation machinery: scans heights q = 0,
-    1, 2, ... outward, taking each height's minimum from height_minimum
-    (the lexicographic tie choice), and stops once q exceeds the best
-    score seen (any unscanned vector then scores more than the incumbent
-    on its height coordinate alone).
+    1, 2, ... outward, taking each height's minimum from the integer step
+    of height_minimum (the lexicographic tie choice), and stops once q
+    exceeds the best score seen (any unscanned vector then scores more
+    than the incumbent on its height coordinate alone).
     Raises RuntimeError when the scan would exceed the iteration budget.
+
+    The scan runs in integers, in units of 1/(b d) for T = a/b and
+    x = (n1/d, n2/d): height q with residual numerator r scores
+    max(a r, q b d), and the one Fraction is the returned score.
 
     Returns (vector, score) with the score exact; vectors are canonicalised
     to q >= 0.
@@ -288,23 +291,26 @@ def shortest_vector_oracle(
     T = Fraction(T)
     if T <= 0:
         raise ValueError("T must be positive")
-    best_val = T  # (1, 0, 0): purely horizontal unit vector
+    a, b = T.numerator, T.denominator
+    n1, n2, d = x.common_denominator()
+    bd = b * d
+    best_val = a * d  # (1, 0, 0): purely horizontal unit vector, score T
     best_vec = (1, 0, 0)
     q = 0
     while True:
         q += 1
-        if q > best_val:
+        if q * bd > best_val:
             break
         if q > budget:
             raise RuntimeError(
                 f"certification exceeded enumeration budget {budget}"
             )
-        res, cands = height_minimum(x, q)
-        val = max(T * res, Fraction(q))
+        r, opts1, opts2 = _height_step(n1, n2, d, q)
+        val = max(a * r, q * bd)
         if val < best_val:
             best_val = val
-            best_vec = (*cands[0], q)
-    return best_vec, best_val
+            best_vec = (opts1[0], opts2[0], q)
+    return best_vec, Fraction(best_val, bd)
 
 
 def _reduced_lattice(
@@ -445,8 +451,9 @@ def _box_heights(n1: int, n2: int, den: int, Q: int, R: int):
     s = max(|w[0]|, |w[1]|) / a.  Their ball ||w||^2 <= 3 m^2 is
     enumerated over the reduced basis: about 22 Q R^2 / den^2 points.
     Nothing caps that volume Q R^2 / den^2 here; both callers bound it by
-    proof, at most 2 for records and below 1 for domain membership once
-    in_domain's Minkowski test has passed.
+    proof: at most 2 for the next record in best_approximations, and under
+    about 4 for the one box around v_dot that domains._members shares
+    across its points once their Minkowski test has passed.
     """
     g = math.gcd(Q * den, R)
     a, b = Q * den // g, R // g

@@ -14,8 +14,9 @@ from typing import NamedTuple
 from .util import frac_str
 
 # Most children one quotient family may hold.  `dn_gap_audit` builds and
-# sorts them all: on a 2-core x86-64 host 'dn --root 1/2' took 1.0 s (35 MB
-# peak) at N = 2 * 10^4 and 7.2 s (109 MB) at N = 10^5, the largest allowed.
+# sorts them all: on a 2-core x86-64 host 'dn --root 1/2' took 0.3 s (31 MB
+# peak) at N = 2 * 10^4 and 0.7-1.0 s (101 MB) at N = 10^5, the largest
+# allowed.
 MAX_FAMILY_CHILDREN = 2 * 10**5
 
 
@@ -46,7 +47,13 @@ def neighbors(v) -> tuple[Fraction, Fraction]:
     Their denominators split q exactly: q_- + q_+ = q.
     """
     v = Fraction(v)
-    p, q = v.numerator, v.denominator
+    p_minus, q_minus, p_plus, q_plus = _neighbor_pairs(v.numerator, v.denominator)
+    return Fraction(p_minus, q_minus), Fraction(p_plus, q_plus)
+
+
+def _neighbor_pairs(p: int, q: int) -> tuple[int, int, int, int]:
+    """(p_-, q_-, p_+, q_+): the neighbors of the reduced fraction p/q as
+    integer pairs, each in lowest terms (its determinant with p/q is -+1)."""
     if q < 2:
         raise ValueError("neighbor fractions need denominator >= 2")
     q_plus = pow(-p, -1, q)
@@ -55,7 +62,14 @@ def neighbors(v) -> tuple[Fraction, Fraction]:
     p_minus = p - p_plus
     assert p_plus * q - p * q_plus == 1
     assert p_minus * q - p * q_minus == -1
-    return Fraction(p_minus, q_minus), Fraction(p_plus, q_plus)
+    return p_minus, q_minus, p_plus, q_plus
+
+
+def _interval_ends(p: int, q: int, N: int) -> tuple[int, int, int, int]:
+    """(lo num, lo den, hi num, hi den) of I_N(p/q), each end in lowest
+    terms: its determinant with p/q is -+1 as well."""
+    p_minus, q_minus, p_plus, q_plus = _neighbor_pairs(p, q)
+    return N * p + p_minus, N * q + q_minus, N * p + p_plus, N * q + q_plus
 
 
 class IntervalIN(NamedTuple):
@@ -91,15 +105,9 @@ def quotient_interval(v, N: int) -> IntervalIN:
     v = Fraction(v)
     if N < 1:
         raise ValueError("N must be >= 1")
-    p, q = v.numerator, v.denominator
-    vm, vp = neighbors(v)
-    lo = Fraction(N * p + vm.numerator, N * q + vm.denominator)
-    hi = Fraction(N * p + vp.numerator, N * q + vp.denominator)
-    iv = IntervalIN(v, N, lo, hi)
-    expected = Fraction(
-        2 * N + 1, (N * q + vm.denominator) * (N * q + vp.denominator)
-    )
-    assert iv.length == expected
+    lo_n, lo_d, hi_n, hi_d = _interval_ends(v.numerator, v.denominator, N)
+    iv = IntervalIN(v, N, Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
+    assert iv.length == Fraction(2 * N + 1, lo_d * hi_d)
     return iv
 
 
@@ -123,8 +131,12 @@ def dn_children(v, N: int, a_max: int | None = None) -> list[Fraction]:
     Raises ValueError, before building any child, past
     MAX_FAMILY_CHILDREN = 2 * 10^5 children (N = 10^5 by default).
     """
-    v = Fraction(v)
-    p, q = v.numerator, v.denominator
+    return [Fraction(n, d) for n, d in _child_pairs(Fraction(v), N, a_max)]
+
+
+def _child_pairs(v: Fraction, N: int, a_max: int | None = None) -> list[tuple[int, int]]:
+    """dn_children(v, N, a_max) as (numerator, denominator) pairs, each in
+    lowest terms."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if a_max is None:
@@ -134,11 +146,12 @@ def dn_children(v, N: int, a_max: int | None = None) -> list[Fraction]:
     if 2 * (a_max - N) > MAX_FAMILY_CHILDREN:
         raise ValueError(f"the family at N = {N} has {2 * (a_max - N)} children, "
                          f"more than {MAX_FAMILY_CHILDREN}")
-    vm, vp = neighbors(v)
+    p, q = v.numerator, v.denominator
+    p_minus, q_minus, p_plus, q_plus = _neighbor_pairs(p, q)
     out = []
     for a in range(N + 1, a_max + 1):
-        out.append(Fraction(a * p + vm.numerator, a * q + vm.denominator))
-        out.append(Fraction(a * p + vp.numerator, a * q + vp.denominator))
+        out.append((a * p + p_minus, a * q + q_minus))
+        out.append((a * p + p_plus, a * q + q_plus))
     return out
 
 
@@ -149,7 +162,10 @@ def dn_gap_audit(v, N: int) -> dict:
     Children intervals are sorted by left endpoint; since they must be
     pairwise disjoint, the adjacent gaps witness all pairwise ones.  The
     minimum gap is reported relative to the parent interval and compared
-    against 1/(36N), the guaranteed floor for N >= 72.
+    against 1/(36N), the guaranteed floor for N >= 72.  The endpoints stay
+    integer pairs in lowest terms, from the one neighbor routine, and are
+    sorted and compared by cross-multiplication; the one Fraction built
+    is the reported ratio.
 
     These are conditions (i)-(iii) of `dimension.lower_cert` at
     rho = 1/(36N).  The audit says nothing of the power sums (iv), which
@@ -157,14 +173,22 @@ def dn_gap_audit(v, N: int) -> dict:
     """
     v = Fraction(v)
     parent = quotient_interval(v, N)
-    kids = sorted(
-        (quotient_interval(c, N) for c in dn_children(v, N)),
-        key=lambda iv: iv.lo,
-    )
-    nested = all(parent.contains(k) for k in kids)
-    disjoint = all(a.hi < b.lo for a, b in zip(kids, kids[1:]))
-    min_gap = min((b.lo - a.hi for a, b in zip(kids, kids[1:])), default=None)
-    ratio = None if min_gap is None else min_gap / parent.length
+    lo_n, lo_d = parent.lo.numerator, parent.lo.denominator
+    hi_n, hi_d = parent.hi.numerator, parent.hi.denominator
+    kids = [_interval_ends(n, d, N) for n, d in _child_pairs(v, N)]
+    # by left end, exactly: two fractions of denominators at most D differ
+    # by 0 or at least 1/D^2, so floor(D^2 lo) orders them as lo does
+    scale = max(k[1] for k in kids) ** 2
+    kids.sort(key=lambda k: k[0] * scale // k[1])
+    nested = all(lo_n * d0 <= n0 * lo_d and n1 * hi_d <= hi_n * d1
+                 for n0, d0, n1, d1 in kids)
+    gaps = [(b[0] * a[3] - a[2] * b[1], a[3] * b[1]) for a, b in zip(kids, kids[1:])]
+    disjoint = all(n > 0 for n, _ in gaps)
+    gap_n, gap_d = gaps[0]
+    for n, d in gaps:
+        if n * gap_d < gap_n * d:
+            gap_n, gap_d = n, d
+    ratio = Fraction(gap_n * lo_d * hi_d, gap_d * (2 * N + 1))
     floor = Fraction(1, 36 * N)
     return {
         "v": frac_str(v),
@@ -172,7 +196,7 @@ def dn_gap_audit(v, N: int) -> dict:
         "children": len(kids),
         "nested": nested,
         "disjoint": disjoint,
-        "min_gap_ratio": None if ratio is None else frac_str(ratio),
+        "min_gap_ratio": frac_str(ratio),
         "gap_floor": frac_str(floor),
-        "gaps_ok": ratio is not None and ratio >= floor,
+        "gaps_ok": ratio >= floor,
     }

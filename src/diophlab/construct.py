@@ -79,6 +79,12 @@ MAX_SLOT_MULTIPLIER = 10**100
 MAX_TREE_LEVELS = 100
 MAX_TREE_NODES = 2 * 10**5
 MAX_TREE_WORK = 5 * 10**5
+# Cap on a slow chain's cost estimate samples * steps^3: its heights gain
+# digits with every step, and each sample is one reduction at the tip's
+# size.  On a 2-core x86-64 host 'slow-chain' shapes at the cap took 9.2 s
+# (292 steps, 2 samples), 2.8 s (107, 40), 2.3 s (62, 200) and 3.8 s
+# (17, 10^4); 200 steps at 200 samples ran 81 s uncapped.
+MAX_CHAIN_WORK = 5 * 10**7
 # The singular-type schedule (see sing_chain): the constant c, the family
 # size at step 0, the cap on every bound, and the factor by which each
 # node's distortion cube must undercut its parent's.
@@ -704,12 +710,16 @@ def slow_chain(
     envelope 3 * (alignment bound) + (float defect).  The sampled window
     runs from the first child to the second-to-last node, so it needs
     steps >= 3; the samples span it end to end, so they need samples >= 2,
-    and at most MAX_PROFILE_SAMPLES = 10^4.  Both are checked first.
+    and at most MAX_PROFILE_SAMPLES = 10^4.  Both are checked first, and
+    then the cost estimate samples * steps^3 against MAX_CHAIN_WORK.
     """
     if steps < 3:
         raise ValueError(f"slow chain needs steps >= 3, got {steps}")
     if not 2 <= samples <= MAX_PROFILE_SAMPLES:
         raise ValueError(f"slow chain needs 2 to {MAX_PROFILE_SAMPLES} samples, got {samples}")
+    if samples * steps**3 > MAX_CHAIN_WORK:
+        raise ValueError(f"a slow chain of {steps} steps and {samples} samples costs "
+                         f"samples * steps^3 = {samples * steps**3}, more than {MAX_CHAIN_WORK}")
     chain = Chain([ChainNode(u0)])
     inv0 = invariants(u0)
     f_third = lambda t: -w_target(t) / 3

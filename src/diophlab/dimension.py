@@ -66,14 +66,24 @@ class DimResult(NamedTuple):
 
 
 def _bisect(below, lo: float, hi: float) -> float:
-    """Where below turns false in [lo, hi]: 200 halvings, each moving lo
-    up to a midpoint where below holds and hi down to any other; the
-    final midpoint is returned."""
+    """Where below turns false in [lo, hi]: up to 200 halvings, each moving
+    lo up to a midpoint where below holds and hi down to any other; the
+    final midpoint is returned.
+
+    The halving stops at its fixed point, the first one that would leave
+    (lo, hi) unchanged: below is deterministic, so every later halving
+    would repeat it, and the returned midpoint is the float that 200
+    halvings return.  On a binary64 interval that takes about 55 calls
+    of below, against 200."""
     for _ in range(200):
         mid = (lo + hi) / 2
         if below(mid):
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     return (lo + hi) / 2
 

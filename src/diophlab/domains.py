@@ -9,7 +9,6 @@ of lower heights.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -62,7 +61,8 @@ def in_domain(x: RatPoint, v: PrimVec) -> bool:
 
     No height below |v| may reach v's residual (strict comparison), and
     no numerator pair at height |v| may beat it (weak comparison).  The
-    lower heights are searched as the lattice points of one box (below).
+    lower heights are searched as the lattice points of one box (see
+    _members, which decides a whole set of points at once).
 
     A zero residual puts x at v's rational point, whose reduced
     denominator is |v| because v is primitive, so no lower height
@@ -70,39 +70,49 @@ def in_domain(x: RatPoint, v: PrimVec) -> bool:
     search: the body |q| <= 1/r^2, ||q x - p|| <= r has volume 8, so for
     r < 1 it holds an integer point with 0 < q <= 1/r^2 and residual at
     most r (and for r >= 1/2 height 1 already reaches r).  So v is no
-    member once (|v| - 1) res_v^2 >= 1, and a box that is searched has
-    volume 4 (|v| - 1) res_v^2 < 4.  in_domain_scan is the
+    member once (|v| - 1) res_v^2 >= 1.  in_domain_scan is the
     height-by-height oracle.
-
-    Every test runs in integers scaled by the common denominator D of
-    x = (n1/D, n2/D), with res_v = R/D, R = max_i |q n_i - p_i D|: the
-    zero residual is R = 0, the Minkowski test is (|v| - 1) R^2 >= D^2,
-    the box is bestapprox._box_heights(n1, n2, D, |v| - 1, R), and the
-    last test compares R with max_i min(q n_i mod D, D - q n_i mod D),
-    the residual numerator at height |v|.
     """
-    return _member(*x.common_denominator(), v)
+    n1, n2, den = x.common_denominator()
+    return _members(v, den, [(n1, n2)])[0]
 
 
-def _member(n1: int, n2: int, den: int, v: PrimVec) -> bool:
-    """in_domain at x = (n1/den, n2/den), for any den > 0.
+def _members(v: PrimVec, den: int, pts: list[tuple[int, int]]) -> list[bool]:
+    """in_domain at each point (n1/den, n2/den) of pts, for any den > 0.
 
-    The triple is first divided by its gcd, so a non-minimal den enters
-    the same lattice as the minimal one.
+    Every test runs in integers over den.  Point j has v's residual
+    R_j/den, R_j = max_i |q n_i - p_i den| for v = (p1, p2, q): R_j = 0
+    makes it a member and (q - 1) R_j^2 >= den^2 a non-member (see
+    in_domain).  The points left share one box of lower heights around
+    v_dot = (p1/q, p2/q): _box_heights(p1, p2, q, q - 1, r) with
+    r = ceil(max_j R_j (2q - 1)/den).  A height h < q with residual at
+    most R_j/den at x_j has residual at most R_j (1 + h/q)/den at v_dot,
+    because |x_j - v_dot| = R_j/(q den), so the box holds every height
+    that could beat v at any of the points.  Its volume (q - 1) r^2/q^2
+    stays under about 4, as (q - 1) R_j^2 < den^2.  A point is no member
+    when its own residual numerator at some box height is at most R_j,
+    and otherwise a member when its residual numerator at height q is at
+    least R_j.
     """
-    g = math.gcd(n1, n2, den)
-    n1, n2, den = n1 // g, n2 // g, den // g
     p1, p2, q = v
-    R = max(abs(q * n1 - p1 * den), abs(q * n2 - p2 * den))
-    if R == 0:
-        return True
-    if (q - 1) * R * R >= den * den:
-        return False
-    # at |v| = 1 there is no lower height to search
-    if q > 1 and next(_box_heights(n1, n2, den, q - 1, R), None) is not None:
-        return False
-    t1, t2 = q * n1 % den, q * n2 % den
-    return max(min(t1, den - t1), min(t2, den - t2)) >= R
+    Rs = [max(abs(q * n1 - p1 * den), abs(q * n2 - p2 * den)) for n1, n2 in pts]
+    out = [R == 0 for R in Rs]
+    todo = [j for j, R in enumerate(Rs) if R and (q - 1) * R * R < den * den]
+    heights = ()
+    if todo and q > 1:  # at |v| = 1 there is no lower height to search
+        r = -(-max(Rs[j] for j in todo) * (2 * q - 1) // den)
+        heights = {h for h, _ in _box_heights(p1, p2, q, q - 1, r)}
+    for j in todo:
+        n1, n2 = pts[j]
+        out[j] = (all(_residual_numerator(h, n1, n2, den) > Rs[j] for h in heights)
+                  and _residual_numerator(q, n1, n2, den) >= Rs[j])
+    return out
+
+
+def _residual_numerator(h: int, n1: int, n2: int, den: int) -> int:
+    """den times the least residual ||h x - p|| at x = (n1/den, n2/den)."""
+    t1, t2 = h * n1 % den, h * n2 % den
+    return max(min(t1, den - t1), min(t2, den - t2))
 
 
 def in_domain_scan(x: RatPoint, v: PrimVec) -> bool:
@@ -160,20 +170,18 @@ def audit_ball_sandwich(v: PrimVec) -> dict:
     the inner grid (in the ball of radius r/2, step r/6) is numerators
     over 6|v|^2, the outer sweep (from v_dot - 4r in steps of 8r/5) is
     numerators over 5|v|^2, on which the outer radius 2r is 10|L|.  Each
-    point goes to the integer core of in_domain (see there: R, D,
-    (|v| - 1) R^2 >= D^2, the box pair (Q D, R)); outer points within the
+    grid goes to _members in one call, so one box of lower heights around
+    v_dot decides all its points (see there); outer points within the
     outer ball are not tested.  Raises ValueError for |v| <= 1, as
     ball_bounds does.
     """
     L = _radius_numerator(v)
     den, pts = _inner_grid(v, L)
-    inner_ok = all(_member(n1, n2, den, v) for n1, n2 in pts)
+    inner_ok = all(_members(v, den, pts))
     den, pts = _outer_grid(v, L)
     c1, c2 = 5 * v.q * v.p1, 5 * v.q * v.p2
-    outer_ok = not any(
-        max(abs(n1 - c1), abs(n2 - c2)) > 10 * L and _member(n1, n2, den, v)
-        for n1, n2 in pts
-    )
+    far = [(n1, n2) for n1, n2 in pts if max(abs(n1 - c1), abs(n2 - c2)) > 10 * L]
+    outer_ok = not any(_members(v, den, far))
     return {
         "v": str(v),
         "inner_ok": inner_ok,

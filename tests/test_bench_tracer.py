@@ -69,3 +69,29 @@ def test_tracer_counts_the_edge_predicates():
         calls[name] += n
     for name in ("admissible_successor", "nesting_ok", "growth_ok"):
         assert calls[f"construct.{name}"] > 0, name
+
+
+def test_tracer_runs_audit_all():
+    # the traced audit-all prints the golden bytes, times all 20 items, and
+    # shows calls in each layer whose per-layer numbers its speed rests on
+    root = TRACER.parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "DIOPHLAB_SEED"}
+    env["PYTHONPATH"] = "src"
+    argv = ["--", "audit-all", "--seed", "0"]
+    proc = subprocess.run([sys.executable, str(TRACER), *argv], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1, proc.stdout
+    report = json.loads(lines[0])
+    golden = json.loads((root / "bench" / "golden.json").read_text())["audit-all --seed 0"]
+    assert report["exit"] == golden["exit"] == 0
+    assert report["sha256"] == golden["sha256"]
+    calls = Counter()
+    for _, name, n, *_ in report["spans"]:
+        calls[name] += n
+    items = {name for name in calls if name.startswith("cli.audit.")}
+    assert len(items) == len(cli.AUDIT_ITEMS) == 20, sorted(items)
+    for name in ("domains.audit_ball_sandwich", "bestapprox.shortest_vector_oracle",
+                 "cfrac.dn_gap_audit", "dimension.bounds_crossing"):
+        assert calls[name] > 0, name

@@ -201,6 +201,61 @@ def test_oracle_budget_error():
         shortest_vector_oracle(RatPoint(F(1, 3), F(1, 3)), 100, budget=2)
 
 
+def fraction_scan_oracle(x: RatPoint, T, budget: int = 2_000_000):
+    """The Fraction height scan that shortest_vector_oracle replaced,
+    verbatim: one height_minimum and one Fraction score per height."""
+    T = Fraction(T)
+    if T <= 0:
+        raise ValueError("T must be positive")
+    best_val = T  # (1, 0, 0): purely horizontal unit vector
+    best_vec = (1, 0, 0)
+    q = 0
+    while True:
+        q += 1
+        if q > best_val:
+            break
+        if q > budget:
+            raise RuntimeError(
+                f"certification exceeded enumeration budget {budget}"
+            )
+        res, cands = height_minimum(x, q)
+        val = max(T * res, Fraction(q))
+        if val < best_val:
+            best_val = val
+            best_vec = (*cands[0], q)
+    return best_vec, best_val
+
+
+def test_integer_oracle_matches_the_fraction_scan():
+    # the same vector (lexicographic tie rule) and the same exact score, on
+    # the half-integer ties of (1/2, 1/2), T < 1, integer and non-integer T,
+    # and denominators up to 120
+    rng = random.Random(33)
+    targets = [RatPoint(F(1, 2), F(1, 2)), RatPoint(0, 0), RatPoint(F(1, 2), F(1, 3))]
+    while len(targets) < 40:
+        den = rng.randint(2, 120)
+        targets.append(RatPoint(F(rng.randint(-den, 2 * den), den),
+                                F(rng.randint(-den, 2 * den), den)))
+    Ts = [F(1, 3), F(1, 2), F(9, 10), 1, 2, 7, F(7, 2), F(100, 3), 250, F(2501, 7), 2500]
+    for x in targets:
+        for T in Ts + [F(rng.randint(1, 3000), rng.randint(1, 40))]:
+            got = shortest_vector_oracle(x, T)
+            assert got == fraction_scan_oracle(x, T), (x, T)
+            assert isinstance(got[1], Fraction)
+
+
+def test_integer_oracle_keeps_its_budget():
+    # height 3 hits x exactly, so the scan stops at height 4 above budget 2
+    x = RatPoint(F(1, 3), F(1, 3))
+    for budget in (1, 2):
+        with pytest.raises(RuntimeError, match=f"budget {budget}"):
+            shortest_vector_oracle(x, 100, budget=budget)
+        with pytest.raises(RuntimeError, match=f"budget {budget}"):
+            fraction_scan_oracle(x, 100, budget=budget)
+    assert shortest_vector_oracle(x, 100, budget=3) == ((1, 1, 3), 3)
+    assert fraction_scan_oracle(x, 100, budget=3) == ((1, 1, 3), 3)
+
+
 def test_accelerated_subsequence_frozen():
     assert accelerated_subsequence(
         best_approximations(RatPoint(F(1, 2), F(1, 2)), 10)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from diophlab.cfrac import (
 from diophlab.core import RatPoint
 from diophlab.dimension import dn_tree
 from diophlab.domains import in_domain
+from diophlab.util import frac_str
 
 F = Fraction
 
@@ -132,6 +134,48 @@ def test_gap_audit_small_N_empirical():
     for N in (2, 5, 10):
         rep = dn_gap_audit(F(1, 2), N)
         assert rep["nested"] and rep["disjoint"]
+
+
+def fraction_gap_audit(v, N: int) -> dict:
+    """The Fraction version of dn_gap_audit that the integer one replaced,
+    verbatim: one IntervalIN per child, sorted and compared as Fractions."""
+    v = Fraction(v)
+    parent = quotient_interval(v, N)
+    kids = sorted(
+        (quotient_interval(c, N) for c in dn_children(v, N)),
+        key=lambda iv: iv.lo,
+    )
+    nested = all(parent.contains(k) for k in kids)
+    disjoint = all(a.hi < b.lo for a, b in zip(kids, kids[1:]))
+    min_gap = min((b.lo - a.hi for a, b in zip(kids, kids[1:])), default=None)
+    ratio = None if min_gap is None else min_gap / parent.length
+    floor = Fraction(1, 36 * N)
+    return {
+        "v": frac_str(v),
+        "N": N,
+        "children": len(kids),
+        "nested": nested,
+        "disjoint": disjoint,
+        "min_gap_ratio": None if ratio is None else frac_str(ratio),
+        "gap_floor": frac_str(floor),
+        "gaps_ok": ratio is not None and ratio >= floor,
+    }
+
+
+def test_integer_gap_audit_matches_the_fraction_one():
+    rng = random.Random(34)
+    roots = [F(1, 2), F(2, 5), F(13, 29), F(-7, 3), F(5, 2)]
+    while len(roots) < 12:
+        q = rng.randint(2, 10**6)
+        p = rng.randint(-q, 2 * q)
+        if math.gcd(p, q) == 1:
+            roots.append(F(p, q))
+    for v in roots:
+        for N in (1, 2, 72, 1000):
+            assert dn_gap_audit(v, N) == fraction_gap_audit(v, N), (v, N)
+    for v, N in ((F(3), 72), (F(1, 2), 0)):
+        with pytest.raises(ValueError):
+            dn_gap_audit(v, N)
 
 
 def walk(node):

@@ -207,9 +207,10 @@ def test_usage_errors_exit_two(capsys):
     # doubles with each of its 40 levels; a quotient family of more than
     # 2 * 10^5 children; a descendant tree past the depth cap of 100, one
     # past the bound of 2 * 10^5 nodes, and two under both whose node bound
-    # times depth passes 5 * 10^5 (36 s and 31 s of work uncapped); and more
-    # than 10^4 profile or slow-chain samples.  Each is one error line,
-    # within seconds
+    # times depth passes 5 * 10^5 (36 s and 31 s of work uncapped); more
+    # than 10^4 profile or slow-chain samples; and a slow chain whose cost
+    # estimate samples * steps^3 passes its cap (81 s uncapped).  Each is
+    # one error line, within seconds
     errs = []
     for argv in (
         ["slow-chain", "--target", "const", "--level=-1e-300", "--steps", "3",
@@ -227,6 +228,7 @@ def test_usage_errors_exit_two(capsys):
         ["psi-tree", "--depth", "100", "--expand", "1", "--width", "1999"],
         ["profile", "--x", "2/7,3/7", "--qmax", "50", "--samples", "100000"],
         ["slow-chain", "--samples", "100000"],
+        ["slow-chain", "--steps", "200"],
     ):
         start = time.perf_counter()
         assert run(argv) == 2, argv
@@ -275,6 +277,10 @@ DOMAIN_VEC = _csv(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4),
 BIG_VEC = _csv(*[st.integers(-10**6, 10**6)] * 3)
 # a slow chain takes 2 to 10^4 samples, one reduction each
 CHAIN_SAMPLES = st.one_of(st.integers(2, 3), st.integers(10**4 + 1, 10**9))
+# slow-chain step counts: 3-4 run in milliseconds, and from 293 steps the
+# cost estimate samples * steps^3 passes the cap at every sample count
+CHAIN_STEPS = st.one_of(st.integers(3, 4), st.integers(293, 10**9))
+assert 2 * 293**3 > construct.MAX_CHAIN_WORK >= 2 * 292**3
 
 
 def _argv(head, required=None, **optional):
@@ -326,10 +332,10 @@ CHEAP_ARGV = st.one_of(
     _argv(["psi-tree"], {"seed-vec": SMALL_VEC, "depth": st.integers(16, 100),
                          "width": st.integers(1999, 10**5), "expand": st.just(1)}),
     _argv(["slow-chain", "--target", "log1p"],
-          {"seed-vec": SMALL_VEC, "steps": st.integers(3, 4),
+          {"seed-vec": SMALL_VEC, "steps": CHAIN_STEPS,
            "samples": CHAIN_SAMPLES}, delta=NUMBER),
     _argv(["slow-chain", "--target", "const"],
-          {"seed-vec": SMALL_VEC, "level": NUMBER, "steps": st.integers(3, 4),
+          {"seed-vec": SMALL_VEC, "level": NUMBER, "steps": CHAIN_STEPS,
            "samples": CHAIN_SAMPLES}, delta=NUMBER),
 )
 

@@ -882,6 +882,22 @@ def test_slow_chain_edges_nest(p1, p2, q, target):
     assert len([b for b in wx_profile(seq).breakpoints if b.kind == "max"]) == 3
 
 
+def test_slow_chain_cost_is_capped_before_any_step(monkeypatch):
+    # the cost estimate samples * steps^3 is refused before the first step;
+    # every shape a golden, README or test chain uses stays under the cap
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(construct, "slow_step", no_step)
+    target = lambda t: -math.log1p(t)
+    for steps, samples in ((200, 200), (293, 2), (63, 200), (18, 10**4), (10**9, 2)):
+        assert samples * steps**3 > construct.MAX_CHAIN_WORK
+        with pytest.raises(ValueError, match="samples \\* steps\\^3"):
+            slow_chain(pvec(67, 1, 1000), target, 1, steps=steps, samples=samples)
+    for steps, samples in ((15, 200), (15, 40), (292, 2), (62, 200), (17, 10**4)):
+        assert samples * steps**3 <= construct.MAX_CHAIN_WORK
+
+
 def test_slow_chain_constant_target_is_di_like():
     chain, cert = slow_chain(pvec(67, 1, 1000), lambda t: -2.0, 1,
                              steps=5, samples=40)

@@ -138,6 +138,52 @@ def test_covering_solves_each_ratio_tuple_once(monkeypatch):
     assert abs(est.s - cantor_exact_dim(F(1, 2)).s) < 1e-10
 
 
+def bisect_200(below, lo: float, hi: float) -> float:
+    """The _bisect that stopped only after 200 halvings, verbatim."""
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def test_bisect_stops_at_the_float_that_200_halvings_reach(monkeypatch):
+    # every below that dimension hands to _bisect: each must give the same
+    # float as 200 halvings, and a root in [0.1, 1] within 70 calls
+    seen = []
+    real = dimension._bisect
+
+    def recording(below, lo, hi):
+        seen.append((below, lo, hi))
+        return real(below, lo, hi)
+
+    monkeypatch.setattr(dimension, "_bisect", recording)
+    for k in range(1, 101):
+        cantor_exact_dim(F(k, 100))
+    cantor_exact_dim(F(1, 10**400))
+    bounds_crossing()
+    for e in range(2, 13):
+        dn_bounds(max(72, 10**e))
+    dn_bounds(72)
+    for k in range(1, 40):
+        covering_s_estimate(cantor_tree(F(k, 40), 1))
+    dimension._solve_sum_pow([0.5, 0.25, 0.125])
+    assert len(seen) == 166
+    for below, lo, hi in seen:
+        calls = []
+
+        def counted(s, below=below):
+            calls.append(s)
+            return below(s)
+
+        root = real(counted, lo, hi)
+        assert root == bisect_200(below, lo, hi), (lo, hi)
+        if 0.1 <= root <= 1:
+            assert len(calls) <= 70, (root, len(calls))
+
+
 def test_cantor_exact_dim_frozen():
     r = cantor_exact_dim(0.5)
     assert abs(r.s - 0.6942419136306173) < 1e-12

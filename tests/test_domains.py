@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diophlab.bestapprox import best_approximations
+from diophlab.bestapprox import _box_heights, best_approximations
 from diophlab.core import PrimVec, RatPoint, pvec, residual
 from diophlab.domains import (
     _inner_grid,
-    _member,
+    _members,
     _outer_grid,
     audit_ball_sandwich,
     ball_bounds,
@@ -138,8 +138,8 @@ def test_member_matches_scan(data, v, k):
     x = data.draw(st.one_of(st.just(v.proj()), offset_points(v), any_points()))
     n1, n2, d = x.common_denominator()
     want = in_domain_scan(x, v)
-    assert _member(n1, n2, d, v) == want
-    assert _member(k * n1, k * n2, k * d, v) == want
+    assert _members(v, d, [(n1, n2)]) == [want]
+    assert _members(v, k * d, [(k * n1, k * n2)]) == [want]
 
 
 def test_member_center_and_minkowski_points():
@@ -152,8 +152,93 @@ def test_member_center_and_minkowski_points():
         for x, want in ((c, True), (far, False)):
             n1, n2, d = x.common_denominator()
             for k in (1, 4):
-                assert _member(k * n1, k * n2, k * d, v) == want
+                assert _members(v, k * d, [(k * n1, k * n2)]) == [want]
             assert in_domain_scan(x, v) == want
+
+
+def one_box_per_point(n1: int, n2: int, den: int, v: PrimVec) -> bool:
+    """The per-point membership core that _members replaced, verbatim but
+    for its name: one box of lower heights around x itself, per point."""
+    g = math.gcd(n1, n2, den)
+    n1, n2, den = n1 // g, n2 // g, den // g
+    p1, p2, q = v
+    R = max(abs(q * n1 - p1 * den), abs(q * n2 - p2 * den))
+    if R == 0:
+        return True
+    if (q - 1) * R * R >= den * den:
+        return False
+    # at |v| = 1 there is no lower height to search
+    if q > 1 and next(_box_heights(n1, n2, den, q - 1, R), None) is not None:
+        return False
+    t1, t2 = q * n1 % den, q * n2 % den
+    return max(min(t1, den - t1), min(t2, den - t2)) >= R
+
+
+def scan_members(v, den, pts):
+    return [in_domain_scan(RatPoint(F(n1, den), F(n2, den)), v) for n1, n2 in pts]
+
+
+def random_primitive(rng, q_lo, q_hi):
+    while True:
+        q = rng.randint(q_lo, q_hi)
+        p1, p2 = rng.randint(-q, 2 * q), rng.randint(-q, 2 * q)
+        if math.gcd(p1, p2, q) == 1:
+            return PrimVec(p1, p2, q)
+
+
+def test_members_match_scan_on_the_sandwich_grids():
+    # one box decides a whole grid: the inner grid and the outer points
+    # beyond the outer ball, exactly as audit_ball_sandwich hands them over
+    rng = random.Random(31)
+    seen = {True: 0, False: 0}
+    for _ in range(30):
+        v = random_primitive(rng, 2, 500)
+        L = invariants(v).absL
+        for den, pts in (_inner_grid(v, L), _outer_grid(v, L)):
+            got = _members(v, den, pts)
+            assert got == scan_members(v, den, pts), v
+            assert got == [one_box_per_point(n1, n2, den, v) for n1, n2 in pts], v
+            for m in got:
+                seen[m] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_members_match_scan_on_clouds():
+    # seeded clouds around v_dot out to twice the outer ball, so that one
+    # call mixes the center, members, points a lower height beats inside
+    # the box, and Minkowski points; some clouds share a non-minimal
+    # denominator
+    rng = random.Random(32)
+    kinds = {"center": 0, "member": 0, "searched": 0, "minkowski": 0}
+    for _ in range(150):
+        v = random_primitive(rng, 2, 90)
+        L = invariants(v).absL
+        t, k = rng.randint(1, 3), rng.choice([1, 1, 2, 3])
+        den = v.q * v.q * t * k  # x = v_dot + (i, j)/(|v|^2 t), |i|, |j| <= 4 L t
+        c1, c2 = v.p1 * v.q * t * k, v.p2 * v.q * t * k
+        pts = [(c1 + k * rng.randint(-4 * L * t, 4 * L * t),
+                c2 + k * rng.randint(-4 * L * t, 4 * L * t))
+               for _ in range(rng.randint(1, 30))]
+        pts.append((c1, c2))
+        got = _members(v, den, pts)
+        assert got == scan_members(v, den, pts), (v, den, pts)
+        for (n1, n2), member in zip(pts, got):
+            R = max(abs(v.q * n1 - v.p1 * den), abs(v.q * n2 - v.p2 * den))
+            kind = ("center" if R == 0 else "minkowski" if (v.q - 1) * R * R >= den * den
+                    else "member" if member else "searched")
+            kinds[kind] += 1
+    assert min(kinds.values()) > 50, kinds
+
+
+def test_members_at_heights_one_and_two():
+    # |v| = 1 searches no box; |v| = 2 searches heights {1} only
+    for v in (pvec(0, 0, 1), pvec(1, 0, 1), pvec(1, 1, 2), pvec(1, 0, 2)):
+        for den in (1, 2, 3, 4, 6, 12):
+            pts = [(n1, n2) for n1 in range(-den, 2 * den + 1)
+                   for n2 in range(-den, 2 * den + 1)]
+            assert _members(v, den, pts) == scan_members(v, den, pts), (v, den)
+    assert _members(pvec(1, 1, 2), 2, [(1, 1), (1, 0), (0, 0)]) == [True, False, False]
+    assert _members(pvec(0, 0, 1), 4, [(1, 1), (2, 2), (3, 1)]) == [True, True, False]
 
 
 def test_sandwich_grids_are_the_fraction_grids():
