@@ -116,18 +116,17 @@ def best_approximations(x: RatPoint, height_bound: int) -> BestApproxSeq:
     if height_bound < 1:
         raise ValueError(f"height_bound must be >= 1, got {height_bound}")
     n1, n2, den = x.common_denominator()
-    res, cands = height_minimum(x, 1)
-    items = [PrimVec(*cands[0], 1)]
-    residuals = [res]
-    while res:
-        num = res.numerator * (den // res.denominator)  # res = num / den
+    num, opts1, opts2 = _height_step(n1, n2, den, 1)  # residual num / den
+    items = [PrimVec(opts1[0], opts2[0], 1)]
+    residuals = [Fraction(num, den)]
+    while num:
         box = _box_heights(n1, n2, den, min(height_bound, 2 * den * den // (num * num)), num)
         q = min((h for h, s in box if s < num), default=None)
         if q is None:
             break
-        res, cands = height_minimum(x, q)
-        items.append(PrimVec(*cands[0], q))
-        residuals.append(res)
+        num, opts1, opts2 = _height_step(n1, n2, den, q)
+        items.append(PrimVec(opts1[0], opts2[0], q))
+        residuals.append(Fraction(num, den))
     return BestApproxSeq(x, tuple(items), tuple(residuals), height_bound)
 
 

@@ -69,21 +69,17 @@ MAX_HEIGHT_DIGITS = 4300
 # psi-tree from (-5,-4,13) took 7 s at eps = 10^-33 (multiplier near
 # 10^100) and 548 s at eps = 10^-400 (near 10^1200).
 MAX_SLOT_MULTIPLIER = 10**100
-# Expansion-tree caps.  Heights gain digits at every level, so the work per
-# node grows with the depth, and the node bound times the depth is capped as
-# well as the node bound.  On a 2-core x86-64 host the node caps alone let
-# through shapes of 36 s (172 MB; expand = width = 2, depth 16) and 31 s
-# (expand 1, width 1999, depth 100); under the work cap the slowest shape
-# measured took 10 s (expand = width = 2, depth 14: 32,767 nodes, times depth
-# 458,738), and the README shape at depth 5 took 1.9 s.
-MAX_TREE_LEVELS = 100
-MAX_TREE_NODES = 2 * 10**5
-MAX_TREE_WORK = 5 * 10**5
-# Cap on a slow chain's cost estimate samples * steps^3: its heights gain
-# digits with every step, and each sample is one reduction at the tip's
-# size.  On a 2-core x86-64 host 'slow-chain' shapes at the cap took 9.2 s
-# (292 steps, 2 samples), 2.8 s (107, 40), 2.3 s (62, 200) and 3.8 s
-# (17, 10^4); 200 steps at 200 samples ran 81 s uncapped.
+# Cap on tree_cost.  Children in the band [eps/2, eps) have slot multipliers
+# near eps^-6 (a^2 more for slot pair (a, b)): heights gain 6 log10(1/eps)
+# digits a level.  Fitted on 85 shapes timed, caps lifted, on a 2-core x86-64
+# host: the README shape at depth 5 (0.7-1.5 s) costs 1.8 * 10^8, none under
+# the cap took over 3.6 s, and all over 3.9 s (up to 123 s) are refused.
+MAX_TREE_COST = 2 * 10**8
+# Cap on a slow chain's cost samples * span^3, span = steps * max(1, y) over
+# the schedule's knot values y: a step at y multiplies heights by about
+# e^(6y), and each sample is one reduction at the tip's size.  On a 2-core
+# x86-64 host log1p shapes at the cap took 9.2 s (292 steps, 2 samples),
+# 2.8 s (107, 40), 2.3 s (62, 200) and 3.8 s (17, 10^4).
 MAX_CHAIN_WORK = 5 * 10**7
 # The singular-type schedule (see sing_chain): the constant c, the family
 # size at step 0, the cap on every bound, and the factor by which each
@@ -710,20 +706,24 @@ def slow_chain(
     envelope 3 * (alignment bound) + (float defect).  The sampled window
     runs from the first child to the second-to-last node, so it needs
     steps >= 3; the samples span it end to end, so they need samples >= 2,
-    and at most MAX_PROFILE_SAMPLES = 10^4.  Both are checked first, and
-    then the cost estimate samples * steps^3 against MAX_CHAIN_WORK.
-    """
+    and at most MAX_PROFILE_SAMPLES = 10^4.  Both are checked first.  Then,
+    before any step, span = steps * max(1, y) over the schedule's knots
+    raises OverflowError when the tip's digits, about 6 span / ln 10, pass
+    MAX_HEIGHT_DIGITS, and ValueError when samples * span^3 passes
+    MAX_CHAIN_WORK."""
     if steps < 3:
         raise ValueError(f"slow chain needs steps >= 3, got {steps}")
     if not 2 <= samples <= MAX_PROFILE_SAMPLES:
         raise ValueError(f"slow chain needs 2 to {MAX_PROFILE_SAMPLES} samples, got {samples}")
-    if samples * steps**3 > MAX_CHAIN_WORK:
-        raise ValueError(f"a slow chain of {steps} steps and {samples} samples costs "
-                         f"samples * steps^3 = {samples * steps**3}, more than {MAX_CHAIN_WORK}")
+    sched = regularize_schedule(lambda t: -w_target(t) / 3, delta, Fraction(invariants(u0).tau))
+    span = steps * max(1.0, *(float(y) for _, y in sched.knots))
+    if (digits := 6 * span / math.log(10)) > MAX_HEIGHT_DIGITS:
+        raise OverflowError(f"{steps} slow steps need heights of about {digits:.3g} digits, "
+                            f"more than {MAX_HEIGHT_DIGITS} digits, the integer output limit")
+    if samples * span**3 > MAX_CHAIN_WORK:
+        raise ValueError(f"a slow chain of {steps} steps and {samples} samples costs samples "
+                         f"* (steps * max(1, y))^3 = {samples * span**3:.3g} > {MAX_CHAIN_WORK}")
     chain = Chain([ChainNode(u0)])
-    inv0 = invariants(u0)
-    f_third = lambda t: -w_target(t) / 3
-    sched = regularize_schedule(f_third, delta, Fraction(inv0.tau))
     aligns = []
     for _ in range(steps):
         u = chain.tip
@@ -782,6 +782,23 @@ class TreeNode:
         self.expanded = False
 
 
+def tree_cost(seed: PrimVec, eps, n: int, depth: int, expand: int, width: int) -> float:
+    """The cost estimate of expansion_tree: over levels k, the node bound
+    width * min(expand, width)^(k-1) times D_k^2.3 + width^2 (audits grow
+    like D^2.3 in the digits, a node's fixed work and sibling sweep like
+    width^2), where D_k = log10|seed| + (6k - 3) log10(1/eps) + 2k log10(a),
+    a bounding the first slot pair entries reached.  Stops once over
+    MAX_TREE_COST or out of nodes; eps outside (0, 1/2) is priced as 1/2."""
+    gain = max(math.log10(2), -ln_fraction(eps) / math.log(10) if eps > 0 else 0)
+    gain_a = 2 * math.log10(max(1, min(n, math.isqrt(4 * width) + 1)))
+    cost, nodes, k = 0.0, width, 0
+    while nodes and k < depth and cost <= MAX_TREE_COST:
+        k += 1
+        cost += nodes * ((math.log10(seed.q) + (6 * k - 3) * gain + k * gain_a) ** 2.3 + width**2)
+        nodes *= min(expand, width)
+    return cost
+
+
 def expansion_tree(
     seed: PrimVec, eps, n: int = 1, depth: int = 3, expand: int = 5,
     width: int = 50,
@@ -794,18 +811,14 @@ def expansion_tree(
     up to the last of them have their windows computed, and at most
     width + 1 pairs are enumerated whatever the family size n.  Raises
     ValueError when eps is so small that such a slot's height multiplier
-    exceeds MAX_SLOT_MULTIPLIER = 10^100, and, before any work, when depth
-    exceeds MAX_TREE_LEVELS = 100, the node bound 1 + width * sum_{k <
-    depth} min(expand, width)^k exceeds MAX_TREE_NODES = 2 * 10^5, or the
-    node bound times depth exceeds MAX_TREE_WORK = 5 * 10^5."""
-    r = min(expand, width)  # children expanded per node
-    if min(depth, r) < 0 or depth > MAX_TREE_LEVELS or (
-            nodes := 1 + width * (depth if r == 1 else (r**depth - 1) // (r - 1))
-    ) > MAX_TREE_NODES or nodes * depth > MAX_TREE_WORK:
-        raise ValueError(f"a tree needs depth in [0, {MAX_TREE_LEVELS}], nonnegative expand "
-                         f"and width, at most {MAX_TREE_NODES} nodes, and at most "
-                         f"{MAX_TREE_WORK} for nodes times depth; got depth {depth}, "
-                         f"expand {expand}, width {width}")
+    exceeds MAX_SLOT_MULTIPLIER = 10^100, and, before any work, when depth,
+    expand or width is negative or tree_cost exceeds MAX_TREE_COST."""
+    cost = math.inf if min(depth, expand, width) < 0 else tree_cost(
+        seed, Fraction(eps), n, depth, expand, width)
+    if cost > MAX_TREE_COST:
+        raise ValueError(f"a tree needs nonnegative depth, expand and width and a tree_cost "
+                         f"of at most {MAX_TREE_COST:.0e}; got depth {depth}, expand {expand}, "
+                         f"width {width}, cost {cost:.3g}")
     # pairs past width + 1 leave width // pairs at 0, so they are not counted
     pairs = sum(1 for _ in islice(coprime_pairs(n), width + 1))
     per_pair = max(1, width // pairs)
@@ -818,7 +831,8 @@ def expansion_tree(
             node.children = [TreeNode(v, s) for s, v in kids]
             node.expanded = True
             nxt.extend(node.children[:expand])
-        frontier = nxt
+        if not (frontier := nxt):
+            break
     return root
 
 

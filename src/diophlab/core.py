@@ -85,9 +85,6 @@ class Wedge2(NamedTuple):
     def neg(self) -> "Wedge2":
         return Wedge2(-self.m12, -self.m13, -self.m23)
 
-    def is_zero(self) -> bool:
-        return self.m12 == 0 and self.m13 == 0 and self.m23 == 0
-
 
 def wedge(u: PrimVec, v: PrimVec) -> Wedge2:
     """Minor triple of u ^ v (rows (u1,u2,u3) = (p1,p2,q))."""

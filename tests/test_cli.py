@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from diophlab import construct
 from diophlab.cli import AUDIT_ITEMS, build_parser, run
+from diophlab.core import pvec
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 BENCH_GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
@@ -205,12 +207,12 @@ def test_usage_errors_exit_two(capsys):
     # too large to raise exactly, heights too long to print; a tree whose
     # heights would run to thousands of digits; a covering tree that
     # doubles with each of its 40 levels; a quotient family of more than
-    # 2 * 10^5 children; a descendant tree past the depth cap of 100, one
-    # past the bound of 2 * 10^5 nodes, and two under both whose node bound
-    # times depth passes 5 * 10^5 (36 s and 31 s of work uncapped); more
-    # than 10^4 profile or slow-chain samples; and a slow chain whose cost
-    # estimate samples * steps^3 passes its cap (81 s uncapped).  Each is
-    # one error line, within seconds
+    # 2 * 10^5 children; descendant trees whose tree_cost passes its cap
+    # (5.0 s, 49 s, 23 s and 24 s of work uncapped, and 122 s and 123 s at
+    # eps 10^-10 and 10^-16); more than 10^4 profile or slow-chain samples;
+    # and slow chains whose cost estimate passes its cap (81 s uncapped, and
+    # 22 s at the constant level -10).  Each is one error line, within
+    # seconds
     errs = []
     for argv in (
         ["slow-chain", "--target", "const", "--level=-1e-300", "--steps", "3",
@@ -229,6 +231,9 @@ def test_usage_errors_exit_two(capsys):
         ["profile", "--x", "2/7,3/7", "--qmax", "50", "--samples", "100000"],
         ["slow-chain", "--samples", "100000"],
         ["slow-chain", "--steps", "200"],
+        ["psi-tree", "--eps=1e-10", "--depth", "14", "--expand", "2", "--width", "2"],
+        ["psi-tree", "--eps=1e-16", "--depth", "100", "--expand", "1", "--width", "1"],
+        ["slow-chain", "--target", "const", "--level=-10", "--steps", "292", "--samples", "2"],
     ):
         start = time.perf_counter()
         assert run(argv) == 2, argv
@@ -278,9 +283,19 @@ BIG_VEC = _csv(*[st.integers(-10**6, 10**6)] * 3)
 # a slow chain takes 2 to 10^4 samples, one reduction each
 CHAIN_SAMPLES = st.one_of(st.integers(2, 3), st.integers(10**4 + 1, 10**9))
 # slow-chain step counts: 3-4 run in milliseconds, and from 293 steps the
-# cost estimate samples * steps^3 passes the cap at every sample count
+# cost estimate samples * span^3, span >= steps, passes the cap at every
+# sample count
 CHAIN_STEPS = st.one_of(st.integers(3, 4), st.integers(293, 10**9))
 assert 2 * 293**3 > construct.MAX_CHAIN_WORK >= 2 * 292**3
+# tree depths past which every width and expand from 1 is over the cap:
+# from 312 at eps 1/2 or beyond (an eps outside (0, 1/2) is priced as 1/2),
+# from 44 at eps 10^-5 and below; each from the cheapest seed, (0, 0, 1)
+SMALL_EPS = st.integers(5, 15).flatmap(
+    lambda k: st.integers(10**k, 10**(k + 1))).map(lambda d: f"1/{d}")
+TREE_DEPTHS = {Fraction(1, 2): 312, Fraction(1, 10**5): 44}
+for _eps, _depth in TREE_DEPTHS.items():
+    assert construct.tree_cost(pvec(0, 0, 1), _eps, 1, _depth, 1, 1) > construct.MAX_TREE_COST
+    assert construct.tree_cost(pvec(0, 0, 1), _eps, 1, _depth - 1, 1, 1) <= construct.MAX_TREE_COST
 
 
 def _argv(head, required=None, **optional):
@@ -316,21 +331,26 @@ CHEAP_ARGV = st.one_of(
     _argv(["domain"], {"v": DOMAIN_VEC}, x=POINT),
     # sizes are always drawn: the default trees and chains take seconds,
     # and at eps 1e-400 the default tree takes minutes; a narrow tree
-    # enumerates at most width + 1 slot pairs of any family; depths past
-    # the cap of 100, widths whose node bound passes 2 * 10^5, and shapes
-    # whose node bound times depth passes 5 * 10^5 are refused before any
-    # node is built
+    # enumerates at most width + 1 slot pairs of any family; shapes whose
+    # tree_cost passes its cap are refused before any node is built (see
+    # TREE_DEPTHS), and width 0 or expand 0 end at once at any depth
     _argv(["psi-tree"], {"seed-vec": SMALL_VEC,
-                         "depth": st.one_of(st.integers(0, 1), st.integers(101, 10**9)),
+                         "depth": st.one_of(st.integers(0, 1),
+                                            st.integers(TREE_DEPTHS[Fraction(1, 2)], 10**9)),
                          "width": st.one_of(st.integers(0, 4), st.integers(2 * 10**5, 10**9)),
                          "expand": st.one_of(st.integers(0, 2), st.integers(3, 10**9)),
                          "family": st.one_of(st.integers(1, 2),
                                              st.integers(10**3, 10**9))},
           eps=NUMBER),
-    _argv(["psi-tree"], {"seed-vec": SMALL_VEC, "depth": st.integers(15, 100),
+    _argv(["psi-tree"], {"seed-vec": SMALL_VEC, "depth": st.integers(15, 10**9),
                          "width": st.just(2), "expand": st.just(2)}),
-    _argv(["psi-tree"], {"seed-vec": SMALL_VEC, "depth": st.integers(16, 100),
+    _argv(["psi-tree"], {"seed-vec": SMALL_VEC, "depth": st.integers(16, 10**9),
                          "width": st.integers(1999, 10**5), "expand": st.just(1)}),
+    # eps from 10^-16 to 10^-5, where heights gain 30 to 96 digits a level
+    _argv(["psi-tree"], {"seed-vec": SMALL_VEC, "eps": SMALL_EPS,
+                         "depth": st.integers(TREE_DEPTHS[Fraction(1, 10**5)], 10**9),
+                         "width": st.integers(1, 4),
+                         "expand": st.integers(1, 4)}),
     _argv(["slow-chain", "--target", "log1p"],
           {"seed-vec": SMALL_VEC, "steps": CHAIN_STEPS,
            "samples": CHAIN_SAMPLES}, delta=NUMBER),

@@ -882,20 +882,131 @@ def test_slow_chain_edges_nest(p1, p2, q, target):
     assert len([b for b in wx_profile(seq).breakpoints if b.kind == "max"]) == 3
 
 
+# psi-tree shapes (eps, depth, expand, width, family) from (0, 0, 1) that
+# took more than 3.9 s in fresh processes with the tree caps lifted, on a
+# 2-core x86-64 host; the seconds are in the comments
+SLOW_TREES = [
+    (F(1, 10**16), 100, 1, 1, 1),  # 123 s
+    (F(1, 10**10), 14, 2, 2, 1),  # 122 s
+    (EIGHTH, 17, 2, 2, 1),  # 49 s
+    (F(1, 10**16), 12, 2, 2, 1),  # 48 s
+    (F(1, 10**10), 100, 1, 1, 1),  # 40 s
+    (EIGHTH, 1, 1, 10**4, 10**9),  # 35 s, one sibling sweep of 10^4 children
+    (F(1, 5), 4, 30, 30, 100),  # 35 s
+    (F(1, 10**5), 14, 2, 2, 1),  # 34 s
+    (EIGHTH, 100, 1, 1999, 1),  # 24 s
+    (EIGHTH, 16, 2, 2, 1),  # 23 s
+    (F(1, 10**10), 12, 2, 2, 1),  # 19 s
+    (F(1, 10**10), 70, 1, 1, 1),  # 12 s
+    (EIGHTH, 400, 1, 1, 1),  # 12 s
+    (EIGHTH, 15, 2, 2, 1),  # 11 s
+    (F(1, 10**16), 50, 1, 1, 1),  # 9.1 s
+    (F(1, 5), 5, 12, 12, 1),  # 8.1 s
+    (F(1, 10**5), 100, 1, 1, 1),  # 7.9 s
+    (EIGHTH, 4, 20, 20, 200),  # 7.5 s
+    (EIGHTH, 3, 60, 60, 1000),  # 7.4 s
+    (F(1, 10**16), 10, 2, 2, 1),  # 7.1 s
+    (EIGHTH, 8, 4, 4, 3),  # 7.1 s
+    (EIGHTH, 1, 1, 5000, 10**9),  # 7.1 s
+    (EIGHTH, 350, 1, 1, 1),  # 6.3 s
+    (F(1, 10**5), 12, 2, 2, 1),  # 6.0 s
+    (EIGHTH, 5, 10, 10, 10),  # 5.7 s
+    (EIGHTH, 300, 1, 1, 1),  # 5.0 s
+    (EIGHTH, 6, 5, 50, 1),  # 5.0 s
+    (EIGHTH, 14, 2, 2, 1),  # 5.0 s
+    (F(1, 10**16), 40, 1, 1, 1),  # 4.1 s
+    (F(1, 10**10), 50, 1, 1, 1),  # 4.0 s
+]
+
+
+def _golden_roots():
+    # the depth-2 trees of the benchmark's tree workload, at eps 1/8
+    return [pvec(p1, p2, q) for q in range(3, 7) for p1 in range(1, q)
+            for p2 in range(p1, q) if math.gcd(p1, p2, q) == 1]
+
+
+def test_tree_cost_refuses_the_slow_shapes_and_keeps_the_ones_in_use(monkeypatch):
+    # the estimate alone: no slot is enumerated and no node is built
+    def no_slots(*args, **kwargs):
+        raise AssertionError("a slot was enumerated")
+
+    monkeypatch.setattr(construct, "slot_children", no_slots)
+    cost = construct.tree_cost
+    for eps, depth, expand, width, n in SLOW_TREES:
+        assert cost(SEED, eps, n, depth, expand, width) > construct.MAX_TREE_COST
+    kept = [(SEED, eps, 1, 3, 5, 50) for eps in (EIGHTH, F(1, 9), F(1, 10), F(1, 12), F(3, 25))]
+    kept += [(SEED, eps, 1, 5, 5, 50) for eps in (EIGHTH, F(1, 12))]  # 1.5 s and 1.1 s
+    kept += [(u, EIGHTH, 1, 2, 5, 50) for u in _golden_roots()]
+    kept += [(SEED, EIGHTH, 20, 2, 2, 50), (SEED, EIGHTH, 1000, 1, 5, 2),
+             (SEED, EIGHTH, 1, 12, 2, 2), (SEED, F(1, 5), 1, 5, 10, 10)]  # 1.1 s, 3.3 s
+    kept += [(pvec(19, 20, 60), eps, n, 2, 5, 16) for eps in (F(1, 100), F(49, 100))
+             for n in (1, 2)]
+    for args in kept:
+        assert cost(*args) <= construct.MAX_TREE_COST, args
+    # no branching ends the estimate at once at any depth, and a negative
+    # or out-of-range eps is priced as 1/2, the cheapest valid bound
+    assert cost(SEED, EIGHTH, 1, 10**9, 0, 50) == cost(SEED, EIGHTH, 1, 1, 0, 50)
+    assert cost(SEED, EIGHTH, 1, 10**9, 5, 0) == 0
+    for eps in (F(-1), F(0), F(1, 2), F(7)):
+        assert cost(SEED, eps, 1, 100, 1, 1) == cost(SEED, F(1, 2), 1, 100, 1, 1)
+    # eps = 10^-400 prices from its exact digits: 1,200 a level at level 1
+    assert cost(SEED, F(1, 10**400), 1, 3, 5, 50) > construct.MAX_TREE_COST
+
+
+def test_tree_without_branching_ends_at_once():
+    # depth 10^9 with width 0 or expand 0: the build stops with the frontier
+    root = expansion_tree(SEED, EIGHTH, depth=10**9, expand=0, width=3)
+    assert len(root.children) == 2 and not any(ch.children for ch in root.children)
+    assert expansion_tree(SEED, EIGHTH, depth=10**9, width=0).children == []
+    with pytest.raises(ValueError, match="tree_cost of at most 2e\\+08"):
+        expansion_tree(SEED, EIGHTH, depth=10**9, expand=1, width=1)
+
+
 def test_slow_chain_cost_is_capped_before_any_step(monkeypatch):
-    # the cost estimate samples * steps^3 is refused before the first step;
-    # every shape a golden, README or test chain uses stays under the cap
+    # the one estimate, span = steps * max(1, y) over the schedule's knots
+    # y, is refused before the first step: as heights past the printing
+    # limit when 6 * span / ln 10 passes 4300 digits, else on the cost
+    # samples * span^3.  Log1p schedules from these seeds keep y below 1, so
+    # span = steps there; a constant level L has y = |L| / 3, and level -10
+    # gains about 8 digits a step.  The shapes in use pass (next test)
     def no_step(*args):
         raise AssertionError("a step was taken")
 
     monkeypatch.setattr(construct, "slow_step", no_step)
-    target = lambda t: -math.log1p(t)
-    for steps, samples in ((200, 200), (293, 2), (63, 200), (18, 10**4), (10**9, 2)):
+    log1p = lambda t: -math.log1p(t)
+    for steps, samples in ((200, 200), (293, 2), (63, 200), (18, 10**4)):
         assert samples * steps**3 > construct.MAX_CHAIN_WORK
-        with pytest.raises(ValueError, match="samples \\* steps\\^3"):
-            slow_chain(pvec(67, 1, 1000), target, 1, steps=steps, samples=samples)
-    for steps, samples in ((15, 200), (15, 40), (292, 2), (62, 200), (17, 10**4)):
-        assert samples * steps**3 <= construct.MAX_CHAIN_WORK
+        with pytest.raises(ValueError, match="samples \\* \\(steps \\* max\\(1, y\\)\\)\\^3"):
+            slow_chain(pvec(67, 1, 1000), log1p, 1, steps=steps, samples=samples)
+    for level, steps, samples in ((-10, 292, 2), (-10, 88, 2), (-5, 20, 10**4)):
+        with pytest.raises(ValueError, match="> 50000000"):
+            slow_chain(pvec(67, 1, 1000), lambda t: level, 1, steps=steps, samples=samples)
+    for target, steps in ((log1p, 10**9), (lambda t: -3000.0, 3), (lambda t: -20.0, 300)):
+        with pytest.raises(OverflowError, match="more than 4300 digits"):
+            slow_chain(pvec(67, 1, 1000), target, 1, steps=steps, samples=2)
+
+
+def test_slow_chain_estimate_keeps_the_shapes_in_use(monkeypatch):
+    # the README and golden chains (15 steps at 200 and 40 samples, log1p
+    # and level -2, from seeds of height 2 to 2000), the test chains, the
+    # largest log1p shapes under the cap, and level -10 at 87 steps and 2
+    # samples (about 700 digits) all pass the estimate and reach a step
+    class Stepped(Exception):
+        pass
+
+    def first_step(*args):
+        raise Stepped
+
+    monkeypatch.setattr(construct, "slow_step", first_step)
+    shapes = [(level, steps, samples) for level in ("log1p", -2.0)
+              for steps, samples in ((15, 200), (15, 40), (3, 2), (5, 40), (292, 2),
+                                     (62, 200), (17, 10**4))]
+    shapes += [(-10.0, 87, 2), (-5.0, 175, 2)]
+    for level, steps, samples in shapes:
+        target = (lambda t: -math.log1p(t)) if level == "log1p" else (lambda t: level)
+        for seed in (pvec(67, 1, 1000), pvec(1, 1, 2), pvec(1613, 409, 1999)):
+            with pytest.raises(Stepped):
+                slow_chain(seed, target, 1, steps=steps, samples=samples)
 
 
 def test_slow_chain_constant_target_is_di_like():
