@@ -33,7 +33,7 @@ import bisect
 import functools
 import math
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
 from .bestapprox import MAX_PROFILE_SAMPLES, BestApproxSeq, shortest_vector_reduced, wx_profile
@@ -74,6 +74,8 @@ MAX_SLOT_MULTIPLIER = 10**100
 # digits a level.  Fitted on 85 shapes timed, caps lifted, on a 2-core x86-64
 # host: the README shape at depth 5 (0.7-1.5 s) costs 1.8 * 10^8, none under
 # the cap took over 3.6 s, and all over 3.9 s (up to 123 s) are refused.
+# The width^2 term overprices wide families: 10^4 children at depth 1 take
+# 1.2 s and cost 10^12.
 MAX_TREE_COST = 2 * 10**8
 # Cap on a slow chain's cost samples * span^3, span = steps * max(1, y) over
 # the schedule's knot values y: a step at y multiplies heights by about
@@ -240,28 +242,26 @@ def _sibling_spacing(u: PrimVec, kids: list[tuple[PrimVec, int]], eps, n: int):
 
     Only pairs that could fail or be least are evaluated.  With rho(v) =
     proj_dist(u, v) and R(v) = 2|L(v)|/|v|^2, the triangle inequality gives
-    dist(va, vb) >= |rho(va) - rho(vb)| on any lines, so a gap is at least
-    rho(vb) - rho(va) - R(va) - R(vb).  Swept in order of rho, row i stops
-    once rho_j - rho_i - R_i - max_{k>i} R_k exceeds T = max(floor, least
-    gap so far): every later pair has gap > T, so neither fails nor is
-    least.  The sweep counts in units of 2^-32 / fd for the floor fn / fd,
-    rounding rho down, R and T up, plus one unit for rho_i: each stop stays
-    exact, and the rounding costs under 2^-30 of the floor.
+    dist(va, vb) >= |rho(va) - rho(vb)| on any lines, so in either order a
+    gap is at least lo(vb) - hi(va) on the intervals [rho - R, rho + R].
+    Swept in order of lo, row i stops at the first lo_j - hi_i >= T =
+    max(floor, least gap so far): every later pair has gap > T, so neither
+    fails nor is least.  The sweep counts in units of 2^-32 / fd for the
+    floor fn / fd, rounding lo down, hi and T up: each stop stays exact,
+    and the rounding costs under 2^-30 of the floor.
     """
     fn, fd = _floor_terms(u, eps, n)
     unit = fd << 32
-    rows = sorted(  # (rho rounded down, R rounded up, v, |L(v)|) in units of 1/unit
-        ((seminorm(wedge(u, v)) * unit // (u.q * v.q),
-          -(-2 * lv * unit // (v.q * v.q)), v, lv) for v, lv in kids),
-        key=lambda r: r[0])
-    # tops[i] = max R over rows i, i+1, ...
-    tops = list(accumulate(reversed([r[1] for r in rows]), max, initial=0))[::-1]
+    rows = []  # (lo rounded down, hi rounded up, v, |L(v)|) in units of 1/unit
+    for v, lv in kids:
+        rho, r = seminorm(wedge(u, v)) * unit // (u.q * v.q), -(-2 * lv * unit // (v.q * v.q))
+        rows.append((rho - r, rho + 1 + r, v, lv))
+    rows.sort(key=lambda r: r[0])
     failures = 0
     least = cut = None  # least gap bound (num, den); T, once a gap is known
-    for i, (rho_i, r_i, a, la) in enumerate(rows):
-        base = rho_i + 1 + r_i + tops[i + 1]
-        for rho_j, _, b, lb in rows[i + 1:]:
-            if cut is not None and rho_j - base >= cut:
+    for i, (_, hi, a, la) in enumerate(rows):
+        for lo, _, b, lb in rows[i + 1:]:
+            if cut is not None and lo - hi >= cut:
                 break
             num, den = _pair_gap(a, la, b, lb)
             if num * fd <= fn * den:
@@ -784,10 +784,10 @@ class TreeNode:
 
 def tree_cost(seed: PrimVec, eps, n: int, depth: int, expand: int, width: int) -> float:
     """The cost estimate of expansion_tree: over levels k, the node bound
-    width * min(expand, width)^(k-1) times D_k^2.3 + width^2 (audits grow
-    like D^2.3 in the digits, a node's fixed work and sibling sweep like
-    width^2), where D_k = log10|seed| + (6k - 3) log10(1/eps) + 2k log10(a),
-    a bounding the first slot pair entries reached.  Stops once over
+    width * min(expand, width)^(k-1) times D_k^2.3 + width^2, where D_k =
+    log10|seed| + (6k - 3) log10(1/eps) + 2k log10(a), a bounding the first
+    slot pair entries reached; audits grow like D^2.3 in the digits, and the
+    fitted width^2 overprices wide, shallow families.  Stops once over
     MAX_TREE_COST or out of nodes; eps outside (0, 1/2) is priced as 1/2."""
     gain = max(math.log10(2), -ln_fraction(eps) / math.log(10) if eps > 0 else 0)
     gain_a = 2 * math.log10(max(1, min(n, math.isqrt(4 * width) + 1)))

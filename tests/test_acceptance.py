@@ -230,6 +230,19 @@ def test_quotient_tree_nesting_and_gaps():
     assert time.perf_counter() - start < 30.0
 
 
+def test_quotient_tree_to_three_n_passes_every_condition():
+    # the family N < a <= 3N sums to about 12 (1 - 3^(-u)) per node, over 1
+    # while 3 > (12/11)^(1/u) (2.27 at N = 72, 2.64 at N = 1,000), and its
+    # least relative gap, about 1/(2 * 3^2 N), clears rho = 1/(2 (3 + 1)^2 N)
+    start = time.perf_counter()
+    for N, depth, least in ((72, 3, 1.30), (1000, 2, 1.12)):
+        tree = dn_tree(F(1, 2), N, depth, a_max=3 * N, descend=2)
+        rep = lower_cert(tree, dn_bounds(N)[0].s, rho=F(1, 32 * N))
+        assert rep["pass"], (N, rep["first_violation"])
+        assert rep["min_sum_ratio"] >= least, (N, rep["min_sum_ratio"])
+    assert time.perf_counter() - start < 30.0
+
+
 def test_quotient_tree_power_sums_reach_one():
     # Claimed: at the lower bracketing exponent every node's sum of child
     # diameters to the s is at least the parent's.  The sparse family

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -524,10 +525,13 @@ def test_pruned_spacing_matches_all_pairs(u, width, n, eps, rng):
        kids=st.lists(st.integers(1, 30).flatmap(lambda q: st.tuples(
            st.integers(-q, 2 * q - 1), st.integers(-q, 2 * q - 1), st.just(q))),
            max_size=12))
+@example(u=SEED, eps=F(12, 100), kids=[(p, 0, 29) for p in range(1, 12)] + [(1, 1, 1)])
 def test_pruned_spacing_matches_all_pairs_on_any_points(u, eps, kids):
     # the pruning argument uses only the triangle inequality, so it must
     # hold for any points, not just for children on their slot lines; these
-    # lie in [-1, 2)^2, where the low ones' outer radii swallow their gaps
+    # lie in [-1, 2)^2, where the low ones' outer radii swallow their gaps.
+    # In the example the child of outer radius 2 is last by distance from u
+    # but first by the low end of its interval
     kids = [pvec(*t) for t in kids if math.gcd(*t) == 1]
     assert construct._sibling_spacing(u, with_absL(u, kids), eps, 1) == (
         all_pairs_spacing(u, kids, eps, 1))
@@ -548,9 +552,8 @@ def test_tree_audit_matches_reduced_children(u, width, build, audit):
         assert got == tree_audit(root, audit)
 
 
-def test_readme_tree_sweep_evaluates_few_pairs(tree3, monkeypatch):
-    # the sweep evaluates 1,249 of the README tree's 37,975 sibling pairs;
-    # one that fell back to all pairs would evaluate every one
+def count_pair_gaps(monkeypatch):
+    """A list that grows by one for each `_pair_gap` call from now on."""
     calls = []
     pair_gap = construct._pair_gap
 
@@ -558,12 +561,35 @@ def test_readme_tree_sweep_evaluates_few_pairs(tree3, monkeypatch):
         calls.append(None)
         return pair_gap(va, la, vb, lb)
 
+    monkeypatch.setattr(construct, "_pair_gap", counting)
+    return calls
+
+
+def test_readme_tree_sweep_evaluates_few_pairs(tree3, monkeypatch):
+    # the sweep evaluates 954 of the README tree's 37,975 sibling pairs;
+    # one that fell back to all pairs would evaluate every one
     root, want = tree3
     invariants.cache_clear()
-    monkeypatch.setattr(construct, "_pair_gap", counting)
+    calls = count_pair_gaps(monkeypatch)
     assert tree_audit(root, EIGHTH) == want
     assert want["totals"]["spacing_pairs"] == 37975
-    assert len(calls) == 1249
+    assert len(calls) == 954
+
+
+def test_wide_family_sweep_evaluates_few_pairs(monkeypatch):
+    # one child from each of the first 2,000 slot pairs of family 10^9,
+    # built from slot_children since tree_cost refuses the shape: each row
+    # stops near its own interval, so the sweep evaluates 36,763 of the
+    # 1,999,000 pairs, however large the radii far along the order
+    kids = [v for _, v in islice(slot_children(SEED, EIGHTH, 10**9, 1), 2000)]
+    calls = count_pair_gaps(monkeypatch)
+    pairs, failed, _ = construct._sibling_spacing(SEED, with_absL(SEED, kids), EIGHTH, 10**9)
+    assert (pairs, failed) == (1999000, 0)
+    assert len(calls) <= 40000
+    # and a family small enough for the oracle gets its exact figures
+    kids = [v for _, v in islice(slot_children(SEED, EIGHTH, 1000, 1), 300)]
+    assert construct._sibling_spacing(SEED, with_absL(SEED, kids), EIGHTH, 1000) == (
+        all_pairs_spacing(SEED, kids, EIGHTH, 1000))
 
 
 def test_readme_tree_computes_each_window_once(monkeypatch):
@@ -884,14 +910,16 @@ def test_slow_chain_edges_nest(p1, p2, q, target):
 
 # psi-tree shapes (eps, depth, expand, width, family) from (0, 0, 1) that
 # took more than 3.9 s in fresh processes with the tree caps lifted, on a
-# 2-core x86-64 host; the seconds are in the comments
+# 2-core x86-64 host; the seconds are in the comments.  The two one-level
+# families of 5,000 and 10^4 children take under 1.5 s, yet are refused:
+# tree_cost's width^2 term overprices wide, shallow families
 SLOW_TREES = [
     (F(1, 10**16), 100, 1, 1, 1),  # 123 s
     (F(1, 10**10), 14, 2, 2, 1),  # 122 s
     (EIGHTH, 17, 2, 2, 1),  # 49 s
     (F(1, 10**16), 12, 2, 2, 1),  # 48 s
     (F(1, 10**10), 100, 1, 1, 1),  # 40 s
-    (EIGHTH, 1, 1, 10**4, 10**9),  # 35 s, one sibling sweep of 10^4 children
+    (EIGHTH, 1, 1, 10**4, 10**9),  # 1.1-1.3 s, one sibling sweep of 10^4 children
     (F(1, 5), 4, 30, 30, 100),  # 35 s
     (F(1, 10**5), 14, 2, 2, 1),  # 34 s
     (EIGHTH, 100, 1, 1999, 1),  # 24 s
@@ -907,7 +935,7 @@ SLOW_TREES = [
     (EIGHTH, 3, 60, 60, 1000),  # 7.4 s
     (F(1, 10**16), 10, 2, 2, 1),  # 7.1 s
     (EIGHTH, 8, 4, 4, 3),  # 7.1 s
-    (EIGHTH, 1, 1, 5000, 10**9),  # 7.1 s
+    (EIGHTH, 1, 1, 5000, 10**9),  # 0.5-0.6 s
     (EIGHTH, 350, 1, 1, 1),  # 6.3 s
     (F(1, 10**5), 12, 2, 2, 1),  # 6.0 s
     (EIGHTH, 5, 10, 10, 10),  # 5.7 s
