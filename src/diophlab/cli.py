@@ -455,7 +455,7 @@ def item_height_growth(rng, fault):
     for u, v in zip(vs, vs[1:]):
         if distortion_below(u, eps):
             yield growth_ok(u, v, eps) or f"edge {u}->{v} grows too slowly"
-    yield (vs[2].q > 8**6 * vs[1].q
+    yield (growth_ok(vs[1], vs[2], eps)
            or "second extension misses the sixth-power factor")
 
 

@@ -41,7 +41,6 @@ from .core import PrimVec, Wedge2, residual, seminorm, wedge
 from .latinv import (
     Invariants,
     absL_from_wedge,
-    canonical_sign,
     cube_below,
     distortion_below,
     invariants,
@@ -260,7 +259,8 @@ def _sibling_spacing(u: PrimVec, kids: list[tuple[PrimVec, int]], eps, n: int):
     failures = 0
     least = cut = None  # least gap bound (num, den); T, once a gap is known
     for i, (_, hi, a, la) in enumerate(rows):
-        for lo, _, b, lb in rows[i + 1:]:
+        for j in range(i + 1, len(rows)):
+            lo, _, b, lb = rows[j]
             if cut is not None and lo - hi >= cut:
                 break
             num, den = _pair_gap(a, la, b, lb)
@@ -304,11 +304,11 @@ def verify_spacing(u: PrimVec, a: tuple[PrimVec, int], b: tuple[PrimVec, int], e
 def admissible_successor(inv: Invariants, v: PrimVec, eps: Fraction) -> bool:
     """Whether v may follow u = inv.v, for the parent's `invariants` record
     inv and the distortion bound eps, a Fraction: the wedge w = v ^ u is
-    primitive, differs from u's shortest class inv.L, and v's height
+    primitive, is neither sign of u's shortest class inv.L, and v's height
     exceeds eps^-3 |w|^2 (`cube_below(|w|, |v|, eps)`).  A zero wedge has
     gcd 0, so v = u is rejected."""
     w = wedge(v, inv.v)
-    return (math.gcd(w.m12, w.m13, w.m23) == 1 and canonical_sign(w) != inv.L
+    return (math.gcd(w.m12, w.m13, w.m23) == 1 and inv.L not in (w, w.neg())
             and cube_below(seminorm(w), v.q, eps))
 
 
@@ -708,18 +708,22 @@ def slow_chain(
     steps >= 3; the samples span it end to end, so they need samples >= 2,
     and at most MAX_PROFILE_SAMPLES = 10^4.  Both are checked first.  Then,
     before any step, span = steps * max(1, y) over the schedule's knots
-    raises OverflowError when the tip's digits, about 6 span / ln 10, pass
-    MAX_HEIGHT_DIGITS, and ValueError when samples * span^3 passes
-    MAX_CHAIN_WORK."""
+    raises OverflowError when the tip's digits, about log10|u0| + 6 span /
+    ln 10, pass MAX_HEIGHT_DIGITS, and ValueError when samples * span^3
+    passes MAX_CHAIN_WORK."""
     if steps < 3:
         raise ValueError(f"slow chain needs steps >= 3, got {steps}")
     if not 2 <= samples <= MAX_PROFILE_SAMPLES:
         raise ValueError(f"slow chain needs 2 to {MAX_PROFILE_SAMPLES} samples, got {samples}")
     sched = regularize_schedule(lambda t: -w_target(t) / 3, delta, Fraction(invariants(u0).tau))
     span = steps * max(1.0, *(float(y) for _, y in sched.knots))
-    if (digits := 6 * span / math.log(10)) > MAX_HEIGHT_DIGITS:
-        raise OverflowError(f"{steps} slow steps need heights of about {digits:.3g} digits, "
-                            f"more than {MAX_HEIGHT_DIGITS} digits, the integer output limit")
+    seed_digits = math.log10(u0.q)
+    if (digits := seed_digits + 6 * span / math.log(10)) > MAX_HEIGHT_DIGITS:
+        n = math.floor(seed_digits) + 1  # the float log10 may round across a power of 10
+        n += (u0.q >= 10**n) - (u0.q < 10 ** (n - 1))
+        raise OverflowError(f"{steps} slow steps from a seed of {n} "
+                            f"digits need heights of about {digits:.3g} digits, more than "
+                            f"{MAX_HEIGHT_DIGITS} digits, the integer output limit")
     if samples * span**3 > MAX_CHAIN_WORK:
         raise ValueError(f"a slow chain of {steps} steps and {samples} samples costs samples "
                          f"* (steps * max(1, y))^3 = {samples * span**3:.3g} > {MAX_CHAIN_WORK}")

@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import PrimVec, Wedge2, wedge
+from .core import PrimVec, Wedge2, seminorm, wedge
 from .util import extgcd, frac_str, ln_fraction
 
 Pair = tuple[int, int]
@@ -52,24 +52,14 @@ def wedge_constraint_ok(w: Wedge2, v: PrimVec) -> bool:
     return w.m12 * v.q - w.m13 * v.p2 + w.m23 * v.p1 == 0
 
 
-def canonical_sign(w: Wedge2) -> Wedge2:
-    """Fix the orientation: last pair coordinate positive, then the middle."""
-    if w.m23 < 0 or (w.m23 == 0 and w.m13 < 0):
-        return w.neg()
-    if w.m23 == 0 and w.m13 == 0 and w.m12 < 0:
-        return w.neg()
-    return w
-
-
 def class_key(x: int, y: int) -> tuple[int, int, int, int]:
     """Ordering key for +-classes of pair-lattice elements: the one sign
     rule and the one order of both minima routes.
 
     Sign-normalize (y > 0, or y = 0 and x > 0), then order by sup norm,
     squared Euclidean norm, y, x.  Deterministic and total on classes, and
-    the key (sup, e2, y, x) carries the normalized pair itself.  On a
-    nonzero pair part this sign rule is `canonical_sign`'s, so
-    wedge_from_pair(v, x, y) of a key's pair is already canonically signed.
+    the key (sup, e2, y, x) carries the normalized pair itself, so
+    wedge_from_pair(v, x, y) of a key's pair is signed by this rule.
     """
     if y < 0 or (y == 0 and x < 0):
         x, y = -x, -y
@@ -254,8 +244,7 @@ def invariants(v: PrimVec) -> Invariants:
     caller; `Invariants` is a named tuple, so callers cannot alter it.
     """
     L, H = lattice_minima(v)
-    absL = max(abs(L.m13), abs(L.m23))
-    absH = max(abs(H.m13), abs(H.m23))
+    absL, absH = seminorm(L), seminorm(H)
     assert absL <= absH
     return Invariants(
         v=v, L=L, Lhat=H, absL=absL, absLhat=absH,
@@ -275,7 +264,7 @@ def absL_from_wedge(v: PrimVec, u: PrimVec) -> int:
     the test, since a child in the band has |L|^2 < eps^3 |v| < |v|/8.
     """
     w = wedge(u, v)
-    s = max(abs(w.m13), abs(w.m23))
+    s = seminorm(w)
     if 2 * s * s < v.q and math.gcd(*w) == 1:
         return s
     return invariants(v).absL

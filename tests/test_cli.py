@@ -210,9 +210,11 @@ def test_usage_errors_exit_two(capsys):
     # 2 * 10^5 children; descendant trees whose tree_cost passes its cap
     # (5.0 s, 49 s, 23 s and 24 s of work uncapped, and 122 s and 123 s at
     # eps 10^-10 and 10^-16); more than 10^4 profile or slow-chain samples;
-    # and slow chains whose cost estimate passes its cap (81 s uncapped, and
-    # 22 s at the constant level -10).  Each is one error line, within
-    # seconds
+    # slow chains whose cost estimate passes its cap (81 s uncapped, and
+    # 22 s at the constant level -10); a slow chain whose seed alone has
+    # 4291 digits; and a level so close to 0 that the first step's
+    # distortion rounds to 1.  Each is one error line, within seconds
+    long_seed = f"1,1,{10**4290 + 7}"
     errs = []
     for argv in (
         ["slow-chain", "--target", "const", "--level=-1e-300", "--steps", "3",
@@ -234,6 +236,9 @@ def test_usage_errors_exit_two(capsys):
         ["psi-tree", "--eps=1e-10", "--depth", "14", "--expand", "2", "--width", "2"],
         ["psi-tree", "--eps=1e-16", "--depth", "100", "--expand", "1", "--width", "1"],
         ["slow-chain", "--target", "const", "--level=-10", "--steps", "292", "--samples", "2"],
+        ["slow-chain", "--seed-vec", long_seed, "--steps", "3", "--samples", "2"],
+        ["slow-chain", "--seed-vec", "0,0,1", "--target", "const", "--level=-1e-20",
+         "--steps", "3", "--samples", "2"],
     ):
         start = time.perf_counter()
         assert run(argv) == 2, argv
@@ -243,6 +248,9 @@ def test_usage_errors_exit_two(capsys):
         errs.append(err)
     # the heights too long to print are blamed on the option, not on int
     assert "--level" in errs[2] and "4300 digits" in errs[2], errs[2]
+    # the seed's own digits are priced before the first step
+    assert "a seed of 4291 digits" in errs[-2], errs[-2]
+    assert "schedule produced a non-shrinking distortion" in errs[-1], errs[-1]
 
 
 def test_failed_chain_edge_exits_one_naming_the_edge(capsys, monkeypatch):

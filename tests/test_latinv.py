@@ -12,7 +12,6 @@ from diophlab.core import PrimVec, Wedge2, pvec, wedge
 from diophlab.latinv import (
     Invariants,
     absL_from_wedge,
-    canonical_sign,
     class_key,
     companion_pair,
     distortion_below,
@@ -104,15 +103,17 @@ def test_invariants_psi_output_window():
 
 
 def test_invariants_classes_are_sign_normalised():
-    # lattice_minima signs both classes canonically, so the edge rule
-    # compares canonical_sign(w) with a parent's inv.L as it stands
+    # lattice_minima signs both classes by class_key, the one sign rule:
+    # the key's pair is the class's own (m13, m23), so the edge rule can
+    # test a wedge w against a parent's inv.L as it stands, by w and -w
     for q in range(1, 11):
         for p1 in range(-q, 2 * q):
             for p2 in range(-q, 2 * q):
                 if math.gcd(p1, p2, q) == 1:
                     inv = invariants(pvec(p1, p2, q))
-                    assert canonical_sign(inv.L) == inv.L
-                    assert canonical_sign(inv.Lhat) == inv.Lhat
+                    for w in (inv.L, inv.Lhat):
+                        _, _, y, x = class_key(w.m13, w.m23)
+                        assert (x, y) == (w.m13, w.m23), (inv.v, w)
 
 
 @pytest.fixture
@@ -272,11 +273,11 @@ def test_minima_match_class_scan():
 def sorted_scan_minima(v):
     """Reference selection for scan_minima: the same residue-class walk,
     with every (class key, sign-normalised pair) sorted in full; L is the
-    first pair, Hhat the first one off its line."""
+    first pair, Hhat the first one off its line.  Each pair has y > 0, or
+    y = 0 and x > 0, so its wedge needs no further sign fix."""
     q = v.q
     if q == 1:
-        return (canonical_sign(wedge_from_pair(v, 1, 0)),
-                canonical_sign(wedge_from_pair(v, 0, 1)))
+        return wedge_from_pair(v, 1, 0), wedge_from_pair(v, 0, 1)
 
     def lifts(r):
         r %= q
@@ -296,8 +297,7 @@ def sorted_scan_minima(v):
     best.sort()
     Lp = best[0][1]
     Hp = next(p for _, p in best if Lp[0] * p[1] - Lp[1] * p[0] != 0)
-    return (canonical_sign(wedge_from_pair(v, *Lp)),
-            canonical_sign(wedge_from_pair(v, *Hp)))
+    return wedge_from_pair(v, *Lp), wedge_from_pair(v, *Hp)
 
 
 def test_scan_minima_selection_matches_full_sort():
