@@ -27,6 +27,7 @@ from .bestapprox import (
 )
 from .cfrac import convergents, dn_gap_audit, neighbors, quotient_interval
 from .construct import (
+    MAX_HEIGHT_DIGITS,
     expansion_tree,
     fixed_chain,
     growth_ok,
@@ -186,10 +187,12 @@ def cmd_slow_chain(args) -> tuple[int, dict, list[dict] | None]:
             samples=args.samples,
         )
     except OverflowError as ex:
-        # the heights outgrow what prints: name the option that drove them
-        if args.target == "const":
-            raise ValueError(f"--level {args.level}: {ex}") from None
-        raise ValueError(f"--steps {args.steps}: {ex}") from None
+        # the heights outgrow what prints: name the option that drove them, or
+        # the seed when even 3 steps at the least value y of any schedule do
+        y = 1 if args.target == "const" else max(1, math.log1p(invariants(u0).tau) / 3)
+        opt = ("--seed-vec" if math.log10(u0.q) + 6 * 3 * y / math.log(10) > MAX_HEIGHT_DIGITS
+               else f"--level {args.level}" if args.target == "const" else f"--steps {args.steps}")
+        raise ValueError(f"{opt}: {ex}") from None
     del cert["defects"]
     cert["samples"] = len(cert["samples"])
     rows = chain.to_jsonable()
@@ -422,7 +425,7 @@ def item_domain_band(rng, fault):
     eps = Fraction(1, 8)
     seed_vec = pvec(0, 0, 1)
     for _, ch in slot_children(seed_vec, eps):
-        absL = absL_from_wedge(ch, seed_vec)
+        absL = absL_from_wedge(ch, wedge(ch, seed_vec))
         yield (cube_below(absL, ch.q, eps) and not cube_below(absL, ch.q, eps / 2)
                or f"child {ch} leaves the distortion band")
 
@@ -432,7 +435,7 @@ def item_domain_band(rng, fault):
 def item_sibling_spacing(rng, fault):
     eps = Fraction(1, 8)
     seed_vec = pvec(0, 0, 1)
-    kids = [(v, absL_from_wedge(v, seed_vec)) for _, v in slot_children(seed_vec, eps)]
+    kids = [(v, absL_from_wedge(v, wedge(v, seed_vec))) for _, v in slot_children(seed_vec, eps)]
     for i, a in enumerate(kids):
         for b in kids[i + 1:]:
             yield verify_spacing(seed_vec, a, b, eps) or f"siblings {a[0]},{b[0]} too close"
@@ -443,7 +446,8 @@ def item_nested_domains(rng, fault):
     chain = fixed_chain(pvec(0, 0, 1), Fraction(1, 8), 3)
     vs = chain.vectors()
     for u, v in zip(vs, vs[1:]):
-        yield (nesting_ok(invariants(u), v, absL_from_wedge(v, u))
+        w = wedge(v, u)
+        yield (nesting_ok(invariants(u), v, w, absL_from_wedge(v, w))
                or f"domain of {v} escapes {u}")
 
 

@@ -8,7 +8,7 @@ checks every chain step and tree edge exactly with three predicates:
 shortest class, and the height clears the distortion window),
 `nesting_ok` (the child's domain nests strictly inside the parent's) and,
 below a distorted parent, `growth_ok` (the height grows by the required
-factor).
+factor).  The rule's caller computes each edge's wedge w = v ^ u once.
 
 Three flavours of chain are built here, each by a plain loop that adjoins
 every node through one audited append.  Fixed-distortion chains take the
@@ -230,9 +230,9 @@ def _pair_gap(va: PrimVec, la: int, vb: PrimVec, lb: int) -> tuple[int, int]:
     return dist * qa * qb - 2 * la * qb * qb - 2 * lb * qa * qa, (qa * qb) ** 2
 
 
-def _sibling_spacing(u: PrimVec, kids: list[tuple[PrimVec, int]], eps, n: int):
+def _sibling_spacing(u: PrimVec, kids: list[tuple[PrimVec, int, int]], eps, n: int):
     """Check every pair of u's children against the spacing floor; kids
-    holds each child v with |L(v)|.
+    holds each child v with |L(v)| and |v ^ u| (`tree_audit`'s edge record).
 
     A pair's gap bound (`_pair_gap`) must exceed the floor `_floor_terms`,
     spacing_floor(eps, n) * diam with diam = 4|L(u)|/|u|^2.  Returns the
@@ -252,8 +252,8 @@ def _sibling_spacing(u: PrimVec, kids: list[tuple[PrimVec, int]], eps, n: int):
     fn, fd = _floor_terms(u, eps, n)
     unit = fd << 32
     rows = []  # (lo rounded down, hi rounded up, v, |L(v)|) in units of 1/unit
-    for v, lv in kids:
-        rho, r = seminorm(wedge(u, v)) * unit // (u.q * v.q), -(-2 * lv * unit // (v.q * v.q))
+    for v, lv, s in kids:
+        rho, r = s * unit // (u.q * v.q), -(-2 * lv * unit // (v.q * v.q))
         rows.append((rho - r, rho + 1 + r, v, lv))
     rows.sort(key=lambda r: r[0])
     failures = 0
@@ -285,8 +285,7 @@ def _ratio_float(num: int, den: int) -> float:
 
 def verify_spacing(u: PrimVec, a: tuple[PrimVec, int], b: tuple[PrimVec, int], eps) -> bool:
     """Exact separation certificate for two children of u, each given with
-    its |L| as `_sibling_spacing` takes them, a = (va, |L(va)|) and b =
-    (vb, |L(vb)|):
+    its |L|, a = (va, |L(va)|) and b = (vb, |L(vb)|):
 
         dist(domain(va), domain(vb)) >= rho * diam(domain(u))
 
@@ -301,31 +300,29 @@ def verify_spacing(u: PrimVec, a: tuple[PrimVec, int], b: tuple[PrimVec, int], e
     return num * fd > den * fn
 
 
-def admissible_successor(inv: Invariants, v: PrimVec, eps: Fraction) -> bool:
+def admissible_successor(inv: Invariants, v: PrimVec, w: Wedge2, eps: Fraction) -> bool:
     """Whether v may follow u = inv.v, for the parent's `invariants` record
-    inv and the distortion bound eps, a Fraction: the wedge w = v ^ u is
-    primitive, is neither sign of u's shortest class inv.L, and v's height
-    exceeds eps^-3 |w|^2 (`cube_below(|w|, |v|, eps)`).  A zero wedge has
-    gcd 0, so v = u is rejected."""
-    w = wedge(v, inv.v)
+    inv, the edge's wedge w = +-(v ^ u) and the distortion bound eps, a
+    Fraction: w is primitive, is neither sign of u's shortest class inv.L,
+    and v's height exceeds eps^-3 |w|^2 (`cube_below(|w|, |v|, eps)`).  A
+    zero wedge has gcd 0, so v = u is rejected."""
     return (math.gcd(w.m12, w.m13, w.m23) == 1 and inv.L not in (w, w.neg())
             and cube_below(seminorm(w), v.q, eps))
 
 
-def nesting_ok(inv: Invariants, v: PrimVec, lv: int) -> bool:
+def nesting_ok(inv: Invariants, v: PrimVec, w: Wedge2, lv: int) -> bool:
     """Strict nesting of v's domain inside the domain of u = inv.v, for the
-    parent's `invariants` record inv and lv = |L(v)|, certified via the
-    ball bounds: center distance plus v's outer radius must fall short of
-    u's inner radius, |L(u)|/(2|u|^2) - proj_dist(u, v) - 2 lv/|v|^2 > 0,
-    here times 2|u|^2|v|^2.  Valid for any parent height; the inner ball
-    of a height-one parent is the direct half-residual box.  Raises
-    ValueError when |v| < 2, where the outer bound does not hold.
+    parent's record inv, the edge's wedge w = +-(v ^ u) and lv = |L(v)|,
+    certified via the ball bounds: center distance plus v's outer radius
+    must fall short of u's inner radius, |L(u)|/(2|u|^2) - |w|/(|u||v|) -
+    2 lv/|v|^2 > 0, here times 2|u|^2|v|^2.  Valid for any parent height;
+    the inner ball of a height-one parent is the direct half-residual box.
+    Raises ValueError when |v| < 2, where the outer bound does not hold.
     """
     u = inv.v
     if v.q < 2:
         raise ValueError("child height must exceed 1 for the outer bound")
-    return (inv.absL * v.q**2 - 2 * seminorm(wedge(u, v)) * u.q * v.q
-            - 4 * lv * u.q**2) > 0
+    return inv.absL * v.q**2 - 2 * seminorm(w) * u.q * v.q - 4 * lv * u.q**2 > 0
 
 
 def growth_ok(u: PrimVec, v: PrimVec, eps: Fraction) -> bool:
@@ -335,16 +332,16 @@ def growth_ok(u: PrimVec, v: PrimVec, eps: Fraction) -> bool:
     return v.q * eps.numerator**6 > u.q * eps.denominator**6
 
 
-def _edge_faults(inv: Invariants, v: PrimVec, lv: int, eps: Fraction,
+def _edge_faults(inv: Invariants, v: PrimVec, w: Wedge2, lv: int, eps: Fraction,
                  distorted: bool) -> Iterator[str]:
     """The edge rule of chains and trees: yield, in order, the name of each
-    check that inv.v -> v fails, for the parent's `invariants` inv and lv =
-    |L(v)|: "membership" (`admissible_successor`), "nesting" (`nesting_ok`),
-    and "growth" (`growth_ok`) when the parent is distorted.  Lazy, so a
+    check that u = inv.v -> v fails, for w = v ^ u and lv = |L(v)|:
+    "membership" (`admissible_successor`), "nesting" (`nesting_ok`), and
+    "growth" (`growth_ok`) when the parent is distorted.  Lazy, so a
     caller that stops at the first name skips the later checks."""
-    if not admissible_successor(inv, v, eps):
+    if not admissible_successor(inv, v, w, eps):
         yield "membership"
-    if not nesting_ok(inv, v, lv):
+    if not nesting_ok(inv, v, w, lv):
         yield "nesting"
     if distorted and not growth_ok(inv.v, v, eps):
         yield "growth"
@@ -399,8 +396,8 @@ class Chain:
 
 
 def _append(chain: Chain, v: PrimVec, eps, slot=None) -> None:
-    """Adjoin v to the chain once the edge from its tip passes the edge
-    rule `_edge_faults` and leaves the tip's rational line, exactly.
+    """Adjoin v once the edge from the tip, read from its one wedge, passes
+    the edge rule `_edge_faults` and leaves the tip's rational line, exactly.
 
     Raises RuntimeError naming the first failed check, leaving the chain
     unchanged.  The eps^-6 growth bound is a property of the slotted height
@@ -409,10 +406,11 @@ def _append(chain: Chain, v: PrimVec, eps, slot=None) -> None:
     u = chain.tip
     eps = Fraction(eps)
     distorted = slot is not None and distortion_below(u, eps)
-    fault = next(_edge_faults(invariants(u), v, absL_from_wedge(v, u), eps, distorted), None)
+    w = wedge(v, u)
+    fault = next(_edge_faults(invariants(u), v, w, absL_from_wedge(v, w), eps, distorted), None)
     if fault is not None:
         raise RuntimeError(f"edge {u} -> {v}: fails the {fault} check at eps {float(eps):g}")
-    if len(chain.nodes) >= 2 and _proportional(wedge(u, chain.nodes[-2].u), wedge(v, u)):
+    if len(chain.nodes) >= 2 and _proportional(wedge(u, chain.nodes[-2].u), w):
         raise RuntimeError(f"edge {u} -> {v}: consecutive steps share a rational line")
     chain.nodes.append(ChainNode(v, eps, slot))
 
@@ -857,11 +855,11 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
     every sibling pair must clear the spacing floor.  Reports the worst
     margins alongside the pass flag.
 
-    Only expanded nodes are reduced (`invariants`).  Each child's |L| is
-    read once, from its wedge w with the parent (`absL_from_wedge`): when w
-    is primitive and 2|w|^2 < |v|, +-w is the child's unique shortest class,
-    which is the case for every child in the band whose shortest class is
-    that wedge.  The band, nesting and spacing checks all use that value.
+    Only expanded nodes are reduced (`invariants`).  Each edge's wedge w =
+    v ^ u is computed once and read by every check; the child's |L| comes
+    from it (`absL_from_wedge`): +-w is the child's unique shortest class
+    when w is primitive and 2|w|^2 < |v|, as for every child in the band
+    whose shortest class is that wedge.
     """
     eps = Fraction(eps)
     half = eps / 2
@@ -878,13 +876,16 @@ def tree_audit(root: TreeNode, eps, n: int = 1) -> dict:
         kappa = Fraction(inv.absLhat * inv.absL, u.q)
         min_kappa = kappa if min_kappa is None else min(min_kappa, kappa)
         distorted = distortion_below(u, eps)  # once per parent, as is inv
-        kids = [(ch.u, absL_from_wedge(ch.u, u)) for ch in node.children]
-        for v, lv in kids:
-            totals["edges"] += 1
-            totals["growth_checked"] += distorted
+        totals["edges"] += len(node.children)
+        totals["growth_checked"] += distorted * len(node.children)
+        kids = []
+        for ch in node.children:
+            v, w = ch.u, wedge(ch.u, u)
+            lv = absL_from_wedge(v, w)
+            kids.append((v, lv, seminorm(w)))
             if not (cube_below(lv, v.q, eps) and not cube_below(lv, v.q, half)):
                 fails["band"] += 1
-            for fault in _edge_faults(inv, v, lv, eps, distorted):
+            for fault in _edge_faults(inv, v, w, lv, eps, distorted):
                 fails[fault] += 1
         pairs, failed, least = _sibling_spacing(u, kids, eps, n)
         totals["spacing_pairs"] += pairs

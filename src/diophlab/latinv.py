@@ -253,8 +253,8 @@ def invariants(v: PrimVec) -> Invariants:
     )
 
 
-def absL_from_wedge(v: PrimVec, u: PrimVec) -> int:
-    """|L(v)|, certified from w = u ^ v when w is primitive and 2|w|^2 < |v|.
+def absL_from_wedge(v: PrimVec, w: Wedge2) -> int:
+    """|L(v)|, certified from w = +-(u ^ v) when w is primitive, 2|w|^2 < |v|.
 
     Then +-w is the unique shortest class of Lam(v), for any u: a w' off
     the line of w has |det(w, w')| >= |v| (the covolume) and |det(w, w')|
@@ -263,7 +263,6 @@ def absL_from_wedge(v: PrimVec, u: PrimVec) -> int:
     child whose shortest class is its wedge with the parent always passes
     the test, since a child in the band has |L|^2 < eps^3 |v| < |v|/8.
     """
-    w = wedge(u, v)
     s = seminorm(w)
     if 2 * s * s < v.q and math.gcd(*w) == 1:
         return s

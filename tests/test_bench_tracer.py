@@ -55,11 +55,11 @@ def test_cli_import_loads_every_traced_module():
 def test_tracer_counts_the_edge_predicates():
     # the traced run of a small tree, as the benchmark makes it: the edge
     # rule reads its three predicates through the module names the tracer
-    # wraps, so every one of them shows calls
+    # wraps, once per edge, and growth once per edge below a distorted parent
     root = TRACER.parent.parent
     env = dict(os.environ, PYTHONPATH="src")
-    argv = ["--", "psi-tree", "--depth", "2", "--width", "3", "--expand", "1"]
-    proc = subprocess.run([sys.executable, str(TRACER), *argv], cwd=root, env=env,
+    argv = ["psi-tree", "--depth", "2", "--width", "3", "--expand", "1"]
+    proc = subprocess.run([sys.executable, str(TRACER), "--", *argv], cwd=root, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -67,8 +67,11 @@ def test_tracer_counts_the_edge_predicates():
     calls = Counter()
     for _, name, n, *_ in json.loads(lines[0])["spans"]:
         calls[name] += n
-    for name in ("admissible_successor", "nesting_ok", "growth_ok"):
-        assert calls[f"construct.{name}"] > 0, name
+    totals = cli.cmd_psi_tree(cli.build_parser().parse_args(argv))[1]["totals"]
+    assert totals["edges"] > 0 and totals["growth_checked"] > 0
+    assert calls["construct.admissible_successor"] == totals["edges"]
+    assert calls["construct.nesting_ok"] == totals["edges"]
+    assert calls["construct.growth_ok"] == totals["growth_checked"]
 
 
 def test_tracer_runs_audit_all():

@@ -248,7 +248,10 @@ def test_usage_errors_exit_two(capsys):
         errs.append(err)
     # the heights too long to print are blamed on the option, not on int
     assert "--level" in errs[2] and "4300 digits" in errs[2], errs[2]
-    # the seed's own digits are priced before the first step
+    # the seed's own digits are priced before the first step, and blamed:
+    # 3 is the least step count, and the log1p schedule starts at the
+    # seed's own log1p(tau)/3
+    assert errs[-2].startswith("error: --seed-vec: "), errs[-2]
     assert "a seed of 4291 digits" in errs[-2], errs[-2]
     assert "schedule produced a non-shrinking distortion" in errs[-1], errs[-1]
 
@@ -260,7 +263,7 @@ def test_failed_chain_edge_exits_one_naming_the_edge(capsys, monkeypatch):
     argv = ["slow-chain", "--seed-vec", "1,1,2", "--steps", "3", "--samples", "2"]
     assert run(argv) == 0
     capsys.readouterr()
-    monkeypatch.setattr(construct, "nesting_ok", lambda inv, v, lv: False)
+    monkeypatch.setattr(construct, "nesting_ok", lambda inv, v, w, lv: False)
     code = run(argv)
     err = capsys.readouterr().err
     assert code == 1

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from diophlab import construct
+from diophlab import construct, latinv
 from diophlab.bestapprox import (
     BestApproxSeq, shortest_vector_oracle, shortest_vector_reduced, wx_profile)
 from diophlab.core import RatPoint, proj_dist, pvec, residual, seminorm, wedge
@@ -315,7 +315,7 @@ def nesting_slack(u, v):
 
 def test_admissible_successor_frozen_edge(chain4):
     vs = chain4.vectors()
-    assert admissible_successor(invariants(vs[0]), vs[1], EIGHTH) is True
+    assert admissible_successor(invariants(vs[0]), vs[1], wedge(vs[1], vs[0]), EIGHTH) is True
 
 
 def test_admissible_successor_rejects_shortest_direction():
@@ -328,38 +328,40 @@ def test_admissible_successor_rejects_shortest_direction():
         w = wedge(v, SEED)
         assert math.gcd(*w) == 1 and F(v.q) * EIGHTH**3 > seminorm(w) ** 2
         assert off_shortest_class(SEED, w) is False
-        assert admissible_successor(inv, v, EIGHTH) is False
-    assert admissible_successor(inv, pvec(0, 1, 1000), EIGHTH) is True
+        assert admissible_successor(inv, v, w, EIGHTH) is False
+    v = pvec(0, 1, 1000)
+    assert admissible_successor(inv, v, wedge(v, SEED), EIGHTH) is True
 
 
 def test_admissible_successor_low_height():
     # the same wedge passes at a looser bound, so only the height fails
     v = pvec(0, 1, 9)
-    assert admissible_successor(invariants(SEED), v, EIGHTH) is False
-    assert admissible_successor(invariants(SEED), v, F(1, 2)) is True
+    w = wedge(v, SEED)
+    assert admissible_successor(invariants(SEED), v, w, EIGHTH) is False
+    assert admissible_successor(invariants(SEED), v, w, F(1, 2)) is True
 
 
 def test_admissible_successor_degenerate_self():
-    assert admissible_successor(invariants(SEED), SEED, EIGHTH) is False
+    assert admissible_successor(invariants(SEED), SEED, wedge(SEED, SEED), EIGHTH) is False
 
 
 def test_nesting_frozen_edges(chain4):
     vs = chain4.vectors()
     for u, v in zip(vs, vs[1:]):
         assert nesting_slack(u, v) > 0
-        assert nesting_ok(invariants(u), v, invariants(v).absL) is True
+        assert nesting_ok(invariants(u), v, wedge(v, u), invariants(v).absL) is True
 
 
 def test_nesting_rejects_sibling():
     u1a = child_vector(SEED, 1, 0, 520, EIGHTH)
     u1b = child_vector(SEED, 1, 1, 520, EIGHTH)
     assert nesting_slack(u1a, u1b) == F(-1043, 540800)
-    assert nesting_ok(invariants(u1a), u1b, invariants(u1b).absL) is False
+    assert nesting_ok(invariants(u1a), u1b, wedge(u1b, u1a), invariants(u1b).absL) is False
 
 
 def test_nesting_needs_child_height():
     with pytest.raises(ValueError):
-        nesting_ok(invariants(SEED), pvec(1, 0, 1), 1)
+        nesting_ok(invariants(SEED), pvec(1, 0, 1), wedge(pvec(1, 0, 1), SEED), 1)
 
 
 def test_growth_conditional(chain4):
@@ -382,10 +384,12 @@ def test_integer_edge_predicates_match_fraction_formulas(u, eps):
     edges = [(u, v) for v in kids(u)]
     edges += [(v, w) for _, v in edges[:2] for w in kids(v)]
     for w, v in edges:
-        assert nesting_ok(invariants(w), v, invariants(v).absL) == (nesting_slack(w, v) > 0)
+        assert nesting_ok(invariants(w), v, wedge(v, w), invariants(v).absL) == (
+            nesting_slack(w, v) > 0)
         for e in (eps, eps / 2):
             assert distortion_below(v, e) == (invariants(v).eps3 < e**3)
-            assert admissible_successor(invariants(w), v, e) == formula_admissible(w, v, e)
+            assert admissible_successor(invariants(w), v, wedge(v, w), e) == (
+                formula_admissible(w, v, e))
             assert growth_ok(w, v, e) == (F(v.q) * e**6 > w.q)
 
 
@@ -420,8 +424,8 @@ def test_integer_predicates_keep_strict_ties():
     assert not distortion_below(tie, half)
     assert distortion_below(above, half)
     # |v| eps^3 = 1 = seminorm(wedge(v, seed))^2 at the tie
-    assert not admissible_successor(invariants(SEED), tie, half)
-    assert admissible_successor(invariants(SEED), above, half)
+    assert not admissible_successor(invariants(SEED), tie, wedge(tie, SEED), half)
+    assert admissible_successor(invariants(SEED), above, wedge(above, SEED), half)
     # a parent of height 9 below 1/2 needs a child taller than 9 * 2^6 = 576
     assert not growth_ok(above, pvec(0, 1, 576), half)
     assert growth_ok(above, pvec(0, 1, 577), half)
@@ -479,9 +483,10 @@ def test_tree_audit_spacing_matches_verify_spacing(eps, spacing_fails):
 
 
 def with_absL(u, kids):
-    """The children paired with |L(v)| read through the wedge certificate,
-    as `_sibling_spacing` takes them."""
-    return [(v, absL_from_wedge(v, u)) for v in kids]
+    """The children with |L(v)| read through the wedge certificate and
+    |v ^ u|, as `_sibling_spacing` takes them."""
+    wedges = [wedge(v, u) for v in kids]
+    return [(v, absL_from_wedge(v, w), seminorm(w)) for v, w in zip(kids, wedges)]
 
 
 def all_pairs_spacing(u, kids, eps, n):
@@ -953,7 +958,7 @@ def test_slow_chain_edges_nest(p1, p2, q, target):
     chain, _ = slow_chain(pvec(p1, p2, q), target, 1, steps=3, samples=2)
     vs = chain.vectors()
     for u, v in zip(vs, vs[1:]):
-        assert nesting_ok(invariants(u), v, invariants(v).absL), (u, v)
+        assert nesting_ok(invariants(u), v, wedge(v, u), invariants(v).absL), (u, v)
     # so the tip's point lies in every node's domain, and the chain is a
     # best-approximation sequence there: sandwich_audit reads its envelope
     # from wx_profile on that sequence
@@ -1275,6 +1280,23 @@ def test_tree_audit_reads_each_parent_once(parents_read):
     tree_audit(root, EIGHTH)
     expanded = [node.u for node in iter_tree(root) if node.expanded]
     assert parents_read == Counter({u: 2 for u in expanded})
+
+
+@pytest.mark.parametrize("root", [SEED, pvec(1, 1, 3)])
+def test_tree_audit_computes_each_wedge_once(monkeypatch, root):
+    # one wedge per edge, through construct's and latinv's bindings: the
+    # |L| certificate, the three edge predicates and the sibling sweep all
+    # read the one w = v ^ u that the edge's caller computes
+    tree = expansion_tree(root, EIGHTH, depth=2, width=8)
+    calls = []
+    for module in (construct, latinv):
+        def counting(u, v, real=module.wedge):
+            calls.append(None)
+            return real(u, v)
+        monkeypatch.setattr(module, "wedge", counting)
+    rep = tree_audit(tree, EIGHTH)
+    assert rep["totals"]["edges"] > 0
+    assert len(calls) == rep["totals"]["edges"]
 
 
 def test_append_reads_the_tip_once(parents_read):

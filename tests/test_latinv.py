@@ -174,21 +174,21 @@ def vector_pairs(draw):
 @given(vector_pairs())
 def test_absL_from_wedge_matches_invariants(pair):
     u, v = pair
-    assert absL_from_wedge(v, u) == invariants(v).absL
+    assert absL_from_wedge(v, wedge(v, u)) == invariants(v).absL
 
 
 @pytest.mark.parametrize("v, u, absL, falls_back", [
-    # w = (0, -1, 0) and 2|w|^2 = 2 < 3: (1, 0) is the unique shortest class
+    # w = (0, 1, 0) and 2|w|^2 = 2 < 3: (1, 0) is the unique shortest class
     (pvec(1, 0, 3), pvec(0, 0, 1), 1, False),
     # 2|w|^2 = |v| exactly: the boundary falls back
     (pvec(1, 1, 2), pvec(0, 0, 1), 1, True),
-    # w = 2 * (0, -1, 0) is imprimitive, and |L| = 1 < |w| = 2 although 8 < 9
+    # w = 2 * (0, 1, 0) is imprimitive, and |L| = 1 < |w| = 2 although 8 < 9
     (pvec(2, 0, 9), pvec(0, 0, 1), 1, True),
     # u = v gives w = 0, whose gcd is 0
     (pvec(67, 1, 1000), pvec(67, 1, 1000), 15, True),
 ])
 def test_absL_from_wedge_fallbacks(reduced, v, u, absL, falls_back):
-    assert absL_from_wedge(v, u) == absL
+    assert absL_from_wedge(v, wedge(v, u)) == absL
     assert reduced == ([v] if falls_back else [])
 
 
