@@ -27,7 +27,6 @@ from .bestapprox import (
 )
 from .cfrac import convergents, dn_gap_audit, neighbors, quotient_interval
 from .construct import (
-    MAX_HEIGHT_DIGITS,
     expansion_tree,
     fixed_chain,
     growth_ok,
@@ -36,6 +35,7 @@ from .construct import (
     slot_children,
     slow_chain,
     slow_step,
+    tip_too_tall,
     tree_audit,
     verify_spacing,
 )
@@ -190,7 +190,7 @@ def cmd_slow_chain(args) -> tuple[int, dict, list[dict] | None]:
         # the heights outgrow what prints: name the option that drove them, or
         # the seed when even 3 steps at the least value y of any schedule do
         y = 1 if args.target == "const" else max(1, math.log1p(invariants(u0).tau) / 3)
-        opt = ("--seed-vec" if math.log10(u0.q) + 6 * 3 * y / math.log(10) > MAX_HEIGHT_DIGITS
+        opt = ("--seed-vec" if tip_too_tall(u0, 3, y)
                else f"--level {args.level}" if args.target == "const" else f"--steps {args.steps}")
         raise ValueError(f"{opt}: {ex}") from None
     del cert["defects"]

@@ -62,19 +62,11 @@ SCHEDULE_KNOTS = 8
 # A slow step may not make a height of more digits than this, the
 # interpreter's default limit on printing an integer.
 MAX_HEIGHT_DIGITS = 4300
-# A slot's height multiplier may not exceed this.  Each tree level
-# multiplies heights by about the multiplier, and the exact audits slow
-# down with their digits: on a 2-core x86-64 host the default depth-3
-# psi-tree from (-5,-4,13) took 7 s at eps = 10^-33 (multiplier near
-# 10^100) and 548 s at eps = 10^-400 (near 10^1200).
-MAX_SLOT_MULTIPLIER = 10**100
-# Cap on tree_cost.  Children in the band [eps/2, eps) have slot multipliers
-# near eps^-6 (a^2 more for slot pair (a, b)): heights gain 6 log10(1/eps)
-# digits a level.  Fitted on 85 shapes timed, caps lifted, on a 2-core x86-64
-# host: the README shape at depth 5 (0.7-1.5 s) costs 1.8 * 10^8, none under
-# the cap took over 3.6 s, and all over 3.9 s (up to 123 s) are refused.
-# The width^2 term overprices wide families: 10^4 children at depth 1 take
-# 1.2 s and cost 10^12.
+# Cap on tree_cost, the one bound on a tree's work, against a budget of 10 s
+# on a 2-core x86-64 host: in fresh processes there the costliest accepted
+# shapes timed (families of 1000, depths 2-6) took 3-7.5 s, 10^4 children at
+# depth 1 take 0.9-1.2 s, and every shape timed at 8 s or more (up to 123 s)
+# is refused.
 MAX_TREE_COST = 2 * 10**8
 # Cap on a slow chain's cost samples * span^3, span = steps * max(1, y) over
 # the schedule's knot values y: a step at y multiplies heights by about
@@ -119,18 +111,13 @@ def height_window(u: PrimVec, target: Wedge2, eps) -> tuple[Fraction, Fraction]:
 
     M is the distortion threshold for the slot's sublattice: any child
     of height above M * |u| lands strictly below distortion eps.  Raises
-    ValueError when M exceeds MAX_SLOT_MULTIPLIER = 10^100, which bounds
-    the work of a tree at tiny eps.
+    ValueError unless eps lies in (0, 1/2); the work of a tree at tiny eps
+    is bounded up front by tree_cost.
     """
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 2):
         raise ValueError("distortion bound must lie in (0, 1/2)")
     m = Fraction(seminorm(target) ** 2, u.q) / eps**3
-    if m > MAX_SLOT_MULTIPLIER:
-        raise ValueError(
-            "distortion bound too small: a slot's height multiplier "
-            f"exceeds {MAX_SLOT_MULTIPLIER:.0e}"
-        )
     return m, 2 * m - 1
 
 
@@ -685,6 +672,21 @@ def slow_step(u: PrimVec, eps_prime) -> tuple[PrimVec, dict]:
     return v, {"log_eps_gap": gap_eps, "tau_gap": gap_tau}
 
 
+def tip_too_tall(u0: PrimVec, steps: int, y: float) -> str | None:
+    """Why the tip of `steps` slow steps from u0 at schedule value y would
+    pass MAX_HEIGHT_DIGITS, or None when it would not.  The first step's
+    height is at least slow_step's base |Hhat(u0)|^2 / eps'^3, eps' = e^-y,
+    and each later step multiplies heights by about e^(6y), so the tip has
+    about 2 log10|Hhat(u0)| + (6 steps - 3) y / ln 10 digits."""
+    digits = 2 * math.log10(invariants(u0).absLhat) + (6 * steps - 3) * y / math.log(10)
+    if digits <= MAX_HEIGHT_DIGITS:
+        return None
+    n = math.floor(math.log10(u0.q)) + 1  # the float log10 may round across a power of 10
+    n += (u0.q >= 10**n) - (u0.q < 10 ** (n - 1))
+    return (f"{steps} slow steps from a seed of {n} digits need heights of about "
+            f"{digits:.3g} digits, more than {MAX_HEIGHT_DIGITS} digits, the integer output limit")
+
+
 def slow_chain(
     u0: PrimVec,
     w_target: Callable[[float], float],
@@ -705,23 +707,19 @@ def slow_chain(
     runs from the first child to the second-to-last node, so it needs
     steps >= 3; the samples span it end to end, so they need samples >= 2,
     and at most MAX_PROFILE_SAMPLES = 10^4.  Both are checked first.  Then,
-    before any step, span = steps * max(1, y) over the schedule's knots
-    raises OverflowError when the tip's digits, about log10|u0| + 6 span /
-    ln 10, pass MAX_HEIGHT_DIGITS, and ValueError when samples * span^3
-    passes MAX_CHAIN_WORK."""
+    before any step, with y the largest of 1 and the schedule's knot
+    values, it raises OverflowError when tip_too_tall(u0, steps, y) does,
+    and ValueError when samples * span^3, span = steps * y, passes
+    MAX_CHAIN_WORK."""
     if steps < 3:
         raise ValueError(f"slow chain needs steps >= 3, got {steps}")
     if not 2 <= samples <= MAX_PROFILE_SAMPLES:
         raise ValueError(f"slow chain needs 2 to {MAX_PROFILE_SAMPLES} samples, got {samples}")
     sched = regularize_schedule(lambda t: -w_target(t) / 3, delta, Fraction(invariants(u0).tau))
-    span = steps * max(1.0, *(float(y) for _, y in sched.knots))
-    seed_digits = math.log10(u0.q)
-    if (digits := seed_digits + 6 * span / math.log(10)) > MAX_HEIGHT_DIGITS:
-        n = math.floor(seed_digits) + 1  # the float log10 may round across a power of 10
-        n += (u0.q >= 10**n) - (u0.q < 10 ** (n - 1))
-        raise OverflowError(f"{steps} slow steps from a seed of {n} "
-                            f"digits need heights of about {digits:.3g} digits, more than "
-                            f"{MAX_HEIGHT_DIGITS} digits, the integer output limit")
+    y = max(1.0, *(float(v) for _, v in sched.knots))
+    if why := tip_too_tall(u0, steps, y):
+        raise OverflowError(why)
+    span = steps * y
     if samples * span**3 > MAX_CHAIN_WORK:
         raise ValueError(f"a slow chain of {steps} steps and {samples} samples costs samples "
                          f"* (steps * max(1, y))^3 = {samples * span**3:.3g} > {MAX_CHAIN_WORK}")
@@ -786,17 +784,19 @@ class TreeNode:
 
 def tree_cost(seed: PrimVec, eps, n: int, depth: int, expand: int, width: int) -> float:
     """The cost estimate of expansion_tree: over levels k, the node bound
-    width * min(expand, width)^(k-1) times D_k^2.3 + width^2, where D_k =
-    log10|seed| + (6k - 3) log10(1/eps) + 2k log10(a), a bounding the first
-    slot pair entries reached; audits grow like D^2.3 in the digits, and the
-    fitted width^2 overprices wide, shallow families.  Stops once over
-    MAX_TREE_COST or out of nodes; eps outside (0, 1/2) is priced as 1/2."""
+    width * min(expand, width)^(k-1) times D_k^2.3 + min(width^2, width + 700),
+    D_k = log10|seed| + (6k - 3) log10(1/eps) + 2k log10(a), a bounding the
+    first slot pair entries reached: audits grow like D^2.3 in the digits, and
+    a node's windows, edge checks and sweep share cost width^2, or 700 plus
+    its width from 27 children on.  Stops once over MAX_TREE_COST or out of
+    nodes; eps outside (0, 1/2) is priced as 1/2."""
     gain = max(math.log10(2), -ln_fraction(eps) / math.log(10) if eps > 0 else 0)
     gain_a = 2 * math.log10(max(1, min(n, math.isqrt(4 * width) + 1)))
+    per_node = min(width**2, width + 700)
     cost, nodes, k = 0.0, width, 0
     while nodes and k < depth and cost <= MAX_TREE_COST:
         k += 1
-        cost += nodes * ((math.log10(seed.q) + (6 * k - 3) * gain + k * gain_a) ** 2.3 + width**2)
+        cost += nodes * ((math.log10(seed.q) + (6 * k - 3) * gain + k * gain_a) ** 2.3 + per_node)
         nodes *= min(expand, width)
     return cost
 
@@ -812,9 +812,8 @@ def expansion_tree(
     `depth` levels.  Only the kept children are built, only the slot pairs
     up to the last of them have their windows computed, and at most
     width + 1 pairs are enumerated whatever the family size n.  Raises
-    ValueError when eps is so small that such a slot's height multiplier
-    exceeds MAX_SLOT_MULTIPLIER = 10^100, and, before any work, when depth,
-    expand or width is negative or tree_cost exceeds MAX_TREE_COST."""
+    ValueError, before any work, when depth, expand or width is negative
+    or tree_cost exceeds MAX_TREE_COST, the one bound on a tree's work."""
     cost = math.inf if min(depth, expand, width) < 0 else tree_cost(
         seed, Fraction(eps), n, depth, expand, width)
     if cost > MAX_TREE_COST:

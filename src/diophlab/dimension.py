@@ -200,9 +200,9 @@ def lower_cert(tree: CoverNode, s: float, rho) -> dict:
 def binary_interval_tree(depth: int, left_frac, right_frac) -> CoverNode:
     """Binary interval tree on [0,1]: children keep the given fractions
     of each parent, one flush left, one flush right.  Raises ValueError
-    when depth exceeds MAX_TREE_DEPTH = 12."""
-    if depth > MAX_TREE_DEPTH:
-        raise ValueError(f"tree depth {depth} exceeds the cap of {MAX_TREE_DEPTH}")
+    when depth is negative or exceeds MAX_TREE_DEPTH = 12."""
+    if not 0 <= depth <= MAX_TREE_DEPTH:
+        raise ValueError(f"tree depth {depth} must lie in 0 to {MAX_TREE_DEPTH}, the cap")
     lf, rf = Fraction(left_frac), Fraction(right_frac)
     if not (0 < lf and 0 < rf and lf + rf < 1):
         raise ValueError("fractions must be positive with a gap remaining")

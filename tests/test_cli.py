@@ -194,17 +194,22 @@ def test_usage_errors_exit_two(capsys):
     assert run(["psi-tree", "--expand", "-1"]) == 2
     assert run(["psi-tree", "--width", "-1"]) == 2
     assert run(["psi-tree", "--depth", "-1"]) == 2
+    # a negative covering-tree depth is refused naming the depth
+    assert run(["dims", "cantor", "--delta", "1/2", "--depth", "-1"]) == 2
+    assert "tree depth -1 " in capsys.readouterr().err
     # --seed belongs to audit-all alone
     assert run(["psi-tree", "--seed", "1"]) == 2
     # a delta beyond float range is out of range, not an overflow
     assert run(["dims", "cantor", "--delta", "1e400"]) == 2
     assert run(["dims", "bounds", "--delta", "1e400"]) == 2
-    # a tiny eps is a usage error, not an overflow or a runaway tree
+    # a tiny eps whose spacing ratio leaves the float range is a usage
+    # error, not an overflow
     assert run(["psi-tree", "--seed-vec", "0,0,1", "--eps", "1e-200",
                 "--depth", "1", "--width", "2"]) == 2
     capsys.readouterr()
-    # extreme constant levels: a schedule of too many knots, an exponent
-    # too large to raise exactly, heights too long to print; a tree whose
+    # extreme constant levels: a schedule of too many knots, and two whose
+    # heights are too long to print (-1e300 is refused by the heights rule
+    # before any step); a tree whose
     # heights would run to thousands of digits; a covering tree that
     # doubles with each of its 40 levels; a quotient family of more than
     # 2 * 10^5 children; descendant trees whose tree_cost passes its cap
@@ -256,6 +261,43 @@ def test_usage_errors_exit_two(capsys):
     assert "schedule produced a non-shrinking distortion" in errs[-1], errs[-1]
 
 
+def test_seed_too_tall_for_any_chain_is_named_before_a_step(capsys, monkeypatch):
+    # the first slow step's height is at least |Hhat(seed)|^2 / eps'^3, and
+    # a seed with |L| = 1 has |Hhat| near half its height, so no step count
+    # and no level passes 4300 digits: the seed is blamed before any step
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(construct, "slow_step", no_step)
+    for argv in (
+        ["slow-chain", "--seed-vec", f"1,1,{10**2200 + 7}", "--steps", "3", "--samples", "2"],
+        ["slow-chain", "--seed-vec", f"1,1,{10**4292 + 7}", "--target", "const",
+         "--level=-1", "--steps", "3", "--samples", "2"],
+    ):
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed-vec: ") and err.count("\n") == 1, err
+
+
+def test_tiny_eps_trees_end_within_seconds(capsys):
+    # tree_cost alone bounds a tree at tiny eps: the costliest shapes it
+    # accepts from eps 10^-34 to 10^-1300 end at once, some through the
+    # float range of the spacing ratio
+    for argv in (
+        ["--eps", "1e-1300", "--depth", "1", "--width", "1"],
+        ["--eps", "1e-100", "--depth", "3", "--expand", "2", "--width", "2"],
+        ["--eps", "1e-200", "--depth", "2", "--expand", "2", "--width", "3"],
+        ["--eps", "1e-34", "--depth", "4", "--expand", "2", "--width", "2"],
+        ["--eps", "1e-400", "--depth", "1", "--width", "4"],
+    ):
+        start = time.perf_counter()
+        assert run(["psi-tree", *argv]) in (0, 1, 2), argv
+        assert time.perf_counter() - start < 2, argv
+        assert "multiplier" not in capsys.readouterr().err, argv
+
+
 def test_failed_chain_edge_exits_one_naming_the_edge(capsys, monkeypatch):
     # slow steps nest by construction, so a nesting check that rejects
     # every edge stands in for a failing one: an audit failure, exit 1,
@@ -303,6 +345,7 @@ assert 2 * 293**3 > construct.MAX_CHAIN_WORK >= 2 * 292**3
 # from 44 at eps 10^-5 and below; each from the cheapest seed, (0, 0, 1)
 SMALL_EPS = st.integers(5, 15).flatmap(
     lambda k: st.integers(10**k, 10**(k + 1))).map(lambda d: f"1/{d}")
+TINY_EPS = st.integers(34, 1300).map(lambda k: f"1e-{k}")
 TREE_DEPTHS = {Fraction(1, 2): 312, Fraction(1, 10**5): 44}
 for _eps, _depth in TREE_DEPTHS.items():
     assert construct.tree_cost(pvec(0, 0, 1), _eps, 1, _depth, 1, 1) > construct.MAX_TREE_COST
@@ -362,6 +405,10 @@ CHEAP_ARGV = st.one_of(
                          "depth": st.integers(TREE_DEPTHS[Fraction(1, 10**5)], 10**9),
                          "width": st.integers(1, 4),
                          "expand": st.integers(1, 4)}),
+    # eps from 10^-34 to 10^-1300 on shallow, narrow trees, which tree_cost
+    # alone bounds
+    _argv(["psi-tree"], {"seed-vec": SMALL_VEC, "eps": TINY_EPS, "depth": st.integers(1, 2),
+                         "width": st.integers(1, 4), "expand": st.integers(1, 4)}),
     _argv(["slow-chain", "--target", "log1p"],
           {"seed-vec": SMALL_VEC, "steps": CHAIN_STEPS,
            "samples": CHAIN_SAMPLES}, delta=NUMBER),

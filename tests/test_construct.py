@@ -970,32 +970,32 @@ def test_slow_chain_edges_nest(p1, p2, q, target):
 
 # psi-tree shapes (eps, depth, expand, width, family) from (0, 0, 1) that
 # took more than 3.9 s in fresh processes with the tree caps lifted, on a
-# 2-core x86-64 host; the seconds are in the comments.  The two one-level
-# families of 5,000 and 10^4 children take under 1.5 s, yet are refused:
-# tree_cost's width^2 term overprices wide, shallow families
+# 2-core x86-64 host; the seconds are in the comments
 SLOW_TREES = [
     (F(1, 10**16), 100, 1, 1, 1),  # 123 s
     (F(1, 10**10), 14, 2, 2, 1),  # 122 s
     (EIGHTH, 17, 2, 2, 1),  # 49 s
     (F(1, 10**16), 12, 2, 2, 1),  # 48 s
     (F(1, 10**10), 100, 1, 1, 1),  # 40 s
-    (EIGHTH, 1, 1, 10**4, 10**9),  # 1.1-1.3 s, one sibling sweep of 10^4 children
     (F(1, 5), 4, 30, 30, 100),  # 35 s
     (F(1, 10**5), 14, 2, 2, 1),  # 34 s
     (EIGHTH, 100, 1, 1999, 1),  # 24 s
     (EIGHTH, 16, 2, 2, 1),  # 23 s
     (F(1, 10**10), 12, 2, 2, 1),  # 19 s
+    (F(1, 3), 3, 71, 71, 1000),  # 13 s, one slot window per child
     (F(1, 10**10), 70, 1, 1, 1),  # 12 s
     (EIGHTH, 400, 1, 1, 1),  # 12 s
     (EIGHTH, 15, 2, 2, 1),  # 11 s
+    (F(1, 4), 3, 66, 66, 1000),  # 9.6 s
+    (F(1, 3), 4, 22, 22, 1000),  # 9.5 s
     (F(1, 10**16), 50, 1, 1, 1),  # 9.1 s
+    (F(1, 3), 2, 513, 513, 1000),  # 8.5 s
     (F(1, 5), 5, 12, 12, 1),  # 8.1 s
     (F(1, 10**5), 100, 1, 1, 1),  # 7.9 s
     (EIGHTH, 4, 20, 20, 200),  # 7.5 s
     (EIGHTH, 3, 60, 60, 1000),  # 7.4 s
     (F(1, 10**16), 10, 2, 2, 1),  # 7.1 s
     (EIGHTH, 8, 4, 4, 3),  # 7.1 s
-    (EIGHTH, 1, 1, 5000, 10**9),  # 0.5-0.6 s
     (EIGHTH, 350, 1, 1, 1),  # 6.3 s
     (F(1, 10**5), 12, 2, 2, 1),  # 6.0 s
     (EIGHTH, 5, 10, 10, 10),  # 5.7 s
@@ -1029,8 +1029,14 @@ def test_tree_cost_refuses_the_slow_shapes_and_keeps_the_ones_in_use(monkeypatch
              (SEED, EIGHTH, 1, 12, 2, 2), (SEED, F(1, 5), 1, 5, 10, 10)]  # 1.1 s, 3.3 s
     kept += [(pvec(19, 20, 60), eps, n, 2, 5, 16) for eps in (F(1, 100), F(49, 100))
              for n in (1, 2)]
+    # one sibling sweep of 10^4 and of 5,000 children: 0.9-1.2 s and 0.6 s
+    kept += [(SEED, EIGHTH, 10**9, 1, 1, 10**4), (SEED, EIGHTH, 10**9, 1, 1, 5000)]
     for args in kept:
         assert cost(*args) <= construct.MAX_TREE_COST, args
+    # the width boundary of one level at family 10^9: 13,700 children are
+    # priced 1.987 * 10^8 (1.8 s), 13,800 are priced 2.015 * 10^8
+    assert 1.98e8 < cost(SEED, EIGHTH, 10**9, 1, 1, 13700) <= construct.MAX_TREE_COST
+    assert construct.MAX_TREE_COST < cost(SEED, EIGHTH, 10**9, 1, 1, 13800) < 2.02e8
     # no branching ends the estimate at once at any depth, and a negative
     # or out-of-range eps is priced as 1/2, the cheapest valid bound
     assert cost(SEED, EIGHTH, 1, 10**9, 0, 50) == cost(SEED, EIGHTH, 1, 1, 0, 50)
@@ -1051,9 +1057,10 @@ def test_tree_without_branching_ends_at_once():
 
 
 def test_slow_chain_cost_is_capped_before_any_step(monkeypatch):
-    # the one estimate, span = steps * max(1, y) over the schedule's knots
-    # y, is refused before the first step: as heights past the printing
-    # limit when 6 * span / ln 10 passes 4300 digits, else on the cost
+    # the one estimate, span = steps * y with y = max(1, y) over the
+    # schedule's knots, is refused before the first step: as heights past
+    # the printing limit when tip_too_tall's 2 log10|Hhat(seed)| +
+    # (6 steps - 3) y / ln 10 passes 4300 digits, else on the cost
     # samples * span^3.  Log1p schedules from these seeds keep y below 1, so
     # span = steps there; a constant level L has y = |L| / 3, and level -10
     # gains about 8 digits a step.  The shapes in use pass (next test)
