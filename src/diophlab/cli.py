@@ -27,6 +27,7 @@ from .bestapprox import (
 )
 from .cfrac import convergents, dn_gap_audit, neighbors, quotient_interval
 from .construct import (
+    MAX_HEIGHT_DIGITS,
     expansion_tree,
     fixed_chain,
     growth_ok,
@@ -69,11 +70,19 @@ FORMATS = ("json", "tsv", "table")
 ROOT_TOLERANCE = 1e-9
 
 
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text), refusing an exponent over MAX_HEIGHT_DIGITS before Fraction expands it."""
+    exp = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+    if exp.isdecimal() and int(exp) > MAX_HEIGHT_DIGITS:
+        raise ValueError(f"the exponent of {text!r} exceeds {MAX_HEIGHT_DIGITS} in magnitude")
+    return Fraction(text)
+
+
 def parse_point(text: str) -> RatPoint:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"point must be 'x1,x2', got {text!r}")
-    return RatPoint(Fraction(parts[0]), Fraction(parts[1]))
+    return RatPoint(parse_fraction(parts[0]), parse_fraction(parts[1]))
 
 
 def parse_vec(text: str) -> PrimVec:
@@ -157,7 +166,7 @@ def cmd_domain(args) -> tuple[int, dict, list[dict] | None]:
 
 def cmd_psi_tree(args) -> tuple[int, dict, list[dict] | None]:
     seed_vec = parse_vec(args.seed_vec)
-    eps = Fraction(args.eps)
+    eps = parse_fraction(args.eps)
     root = expansion_tree(
         seed_vec, eps, n=args.family, depth=args.depth,
         expand=args.expand, width=args.width,
@@ -183,7 +192,7 @@ def cmd_slow_chain(args) -> tuple[int, dict, list[dict] | None]:
         target = lambda t: level
     try:
         chain, cert = slow_chain(
-            u0, target, Fraction(args.delta), steps=args.steps,
+            u0, target, parse_fraction(args.delta), steps=args.steps,
             samples=args.samples,
         )
     except OverflowError as ex:
@@ -213,15 +222,15 @@ def cmd_dims(args) -> tuple[int, dict, list[dict] | None]:
     if args.action != "crossing" and args.delta is None:
         raise ValueError(f"--delta is required for 'dims {args.action}'")
     if args.action == "cantor":
-        res = cantor_exact_dim(Fraction(args.delta))
+        res = cantor_exact_dim(parse_fraction(args.delta))
         payload = {"action": "cantor", "delta": args.delta}
         payload.update(res.to_jsonable())
         if args.depth:
-            est = covering_s_estimate(cantor_tree(Fraction(args.delta), args.depth))
+            est = covering_s_estimate(cantor_tree(parse_fraction(args.delta), args.depth))
             payload["covering_estimate"] = est.to_jsonable()
         return _root_verdict(payload, res.residual), payload, None
     if args.action == "bounds":
-        h_d, h_g = cantor_bounds(Fraction(args.delta))
+        h_d, h_g = cantor_bounds(parse_fraction(args.delta))
         return 0, {
             "action": "bounds",
             "delta": args.delta,
@@ -239,7 +248,7 @@ def cmd_dn(args) -> tuple[int, dict, list[dict] | None]:
     payload = {"n": args.n, "s_minus": s_minus.to_jsonable(), "s_plus": s_plus.to_jsonable()}
     code = _root_verdict(payload, max(s_minus.residual, s_plus.residual))
     if args.root is not None:
-        audit = dn_gap_audit(Fraction(args.root), args.n)
+        audit = dn_gap_audit(parse_fraction(args.root), args.n)
         payload["gap_audit"] = audit
         if not (audit["nested"] and audit["disjoint"] and audit["gaps_ok"]):
             code = 1
@@ -247,7 +256,7 @@ def cmd_dn(args) -> tuple[int, dict, list[dict] | None]:
 
 
 def cmd_cf(args) -> tuple[int, dict, list[dict] | None]:
-    x = Fraction(args.x)
+    x = parse_fraction(args.x)
     conv = convergents(x)
     payload = {"x": frac_str(x), "convergents": [frac_str(c) for c in conv]}
     if x.denominator >= 2:

@@ -64,9 +64,9 @@ SCHEDULE_KNOTS = 8
 MAX_HEIGHT_DIGITS = 4300
 # Cap on tree_cost, the one bound on a tree's work, against a budget of 10 s
 # on a 2-core x86-64 host: in fresh processes there the costliest accepted
-# shapes timed (families of 1000, depths 2-6) took 3-7.5 s, 10^4 children at
-# depth 1 take 0.9-1.2 s, and every shape timed at 8 s or more (up to 123 s)
-# is refused.
+# shapes timed (families of 1000, depths 2-6) take 2-4.4 s, 10^4 children at
+# depth 1 take 0.7-0.9 s, and every shape timed at 8 s or more (up to 123 s)
+# while the slot windows were Fractions is refused.
 MAX_TREE_COST = 2 * 10**8
 # Cap on a slow chain's cost samples * span^3, span = steps * max(1, y) over
 # the schedule's knot values y: a step at y multiplies heights by about
@@ -95,30 +95,27 @@ def coprime_pairs(n: int) -> Iterator[tuple[int, int]]:
     return ((a, b) for a in range(1, n + 1) for b in range(a + 1) if math.gcd(a, b) == 1)
 
 
-def slot_sublattice(u: PrimVec, a: int, b: int) -> Wedge2:
-    """The wedge target a*Hhat(u) + b*L(u) for the slot pair (a, b)."""
-    inv = invariants(u)
-    return Wedge2(
-        a * inv.Lhat.m12 + b * inv.L.m12,
-        a * inv.Lhat.m13 + b * inv.L.m13,
-        a * inv.Lhat.m23 + b * inv.L.m23,
-    )
+def slot_sublattice(inv: Invariants, a: int, b: int) -> Wedge2:
+    """The wedge target a*Hhat(u) + b*L(u) of slot pair (a, b), read from
+    the parent's `invariants` record inv, u = inv.v."""
+    H, L = inv.Lhat, inv.L
+    return Wedge2(a * H.m12 + b * L.m12, a * H.m13 + b * L.m13, a * H.m23 + b * L.m23)
 
 
-def height_window(u: PrimVec, target: Wedge2, eps) -> tuple[Fraction, Fraction]:
+def height_window(u: PrimVec, target: Wedge2, eps: Fraction) -> tuple[int, int]:
     """Open interval (M, 2M - 1) of admissible height multipliers for the
-    slot whose wedge target is `target` (see slot_sublattice).
+    slot whose wedge target is `target` (see slot_sublattice), given as M =
+    num/den with the integers (num, den) = (|target|^2 d^3, |u| n^3), eps = n/d.
 
     M is the distortion threshold for the slot's sublattice: any child
     of height above M * |u| lands strictly below distortion eps.  Raises
-    ValueError unless eps lies in (0, 1/2); the work of a tree at tiny eps
-    is bounded up front by tree_cost.
+    ValueError unless eps, a Fraction, lies in (0, 1/2); the work of a tree
+    at tiny eps is bounded up front by tree_cost.
     """
-    eps = Fraction(eps)
-    if not 0 < eps < Fraction(1, 2):
+    n, d = eps.numerator, eps.denominator
+    if not 0 < 2 * n < d:
         raise ValueError("distortion bound must lie in (0, 1/2)")
-    m = Fraction(seminorm(target) ** 2, u.q) / eps**3
-    return m, 2 * m - 1
+    return seminorm(target) ** 2 * d**3, u.q * n**3
 
 
 def slot_children(u: PrimVec, eps, n: int = 1, per_pair: int | None = None,
@@ -129,37 +126,40 @@ def slot_children(u: PrimVec, eps, n: int = 1, per_pair: int | None = None,
     above M, at most per_pair of them.  That count keeps every c inside
     the open window (M, 2M - 1): the first lies at most a stride above M,
     and exactly a stride only when M is a multiple of the stride, where
-    the count falls short of (M - 1)/stride.  Each pair's wedge target,
-    window and residue class are computed once, when the pair is reached;
-    its window raises ValueError there.  The full family can be enormous
-    away from small seeds (about M/stride heights per pair).
+    the count falls short of (M - 1)/stride.  eps, u's `invariants` and the
+    residues of L and Hhat (a pair's residue is their linear combination)
+    are taken once per call, and each pair's target and integer window once
+    it is reached, where the window raises ValueError.  The full family can
+    be enormous away from small seeds (about M/stride heights per pair).
 
-    Given eps3_cap, the lower end rises to max(M, M eps^3 / eps3_cap), and
-    to eps^-6 too when u is below distortion eps.  The first bound makes
-    eps(child)^3 < eps3_cap exact (the child's height exceeds c|u| and its
-    shortest class is at most the slot wedge); the second is the growth
-    the edge rule asks of a distorted parent.  This only drops multiples
-    from the front: the last stays at first(M) + stride * (floor((M -
-    1)/stride) - 1), inside the window.
+    Given eps3_cap, the lower end rises to max(M, |target|^2 / (|u|
+    eps3_cap)), and to eps^-6 too when u is below distortion eps.  The first
+    bound makes eps(child)^3 < eps3_cap exact (the child's height exceeds
+    c|u| and its shortest class is at most the slot wedge); the second is
+    the growth the edge rule asks of a distorted parent.  This only drops
+    multiples from the front: the last stays at first(M) + stride *
+    (floor((M - 1)/stride) - 1), inside the window.
     """
+    eps, inv = Fraction(eps), invariants(u)
+    z_hat, z_l = wedge_residue(u, inv.Lhat), wedge_residue(u, inv.L)
     if eps3_cap is not None:
-        eps = Fraction(eps)
-        scale = eps**3 / eps3_cap
-        growth = eps**-6 if distortion_below(u, eps) else 0
+        growth = (eps.denominator**6, eps.numerator**6) if distortion_below(u, eps) else (0, 1)
     for a, b in coprime_pairs(n):
-        target = slot_sublattice(u, a, b)
-        m, _ = height_window(u, target, eps)
-        first = SLOT_STRIDE * (m // SLOT_STRIDE + 1)
-        heights = range(first, first + SLOT_STRIDE * ((m - 1) // SLOT_STRIDE), SLOT_STRIDE)
-        if eps3_cap is not None:  # drop the multiples at or below the raised lower end
-            heights = heights[max(0, (max(m * scale, growth) - first) // SLOT_STRIDE + 1):]
-        z = wedge_residue(u, target)
+        target = slot_sublattice(inv, a, b)
+        num, den = height_window(u, target, eps)
+        first = SLOT_STRIDE * (num // (SLOT_STRIDE * den) + 1)
+        heights = range(first, first + SLOT_STRIDE * ((num - den) // (SLOT_STRIDE * den)),
+                        SLOT_STRIDE)
+        if eps3_cap is not None:  # drop the multiples at or below the raised lower ends
+            lo = (seminorm(target) ** 2 * eps3_cap.denominator, u.q * eps3_cap.numerator), growth
+            heights = heights[max(0, *((y - first * w) // (SLOT_STRIDE * w) + 1 for y, w in lo)):]
+        z = (a * z_hat + b * z_l) % u.q
         for c in islice(heights, per_pair):
             yield (a, b, c), vector_with_wedge(u, target, c * u.q + z)
 
 
-def child_vector(u: PrimVec, a: int, b: int, c: int, eps) -> PrimVec:
-    """The child of u in slot (a, b, c) at distortion bound eps.
+def child_vector(u: PrimVec, a: int, b: int, c: int, eps: Fraction) -> PrimVec:
+    """The child of u in slot (a, b, c) at distortion bound eps, a Fraction.
 
     The child v is the unique vector with wedge(v, u) = a*Hhat + b*L and
     floor(|v| / |u|) = c.  The multiplier c must lie in the open window
@@ -170,16 +170,14 @@ def child_vector(u: PrimVec, a: int, b: int, c: int, eps) -> PrimVec:
     """
     if a < 1 or b < 0 or b > a or math.gcd(a, b) != 1:
         raise ValueError(f"slot pair ({a}, {b}) must be coprime with a >= b >= 0")
-    target = slot_sublattice(u, a, b)
-    m, hi = height_window(u, target, eps)
-    if not m < c < hi:
-        raise ValueError(
-            f"height multiplier {c} outside the admissible window "
-            f"({frac_str(m)}, {frac_str(hi)})"
-        )
+    target = slot_sublattice(invariants(u), a, b)
+    num, den = height_window(u, target, eps)
+    if not num < c * den < 2 * num - den:
+        m = Fraction(num, den)
+        raise ValueError(f"height multiplier {c} outside the admissible window "
+                         f"({frac_str(m)}, {frac_str(2 * m - 1)})")
     assert wedge_constraint_ok(target, u)
-    z = wedge_residue(u, target)
-    v = vector_with_wedge(u, target, c * u.q + z)
+    v = vector_with_wedge(u, target, c * u.q + wedge_residue(u, target))
     assert v.q // u.q == c
     return v
 
@@ -788,8 +786,9 @@ def tree_cost(seed: PrimVec, eps, n: int, depth: int, expand: int, width: int) -
     D_k = log10|seed| + (6k - 3) log10(1/eps) + 2k log10(a), a bounding the
     first slot pair entries reached: audits grow like D^2.3 in the digits, and
     a node's windows, edge checks and sweep share cost width^2, or 700 plus
-    its width from 27 children on.  Stops once over MAX_TREE_COST or out of
-    nodes; eps outside (0, 1/2) is priced as 1/2."""
+    its width from 27 children on.  The 700 was sized when the windows were
+    built in Fractions; it stays so that no refusal moves.  Stops once over
+    MAX_TREE_COST or out of nodes; eps outside (0, 1/2) is priced as 1/2."""
     gain = max(math.log10(2), -ln_fraction(eps) / math.log(10) if eps > 0 else 0)
     gain_a = 2 * math.log10(max(1, min(n, math.isqrt(4 * width) + 1)))
     per_node = min(width**2, width + 700)
@@ -820,8 +819,8 @@ def expansion_tree(
         raise ValueError(f"a tree needs nonnegative depth, expand and width and a tree_cost "
                          f"of at most {MAX_TREE_COST:.0e}; got depth {depth}, expand {expand}, "
                          f"width {width}, cost {cost:.3g}")
-    # pairs past width + 1 leave width // pairs at 0, so they are not counted
-    pairs = sum(1 for _ in islice(coprime_pairs(n), width + 1))
+    # pairs past width + 1 leave width // pairs at 0, and depth 0 needs none
+    pairs = sum(1 for _ in islice(coprime_pairs(n), width + 1)) if depth else 1
     per_pair = max(1, width // pairs)
     root = TreeNode(seed, None)
     frontier = [root]

@@ -108,8 +108,9 @@ def test_dims_cantor_tree_estimate_bytes_pinned(capsys, delta, depth, digest):
     assert hashlib.sha256(out).hexdigest() == digest
 
 
-# The README's example commands, `dims bounds`, and one tsv and one table
-# rendering: each subcommand's exit code and stdout bytes, frozen.
+# The README's example commands, `dims bounds`, one tsv and one table
+# rendering, and two family trees, whose children each take their own slot
+# pair: each subcommand's exit code and stdout bytes, frozen.
 SUBCOMMAND_BYTES = [
     ("best-approx --x 1/2,1/2 --qmax 10", 0,
      "64d630b950d644d04dace5cfb94d9159d435dfde01c74fe07dc0d6de1756f6fb"),
@@ -139,6 +140,10 @@ SUBCOMMAND_BYTES = [
      "0965dfcdca59a790c6cb5a4f870b96bae6748437f9452f0c27d1f4ee3703a535"),
     ("profile --x 2/7,3/7 --qmax 20 --format table", 0,
      "62b6ada519b9458030bc63b7bc83d2ce582979ac2ff1be79f075362c6268f89b"),
+    ("psi-tree --family 1000 --eps 1/3 --depth 2 --width 40 --expand 3", 1,
+     "5d984c8b385c7727ba4454a226cfc3579436656f40dc6d2df070d0dd28dc446c"),
+    ("psi-tree --seed-vec 2,3,7 --family 7 --eps 49/100 --depth 2 --width 30 --expand 2", 1,
+     "0353276ed208218e8e6098b174dcc677c24c06c87e6cb0ea968014ca7c64b3bf"),
 ]
 
 
@@ -209,9 +214,10 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     # extreme constant levels: a schedule of too many knots, and two whose
     # heights are too long to print (-1e300 is refused by the heights rule
-    # before any step); a tree whose
-    # heights would run to thousands of digits; a covering tree that
-    # doubles with each of its 40 levels; a quotient family of more than
+    # before any step); a tree whose heights would run to thousands of
+    # digits; an eps whose decimal exponent, 10^7, Fraction would expand
+    # before any check (7-10 s); a covering tree that doubles with each of
+    # its 40 levels; a quotient family of more than
     # 2 * 10^5 children; descendant trees whose tree_cost passes its cap
     # (5.0 s, 49 s, 23 s and 24 s of work uncapped, and 122 s and 123 s at
     # eps 10^-10 and 10^-16); more than 10^4 profile or slow-chain samples;
@@ -229,6 +235,7 @@ def test_usage_errors_exit_two(capsys):
         ["slow-chain", "--target", "const", "--level=-3000", "--steps", "3",
          "--samples", "2"],
         ["psi-tree", "--seed-vec=-5,-4,13", "--eps=1e-400"],
+        ["psi-tree", "--eps", "1e-10000000", "--depth", "1", "--width", "1"],
         ["dims", "cantor", "--delta", "1/2", "--depth", "40"],
         ["dn", "--n", "100001", "--root", "1/2"],
         ["psi-tree", "--depth", "300", "--expand", "1", "--width", "1"],
@@ -314,11 +321,12 @@ def test_failed_chain_edge_exits_one_naming_the_edge(capsys, monkeypatch):
 
 
 # Number fields mix plain values with ones that break float conversion or
-# parsing.
+# parsing, and exponents past 4300 that are refused before they are expanded.
 NUMBER = st.one_of(
     st.integers(-10**6, 10**6).map(str),
     st.fractions(max_denominator=10**4).map(str),
-    st.sampled_from(["1e400", "-1e400", "1e-400", "nan", "inf", "1/0", "0.5", "x"]),
+    st.sampled_from(["1e400", "-1e400", "1e-400", "1e5000", "-1e-5000", "nan", "inf", "1/0",
+                     "0.5", "x"]),
 )
 
 
@@ -395,6 +403,12 @@ CHEAP_ARGV = st.one_of(
                          "expand": st.one_of(st.integers(0, 2), st.integers(3, 10**9)),
                          "family": st.one_of(st.integers(1, 2),
                                              st.integers(10**3, 10**9))},
+          eps=NUMBER),
+    # family trees at depth 2, where each depth-1 parent computes its own
+    # windows over the first slot pairs of a large family
+    _argv(["psi-tree"], {"seed-vec": SMALL_VEC, "depth": st.just(2),
+                         "width": st.integers(1, 4), "expand": st.integers(1, 2),
+                         "family": st.integers(10**3, 10**9)},
           eps=NUMBER),
     _argv(["psi-tree"], {"seed-vec": SMALL_VEC, "depth": st.integers(15, 10**9),
                          "width": st.just(2), "expand": st.just(2)}),

@@ -88,21 +88,29 @@ def test_coprime_pairs_counts_totient():
         assert len(list(coprime_pairs(n))) == expected
 
 
+def window(u, a, b, eps):
+    # the open window (M, 2M - 1) of slot pair (a, b) under u, as Fractions,
+    # from height_window's integer pair M = num/den
+    num, den = height_window(u, slot_sublattice(invariants(u), a, b), eps)
+    m = F(num, den)
+    return m, 2 * m - 1
+
+
 def test_height_window_seed():
-    assert height_window(SEED, slot_sublattice(SEED, 1, 0), EIGHTH) == (F(512), F(1023))
-    assert height_window(SEED, slot_sublattice(SEED, 1, 1), EIGHTH) == (F(512), F(1023))
+    assert window(SEED, 1, 0, EIGHTH) == (F(512), F(1023))
+    assert window(SEED, 1, 1, EIGHTH) == (F(512), F(1023))
 
 
 def test_height_window_scales_with_slot_norm():
     u1 = child_vector(SEED, 1, 0, 520, EIGHTH)
     # slot wedge for (1,0) is the second minimum, norm 520
-    assert height_window(u1, slot_sublattice(u1, 1, 0), EIGHTH) == (F(266240), F(532479))
+    assert window(u1, 1, 0, EIGHTH) == (F(266240), F(532479))
 
 
 def test_height_window_rejects_bad_eps():
     for bad in (F(0), F(1, 2), F(3, 5), F(-1, 8)):
         with pytest.raises(ValueError):
-            height_window(SEED, slot_sublattice(SEED, 1, 0), bad)
+            window(SEED, 1, 0, bad)
 
 
 def small_roots():
@@ -132,7 +140,7 @@ def test_slot_heights_stay_inside_the_window():
     lows = []
     for eps in (EIGHTH, F(3, 25), F(1, 10), F(1, 20)):
         for a, b in coprime_pairs(1):
-            m, hi = height_window(SEED, slot_sublattice(SEED, a, b), eps)
+            m, hi = window(SEED, a, b, eps)
             cs = pair_heights(SEED, a, b, eps)
             assert hi == 2 * m - 1 and cs, (eps, a, b)
             assert all(m < c < hi for c in cs), (eps, a, b)
@@ -152,9 +160,26 @@ def test_first_admissible_slot():
     assert next(slot_children(SEED, EIGHTH, per_pair=1)) == ((1, 0, 520), pvec(0, 1, 520))
 
 
+def test_slot_children_build_one_fraction_per_call(monkeypatch):
+    # the windows are integer pairs and eps is converted once per call, so
+    # the Fractions built do not grow with the family: 33 and 491 children
+    counts = []
+    real = construct.Fraction
+
+    def counting(*args):
+        counts[-1] += 1
+        return real(*args)
+
+    monkeypatch.setattr(construct, "Fraction", counting)
+    for n, kids in ((10, 33), (40, 491)):
+        counts.append(0)
+        assert sum(1 for _ in slot_children(SEED, F(1, 8), n, per_pair=1)) == kids
+    assert counts == [1, 1]
+
+
 @settings(max_examples=40, deadline=None)
 @given(u=small_roots(), eps=st.sampled_from([EIGHTH, F(1, 5), F(2, 5), F(49, 100)]),
-       n=st.sampled_from([1, 2]), per_pair=st.sampled_from([None, 1, 3]),
+       n=st.sampled_from([1, 2, 7]), per_pair=st.sampled_from([None, 1, 3]),
        shrink=st.sampled_from([None, F(1023, 1024), F(1, 2), F(1, 10)]))
 # a distorted parent from a singular chain's first step, where eps^-6 lies
 # above both M and the cube cap's bound: the growth floor sets the lower end
@@ -162,7 +187,10 @@ def test_first_admissible_slot():
          shrink=F(1023, 1024))
 def test_slot_children_match_child_vector(u, eps, n, per_pair, shrink):
     # the enumerator against the validated single-slot constructor, with
-    # the window's lower end raised by a cap of shrink times u's eps^3
+    # the window's lower end raised by a cap of shrink times u's eps^3; at
+    # n = 7, pairs with a >= 3 check each residue class, taken as a linear
+    # combination of those of L and Hhat, and a few heights per pair suffice
+    assume(n < 7 or per_pair is not None)
     cap = None if shrink is None else shrink * invariants(u).eps3
     out = list(slot_children(u, eps, n, per_pair, eps3_cap=cap))
     slots = [s for s, _ in out]
@@ -171,7 +199,7 @@ def test_slot_children_match_child_vector(u, eps, n, per_pair, shrink):
     assert per_pair is None or max(per_slot_pair.values(), default=0) <= per_pair
     floor = cap is not None and distortion_below(u, eps)
     for (a, b, c), v in out:
-        m, hi = height_window(u, slot_sublattice(u, a, b), eps)
+        m, hi = window(u, a, b, eps)
         assert m < c < hi
         assert v == child_vector(u, a, b, c, eps)
         assert cap is None or invariants(v).eps3 < cap
@@ -247,7 +275,7 @@ def test_chain_minima_frozen(chain4):
 
 def test_last_slot_is_minimal(chain4):
     u3 = chain4.vectors()[3]
-    m, hi = height_window(u3, slot_sublattice(u3, 1, 0), EIGHTH)
+    m, hi = window(u3, 1, 0, EIGHTH)
     assert m == F(9516468567192403968, 36300322791199)
     # 262160 is the first multiple of 20 strictly above the floor
     assert 262140 <= m < 262160 < hi
@@ -618,6 +646,24 @@ def test_readme_tree_computes_each_window_once(monkeypatch):
     assert calls == {"height_window": 62}
 
 
+def test_depth_zero_tree_enumerates_no_slot_pair(monkeypatch):
+    # a tree of depth 0 builds no node, so it counts no slot pair however
+    # wide it is: counting width + 1 pairs of a family of 10^9 takes 7 s at
+    # width 3 * 10^7
+    drawn = Counter()
+    real = construct.coprime_pairs
+
+    def counting(n):
+        for pair in real(n):
+            drawn["pairs"] += 1
+            yield pair
+
+    monkeypatch.setattr(construct, "coprime_pairs", counting)
+    root = expansion_tree(SEED, EIGHTH, n=10**9, depth=0, width=10**6)
+    assert not root.expanded and not root.children
+    assert drawn["pairs"] == 0
+
+
 def test_wide_family_tree_builds_only_kept_children(monkeypatch):
     # family 20 has 129 slot pairs of one child each, far more than
     # `width`; only the lex-first `width` of them are built
@@ -730,7 +776,7 @@ def cube_capped_slot(u, eps, n, eps3_cap):
     eps = F(eps)
     growth = eps**-6 if distortion_below(u, eps) else F(0)
     for a, b in coprime_pairs(n):
-        m, hi = height_window(u, slot_sublattice(u, a, b), eps)
+        m, hi = window(u, a, b, eps)
         lo = max(m, m * eps**3 / eps3_cap, growth)
         c = construct.SLOT_STRIDE * (lo // construct.SLOT_STRIDE + 1)
         if lo < c < hi:
