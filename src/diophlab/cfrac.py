@@ -68,6 +68,8 @@ def _neighbor_pairs(p: int, q: int) -> tuple[int, int, int, int]:
 def _interval_ends(p: int, q: int, N: int) -> tuple[int, int, int, int]:
     """(lo num, lo den, hi num, hi den) of I_N(p/q), each end in lowest
     terms: its determinant with p/q is -+1 as well."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     p_minus, q_minus, p_plus, q_plus = _neighbor_pairs(p, q)
     return N * p + p_minus, N * q + q_minus, N * p + p_plus, N * q + q_plus
 
@@ -103,8 +105,6 @@ class IntervalIN(NamedTuple):
 def quotient_interval(v, N: int) -> IntervalIN:
     """I_N(v) with exact endpoints (N*v + v_-, N*v + v_+), mediant-style."""
     v = Fraction(v)
-    if N < 1:
-        raise ValueError("N must be >= 1")
     lo_n, lo_d, hi_n, hi_d = _interval_ends(v.numerator, v.denominator, N)
     iv = IntervalIN(v, N, Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
     assert iv.length == Fraction(2 * N + 1, lo_d * hi_d)
@@ -120,22 +120,22 @@ def dn_children(v, N: int, a_max: int | None = None) -> list[Fraction]:
     quotient, minus-neighbor first, and are automatically reduced (the
     defining determinants are +-1).
 
-    For the lower-bound certificate (`dimension.lower_cert`) the default
-    family certifies conditions (i)-(iii) at rho = 1/(36N), and provably
-    not (iv) at s_minus.  With u = 2s - 1, s_minus is defined by
-    N^(-u) = 6u; the child for quotient a has an interval about a^(-2) of
-    its parent's, so the per-node power sum is about
-    2 N^(-u) (1 - 2^(-u)) / u = 12 (1 - 2^(-u)): 0.850 at N = 72, below
-    0.88 for every N >= 72, and tending to 0 as N grows.
+    The default family certifies conditions (i)-(iii) of the lower-bound
+    certificate (`dimension.lower_cert`) at rho = 1/(36N), as
+    `dn_gap_audit` checks, and provably not (iv) at s_minus.  With
+    u = 2s - 1, s_minus is defined by N^(-u) = 6u; the child for quotient
+    a has an interval about a^(-2) of its parent's, so the per-node power
+    sum is about 2 N^(-u) (1 - 2^(-u)) / u = 12 (1 - 2^(-u)): 0.850 at
+    N = 72, below 0.88 for every N >= 72, and tending to 0 as N grows.
 
     Raises ValueError, before building any child, past
     MAX_FAMILY_CHILDREN = 2 * 10^5 children (N = 10^5 by default).
     """
-    return [Fraction(n, d) for n, d in _child_pairs(Fraction(v), N, a_max)]
+    return [Fraction(n, d) for n, d in _child_pairs(*Fraction(v).as_integer_ratio(), N, a_max)]
 
 
-def _child_pairs(v: Fraction, N: int, a_max: int | None = None) -> list[tuple[int, int]]:
-    """dn_children(v, N, a_max) as (numerator, denominator) pairs, each in
+def _child_pairs(p: int, q: int, N: int, a_max: int | None = None) -> list[tuple[int, int]]:
+    """dn_children(p/q, N, a_max) as (numerator, denominator) pairs, each in
     lowest terms."""
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -146,7 +146,6 @@ def _child_pairs(v: Fraction, N: int, a_max: int | None = None) -> list[tuple[in
     if 2 * (a_max - N) > MAX_FAMILY_CHILDREN:
         raise ValueError(f"the family at N = {N} has {2 * (a_max - N)} children, "
                          f"more than {MAX_FAMILY_CHILDREN}")
-    p, q = v.numerator, v.denominator
     p_minus, q_minus, p_plus, q_plus = _neighbor_pairs(p, q)
     out = []
     for a in range(N + 1, a_max + 1):
@@ -155,47 +154,63 @@ def _child_pairs(v: Fraction, N: int, a_max: int | None = None) -> list[tuple[in
     return out
 
 
+def family_faults(parent, kids, rho: Fraction):
+    """Conditions (i)-(iii) of `dimension.lower_cert` on one interval
+    family, in integers: parent and kids are ends (lo num, lo den, hi num,
+    hi den) with positive denominators.  Returns the faults as (cond,
+    detail template, kid indices), in the order (i) fewer than 2 kids,
+    (i) and (ii) per kid in list order, (iii) per pair adjacent by left
+    end whose gap is below rho * parent diameter; each kid's diameter over
+    the parent's, as the float of that integer ratio; and the least
+    adjacent gap over the parent's diameter, an integer pair (num, den > 0),
+    negative on overlap (None for fewer than 2 kids).  The sort key
+    floor(D^2 lo), D the largest left denominator, orders kids as lo does
+    (distinct ends differ by at least 1/D^2), and the sort is stable."""
+    lo_n, lo_d, hi_n, hi_d = parent
+    ends, width = lo_d * hi_d, hi_n * lo_d - lo_n * hi_d  # diameter width/ends
+    faults = [] if len(kids) > 1 else [("i", "fewer than 2 children", ())]
+    shrink = []
+    for k, (n0, d0, n1, d1) in enumerate(kids):
+        if not (lo_n * d0 <= n0 * lo_d and n1 * hi_d <= hi_n * d1):
+            faults.append(("i", "{} not contained", (k,)))
+        num, den = (n1 * d0 - n0 * d1) * ends, d0 * d1 * width
+        if num >= den:
+            faults.append(("ii", "{} does not shrink", (k,)))
+        shrink.append(num / den)
+    scale = max(k[1] for k in kids) ** 2
+    order = sorted(range(len(kids)), key=lambda k: kids[k][0] * scale // kids[k][1])
+    floor_n, floor_d = rho.numerator * width, rho.denominator * ends
+    least = None
+    for j, k in zip(order, order[1:]):
+        a, b = kids[j], kids[k]
+        num, den = b[0] * a[3] - a[2] * b[1], a[3] * b[1]
+        if num * floor_d < floor_n * den:
+            faults.append(("iii", "gap {}|{} below floor", (j, k)))
+        if least is None or num * least[1] < least[0] * den:
+            least = num, den
+    return faults, shrink, least and (least[0] * ends, least[1] * width)
+
+
 def dn_gap_audit(v, N: int) -> dict:
     """Exact nesting, disjointness, and relative-gap report for the family
-    dn_children(v, N).
-
-    Children intervals are sorted by left endpoint; since they must be
-    pairwise disjoint, the adjacent gaps witness all pairwise ones.  The
-    minimum gap is reported relative to the parent interval and compared
-    against 1/(36N), the guaranteed floor for N >= 72.  The endpoints stay
-    integer pairs in lowest terms, from the one neighbor routine, and are
-    sorted and compared by cross-multiplication; the one Fraction built
-    is the reported ratio.
-
-    These are conditions (i)-(iii) of `dimension.lower_cert` at
-    rho = 1/(36N).  The audit says nothing of the power sums (iv), which
-    the default family provably fails at s_minus (see `dn_children`).
+    dn_children(v, N): conditions (i)-(iii) of `dimension.lower_cert` at
+    rho = 1/(36N), the guaranteed floor for N >= 72, by `family_faults`.
+    The least gap, relative to the parent interval and unclamped, is the
+    one Fraction built.  The audit says nothing of the power sums (iv),
+    which the default family provably fails at s_minus (see `dn_children`).
     """
-    v = Fraction(v)
-    parent = quotient_interval(v, N)
-    lo_n, lo_d = parent.lo.numerator, parent.lo.denominator
-    hi_n, hi_d = parent.hi.numerator, parent.hi.denominator
-    kids = [_interval_ends(n, d, N) for n, d in _child_pairs(v, N)]
-    # by left end, exactly: two fractions of denominators at most D differ
-    # by 0 or at least 1/D^2, so floor(D^2 lo) orders them as lo does
-    scale = max(k[1] for k in kids) ** 2
-    kids.sort(key=lambda k: k[0] * scale // k[1])
-    nested = all(lo_n * d0 <= n0 * lo_d and n1 * hi_d <= hi_n * d1
-                 for n0, d0, n1, d1 in kids)
-    gaps = [(b[0] * a[3] - a[2] * b[1], a[3] * b[1]) for a, b in zip(kids, kids[1:])]
-    disjoint = all(n > 0 for n, _ in gaps)
-    gap_n, gap_d = gaps[0]
-    for n, d in gaps:
-        if n * gap_d < gap_n * d:
-            gap_n, gap_d = n, d
-    ratio = Fraction(gap_n * lo_d * hi_d, gap_d * (2 * N + 1))
+    p, q = Fraction(v).as_integer_ratio()
+    parent = _interval_ends(p, q, N)
+    kids = [_interval_ends(n, d, N) for n, d in _child_pairs(p, q, N)]
     floor = Fraction(1, 36 * N)
+    faults, _, least = family_faults(parent, kids, floor)
+    ratio = Fraction(*least)
     return {
         "v": frac_str(v),
         "N": N,
         "children": len(kids),
-        "nested": nested,
-        "disjoint": disjoint,
+        "nested": all(cond != "i" for cond, _, _ in faults),
+        "disjoint": ratio > 0,
         "min_gap_ratio": frac_str(ratio),
         "gap_floor": frac_str(floor),
         "gaps_ok": ratio >= floor,

@@ -9,9 +9,10 @@ the quotient intervals I_N(v) of the large-quotient families
 (`dn_tree`).  Closed-form analyses of both are provided alongside, with
 bisection as the only root-finding method.
 
-Containment and spacing comparisons are exact, on the rational
-endpoints.  Powers with a real exponent are evaluated in binary64, and
-the unit comparisons of the power sums carry a 1e-9 relative slack.
+Containment, shrinking and spacing are integer cross-multiplications, in
+`cfrac.family_faults`, which `cfrac.dn_gap_audit` shares.  Power-sum
+terms are binary64 powers of integer diameter ratios, and the unit
+comparisons of the power sums carry a 1e-9 relative slack.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cfrac import dn_children, quotient_interval
-from .util import frac_str, ln_fraction
+from .cfrac import _child_pairs, _interval_ends, family_faults
+from .util import ln_fraction
 
 IV_REL_TOL = 1e-9
 # Deepest binary interval tree built.  The tree holds 2^(depth+1) - 1
@@ -46,14 +47,9 @@ class CoverNode:
     def diam(self) -> Fraction:
         return self.hi - self.lo
 
-
-def set_distance(a: CoverNode, b: CoverNode) -> Fraction:
-    """Exact distance between the intervals of two nodes."""
-    return max(Fraction(0), b.lo - a.hi, a.lo - b.hi)
-
-
-def set_contains(parent: CoverNode, child: CoverNode) -> bool:
-    return parent.lo <= child.lo and child.hi <= parent.hi
+    @property
+    def ends(self) -> tuple[int, int, int, int]:  # in lowest terms
+        return self.lo.numerator, self.lo.denominator, self.hi.numerator, self.hi.denominator
 
 
 class DimResult(NamedTuple):
@@ -148,39 +144,30 @@ def lower_cert(tree: CoverNode, s: float, rho) -> dict:
     distances between adjacent children, sorted by lo, at least rho *
     parent diameter, which for disjoint intervals bounds every pair;
     (iv) sum of child diam^s at least parent diam^s.  rho must lie in
-    (0, 1), else ValueError.
+    (0, 1), and the tree must have an internal node, else ValueError.
 
-    Distances and containment are exact; the power sums accept a 1e-9
-    relative shortfall.  Returns per-condition results, all violations,
-    and the extremal measured ratios.
+    Conditions (i)-(iii) are `cfrac.family_faults`, exact in integers,
+    with the least gap ratio clamped at 0; each power-sum term is the
+    float of an integer diameter ratio, with a 1e-9 relative slack.
+    Returns per-condition results, all violations, and the extremal
+    measured ratios.
     """
     rho = Fraction(rho)
     if not 0 < rho < 1:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
+    if not tree.children:
+        raise ValueError("tree has no internal node")
     violations = []
-    min_gap_ratio = None
+    min_gap = None
     min_sum_ratio = None
     for node in _internal_nodes(tree):
-        kids, diam = node.children, node.diam
-        if len(kids) < 2:
-            violations.append({"node": node.id, "cond": "i", "detail": "fewer than 2 children"})
-        for c in kids:
-            if not set_contains(node, c):
-                violations.append({"node": node.id, "cond": "i", "detail": f"{c.id} not contained"})
-            if c.diam >= diam:
-                violations.append({"node": node.id, "cond": "ii", "detail": f"{c.id} does not shrink"})
-        floor = rho * diam
-        srt = sorted(kids, key=lambda c: c.lo)
-        for a, b in zip(srt, srt[1:]):
-            d = set_distance(a, b)
-            ratio = d / diam
-            if min_gap_ratio is None or ratio < min_gap_ratio:
-                min_gap_ratio = ratio
-            if d < floor:
-                violations.append(
-                    {"node": node.id, "cond": "iii", "detail": f"gap {a.id}|{b.id} below floor"}
-                )
-        ratio = sum(float(c.diam / diam) ** s for c in kids)
+        faults, shrink, least = family_faults(node.ends, [c.ends for c in node.children], rho)
+        violations += ({"node": node.id, "cond": cond,
+                        "detail": detail.format(*(node.children[k].id for k in at))}
+                       for cond, detail, at in faults)
+        if least and (min_gap is None or least[0] * min_gap[1] < min_gap[0] * least[1]):
+            min_gap = least
+        ratio = sum(r ** s for r in shrink)
         if min_sum_ratio is None or ratio < min_sum_ratio:
             min_sum_ratio = ratio
         if ratio < 1 - IV_REL_TOL:
@@ -192,7 +179,7 @@ def lower_cert(tree: CoverNode, s: float, rho) -> dict:
         "pass": not violations,
         "violations": violations,
         "first_violation": violations[0] if violations else None,
-        "min_gap_ratio": None if min_gap_ratio is None else float(min_gap_ratio),
+        "min_gap_ratio": None if min_gap is None else max(min_gap[0], 0) / min_gap[1],
         "min_sum_ratio": min_sum_ratio,
     }
 
@@ -319,25 +306,28 @@ def dn_tree(
     """Covering tree of the quotient intervals I_N(v) below root, to the
     given depth; each node is the interval of v, with id frac_str(v).
 
-    Every node above the bottom gets its full child list
-    (`cfrac.dn_children`); `descend` caps how many of those children are
-    recursively expanded in turn (evenly spread across the list), which
-    keeps deep audits of wide trees affordable while still exercising
-    every level.
+    Every node above the bottom gets its full child list (the family of
+    `cfrac.dn_children`, built as integer pairs); `descend` caps how many
+    of those children are recursively expanded in turn (evenly spread
+    across the list), which keeps deep audits of wide trees affordable
+    while still exercising every level.  Raises ValueError when depth is
+    negative or descend is below 1.
     """
+    if depth < 0:
+        raise ValueError(f"tree depth {depth} must be >= 0")
+    if descend is not None and descend < 1:
+        raise ValueError(f"descend {descend} must be >= 1")
 
-    def build(v: Fraction, d: int) -> CoverNode:
-        iv = quotient_interval(v, N)
-        node = CoverNode(frac_str(v), iv.lo, iv.hi)
+    def build(p: int, q: int, d: int) -> CoverNode:
+        lo_n, lo_d, hi_n, hi_d = _interval_ends(p, q, N)
+        node = CoverNode(f"{p}/{q}", Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
         if d < depth:
-            kids = dn_children(v, N, a_max)
-            if descend is None or descend >= len(kids):
-                picks = range(len(kids))
-            else:
-                step = len(kids) / descend
-                picks = {int(i * step) for i in range(descend)}
-            node.children = [build(c, d + 1 if i in picks else depth)
-                             for i, c in enumerate(kids)]
+            kids = _child_pairs(p, q, N, a_max)
+            k = len(kids) if descend is None else min(descend, len(kids))
+            step = len(kids) / k
+            picks = {int(i * step) for i in range(k)}
+            node.children = [build(n, m, d + 1 if i in picks else depth)
+                             for i, (n, m) in enumerate(kids)]
         return node
 
-    return build(Fraction(root), 0)
+    return build(*Fraction(root).as_integer_ratio(), 0)

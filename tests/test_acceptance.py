@@ -243,6 +243,23 @@ def test_quotient_tree_to_three_n_passes_every_condition():
     assert time.perf_counter() - start < 30.0
 
 
+def test_quotient_tree_at_twelve_thousand_needs_k_four():
+    # at N = 12,000 the rule k = ceil((12/11)^(1/u)) gives k = 3 against a
+    # bound of 2.99982, so the family N < a <= 3N falls just short of 1 at
+    # the root, and only there; k = 4 clears (iv) with room, and both
+    # families clear rho = 1/(2 (k + 1)^2 N)
+    start = time.perf_counter()
+    N = 12000
+    s_minus = dn_bounds(N)[0].s
+    reps = {k: lower_cert(dn_tree(F(1, 2), N, 1, a_max=k * N), s_minus,
+                          rho=F(1, 2 * (k + 1) ** 2 * N)) for k in (3, 4)}
+    assert [(v["node"], v["cond"]) for v in reps[3]["violations"]] == [("1/2", "iv")]
+    assert 0.999997 < reps[3]["min_sum_ratio"] < 0.9999972
+    assert reps[4]["pass"], reps[4]["first_violation"]
+    assert 1.2478 < reps[4]["min_sum_ratio"] < 1.2479
+    assert time.perf_counter() - start < 30.0
+
+
 def test_quotient_tree_power_sums_reach_one():
     # Claimed: at the lower bracketing exponent every node's sum of child
     # diameters to the s is at least the parent's.  The sparse family

@@ -1,7 +1,10 @@
+import json
 import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diophlab import dimension
 from diophlab.dimension import (
@@ -17,19 +20,7 @@ from diophlab.dimension import (
     dn_exact_inversion,
     dn_tree,
     lower_cert,
-    set_contains,
-    set_distance,
 )
-
-
-def test_set_geometry_exact():
-    a = CoverNode("a", 0, F(1, 3))
-    b = CoverNode("b", F(2, 3), 1)
-    assert set_distance(a, b) == F(1, 3)
-    assert set_distance(b, a) == F(1, 3)
-    p = CoverNode("p", 0, 1)
-    assert set_contains(p, a) and set_contains(p, b)
-    assert not set_contains(a, p)
 
 
 def test_cover_node_is_a_nonempty_rational_interval():
@@ -99,6 +90,149 @@ def test_lower_cert_fails_modes():
     stray.children = [CoverNode("a", 0, F(1, 3)), CoverNode("b", F(3, 4), 2)]
     res = lower_cert(stray, 0.5, rho=F(1, 8))
     assert any(v["cond"] == "i" and "contained" in v["detail"] for v in res["violations"])
+
+
+def fraction_lower_cert(tree, s, rho) -> dict:
+    """The Fraction version of lower_cert that the integer one replaced,
+    verbatim, with set_contains and set_distance inlined."""
+    rho = F(rho)
+    if not 0 < rho < 1:
+        raise ValueError(f"rho must be in (0, 1), got {rho}")
+    violations = []
+    min_gap_ratio = None
+    min_sum_ratio = None
+    for node in dimension._internal_nodes(tree):
+        kids, diam = node.children, node.diam
+        if len(kids) < 2:
+            violations.append({"node": node.id, "cond": "i", "detail": "fewer than 2 children"})
+        for c in kids:
+            if not (node.lo <= c.lo and c.hi <= node.hi):
+                violations.append({"node": node.id, "cond": "i", "detail": f"{c.id} not contained"})
+            if c.diam >= diam:
+                violations.append({"node": node.id, "cond": "ii", "detail": f"{c.id} does not shrink"})
+        floor = rho * diam
+        srt = sorted(kids, key=lambda c: c.lo)
+        for a, b in zip(srt, srt[1:]):
+            d = max(F(0), b.lo - a.hi, a.lo - b.hi)
+            ratio = d / diam
+            if min_gap_ratio is None or ratio < min_gap_ratio:
+                min_gap_ratio = ratio
+            if d < floor:
+                violations.append(
+                    {"node": node.id, "cond": "iii", "detail": f"gap {a.id}|{b.id} below floor"}
+                )
+        ratio = sum(float(c.diam / diam) ** s for c in kids)
+        if min_sum_ratio is None or ratio < min_sum_ratio:
+            min_sum_ratio = ratio
+        if ratio < 1 - dimension.IV_REL_TOL:
+            violations.append(
+                {"node": node.id, "cond": "iv", "detail": f"power sum ratio {ratio:.6f}"}
+            )
+    return {
+        "s": s,
+        "pass": not violations,
+        "violations": violations,
+        "first_violation": violations[0] if violations else None,
+        "min_gap_ratio": None if min_gap_ratio is None else float(min_gap_ratio),
+        "min_sum_ratio": min_sum_ratio,
+    }
+
+
+def assert_same_report(tree, s, rho):
+    # equal as dicts, and equal as the JSON a caller would print
+    got, want = lower_cert(tree, s, rho), fraction_lower_cert(tree, s, rho)
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)
+    return got
+
+
+def family(lo, hi, *kids):
+    """A one-level tree [lo, hi] with children (id, lo, hi), in list order."""
+    root = CoverNode("r", lo, hi)
+    root.children = [CoverNode(*k) for k in kids]
+    return root
+
+
+def test_lower_cert_matches_the_fraction_one_on_cantor_trees():
+    for delta in (F(1, 4), F(1, 2), F(3, 4), F(1, 10**30)):
+        for depth in (1, 3, 6):
+            tree = cantor_tree(delta, depth)
+            for s in (0.3, 0.5, 0.7):
+                for rho in (F(1, 3), F(1, 100), F(2, 5)):
+                    assert_same_report(tree, s, rho)
+
+
+def test_lower_cert_matches_the_fraction_one_on_failing_families():
+    third = F(1, 3)
+    trees = {
+        "lone": family(0, 1, ("c", 0, F(1, 2))),
+        "stray": family(0, 1, ("a", 0, third), ("b", F(3, 4), 2)),
+        "overlap": family(0, 1, ("a", 0, F(1, 2)), ("b", F(1, 4), F(3, 4)), ("c", F(4, 5), 1)),
+        "tied": family(-1, 1, ("a", F(-1, 2), 0), ("b", F(-1, 2), F(-1, 4)), ("c", F(1, 2), 1)),
+        "no shrink": family(0, 1, ("a", 0, 1), ("b", 0, third)),
+    }
+    for name, tree in trees.items():
+        for rho in (F(1, 8), F(1, 3)):
+            rep = assert_same_report(tree, 0.5, rho)
+            assert not rep["pass"], name
+    rep = lower_cert(trees["overlap"], 0.5, F(1, 8))
+    assert rep["min_gap_ratio"] == 0.0
+    assert [v["detail"] for v in rep["violations"] if v["cond"] == "iii"] == [
+        "gap a|b below floor", "gap b|c below floor"]
+    rep = lower_cert(trees["tied"], 0.5, F(1, 8))
+    # tied left ends keep their list order: a before b
+    assert "gap a|b below floor" in [v["detail"] for v in rep["violations"]]
+    assert lower_cert(trees["no shrink"], 0.5, F(1, 8))["first_violation"]["cond"] == "ii"
+
+
+def test_lower_cert_matches_the_fraction_one_on_quotient_trees():
+    for root in (F(1, 2), F(3, 7), F(55, 89), F(-7, 3)):
+        for N in (72, 1000):
+            s_minus = dn_bounds(N)[0].s
+            # a <= 2N fails (iv) only; a <= 3N passes at 1/(32N), fails (iii) at 1/N
+            for a_max, rhos in ((2 * N, [F(1, 36 * N)]), (3 * N, [F(1, 32 * N), F(1, N)])):
+                tree = dn_tree(root, N, 2, a_max=a_max, descend=2)
+                for rho in rhos:
+                    assert_same_report(tree, s_minus, rho)
+
+
+ENDS = st.builds(F, st.integers(-10**21, 10**21), st.integers(1, 10**20))
+OFFSETS = st.fractions(F(-1, 10), 1, max_denominator=10**20)
+WIDTHS = st.fractions(F(1, 10**20), F(11, 10), max_denominator=10**20)
+
+
+@st.composite
+def cover_trees(draw):
+    """Small trees of rational intervals with negative ends, 20-digit
+    denominators and tied left ends; children may overlap, stray out of
+    the parent or fail to shrink."""
+    lo = draw(ENDS)
+    root = CoverNode("0", lo, lo + abs(draw(ENDS)) + F(1, 10**20))
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        count = draw(st.integers(1 if node is root else 0, 4 if depth < 2 else 0))
+        for i in range(count):
+            if node.children and draw(st.booleans()):
+                c_lo = draw(st.sampled_from(node.children)).lo
+            else:
+                c_lo = node.lo + node.diam * draw(OFFSETS)
+            c_hi = c_lo + node.diam * draw(WIDTHS)
+            node.children.append(CoverNode(f"{node.id}.{i}", c_lo, c_hi))
+        stack.extend((c, depth + 1) for c in node.children)
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(cover_trees(), st.floats(0.05, 1.5), st.fractions(0, 1).filter(lambda r: 0 < r < 1))
+def test_lower_cert_matches_the_fraction_one_on_random_trees(tree, s, rho):
+    assert_same_report(tree, s, rho)
+
+
+def test_lower_cert_refuses_a_tree_without_internal_node():
+    for tree in (CoverNode("r", 0, 1), dn_tree(F(1, 2), 72, 0)):
+        with pytest.raises(ValueError, match="tree has no internal node"):
+            lower_cert(tree, 0.5, F(1, 3))
 
 
 def test_lower_cert_rejects_rho_outside_unit_interval():
@@ -297,3 +431,10 @@ def test_dn_tree_estimates():
     # 12 (1 - 2^(-u)) = 0.850 at N = 72, so (iv) fails by derivation
     assert "iv" in conds
     assert 0.82 < res["min_sum_ratio"] < 0.86
+
+
+def test_dn_tree_refuses_bad_sizes():
+    for kwargs, name in (({"depth": -1}, "depth"), ({"depth": 1, "descend": 0}, "descend"),
+                         ({"depth": 1, "descend": -2}, "descend")):
+        with pytest.raises(ValueError, match=name):
+            dn_tree(F(1, 2), 72, **kwargs)
