@@ -25,8 +25,11 @@ from .util import frac_str, ln_fraction
 
 # Most (t, W) samples a profile or a slow-chain certificate takes.  On a
 # 2-core x86-64 host 'profile --samples' took 0.7 s at 10^4 (3.6 s at
-# 10^5), and 'slow-chain --samples', one 3-D reduction per sample, 3.0 s.
+# 10^5), and 'slow-chain --samples', one 3-D reduction per sample, 0.7 s.
 MAX_PROFILE_SAMPLES = 10**4
+
+# The unit rows of Z^3, as (p1, p2, q) rows: the cold start of a reduction.
+UNIT_ROWS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def height_minimum(x: RatPoint, q: int) -> tuple[Fraction, list[tuple[int, int]]]:
@@ -108,6 +111,14 @@ def best_approximations(x: RatPoint, height_bound: int) -> BestApproxSeq:
     floor(2/r_j^2)): a box of volume at most 8, about 44 ball points.
     best_approximations_scan is the height-by-height oracle.
 
+    Each box reduces the lattice Z^3 under phi at its own T = Q den/num,
+    and T rises from record to record, so the reduced basis is carried
+    from one box to the next as the start of its reduction: a few swaps
+    each, where the unit rows need about 1.25 per digit of den.  No
+    record can move: a record is the least height in its box, and the
+    set of lattice points in a box does not depend on the basis that
+    enumerates it.
+
     Record-breakers are automatically primitive: a common factor g > 1
     would put a strictly smaller residual at height q/g, contradicting the
     record property (and the first exact hit occurs at the reduced common
@@ -119,8 +130,10 @@ def best_approximations(x: RatPoint, height_bound: int) -> BestApproxSeq:
     num, opts1, opts2 = _height_step(n1, n2, den, 1)  # residual num / den
     items = [PrimVec(opts1[0], opts2[0], 1)]
     residuals = [Fraction(num, den)]
+    basis = list(UNIT_ROWS)
     while num:
-        box = _box_heights(n1, n2, den, min(height_bound, 2 * den * den // (num * num)), num)
+        Q = min(height_bound, 2 * den * den // (num * num))
+        box = _box_heights(n1, n2, den, Q, num, basis)
         q = min((h for h, s in box if s < num), default=None)
         if q is None:
             break
@@ -314,29 +327,45 @@ def shortest_vector_oracle(
 
 def _reduced_lattice(
     n1: int, n2: int, den: int, a: int, b: int,
+    basis: list[tuple[int, int, int]] | None = None,
 ) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
     """LLL-reduced basis of phi(Z^3) for x = (n1/den, n2/den) at parameter
     T = a/b, with its integral Gram-Schmidt data.
 
-    phi is the integer map of shortest_vector_reduced.  Returns the three
-    reduced rows and the six scalars (d1, d2, d3, l10, l20, l21) of Cohen,
-    A Course in Computational Algebraic Number Theory, Alg. 2.6.7: d_i is
-    the Gram determinant of rows 0..i-1, so the i-th Gram-Schmidt vector
-    has squared length d_{i+1}/d_i, and l_ij = d_{j+1} mu_ij.  For the
-    starting rows (-aD, 0, 0), (0, -aD, 0), (a n1, a n2, bD) they are
-    d1 = (aD)^2, d2 = (aD)^4, d3 = (a^2 b D^3)^2, l10 = 0,
-    l20 = -a^2 D n1 and l21 = -(aD)^3 a n2; d3, the squared covolume,
-    never changes.  LLL uses the classical 3/4 parameter; size reduction
-    rounds mu = l/d to the nearest integer, halves up, over j = k-1, ..., 0
-    before the Lovasz test, and the data are updated in place: REDI on
-    each size reduction, SWAPI on each swap, with every division exact.
+    phi is the integer map of shortest_vector_reduced.  The reduction
+    starts from the phi-images of three integer (p1, p2, q) rows, a basis
+    of Z^3 (ValueError otherwise): the list basis, or UNIT_ROWS when it is
+    None, whose images are the rows (-aD, 0, 0), (0, -aD, 0),
+    (a n1, a n2, bD).  A given basis list is replaced with the preimages
+    of the reduced rows, by exact divisions, so that a caller can carry it
+    to the next T; a basis reduced at a nearby T needs few swaps.
+
+    Returns the three reduced rows and the six scalars (d1, d2, d3, l10,
+    l20, l21) of Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7: d_i is the Gram determinant of rows 0..i-1, so the i-th
+    Gram-Schmidt vector has squared length d_{i+1}/d_i, and
+    l_ij = d_{j+1} mu_ij.  They are computed once from the start rows, by
+    that algorithm's initial step; d3, the squared covolume, never
+    changes.  LLL uses the classical 3/4 parameter; size reduction rounds
+    mu = l/d to the nearest integer, halves up, over j = k-1, ..., 0 before
+    the Lovasz test, and the data are updated in place: REDI on each size
+    reduction, SWAPI on each swap, with every division exact.
     """
-    ad = a * den
-    b0, b1, b2 = (-ad, 0, 0), (0, -ad, 0), (a * n1, a * n2, b * den)
-    d1 = ad * ad
-    d2 = d1 * d1
-    d3 = (a * ad * b * den * den) ** 2
-    l10, l20, l21 = 0, -a * ad * n1, -d1 * ad * a * n2
+    (u0, v0, s0), (u1, v1, s1), (u2, v2, s2) = UNIT_ROWS if basis is None else basis
+    if abs(u0 * (v1 * s2 - s1 * v2) - v0 * (u1 * s2 - s1 * u2)
+           + s0 * (u1 * v2 - v1 * u2)) != 1:
+        raise ValueError("start rows must be a basis of Z^3")
+    an1, an2, ad, bd = a * n1, a * n2, a * den, b * den
+    b0 = (s0 * an1 - u0 * ad, s0 * an2 - v0 * ad, s0 * bd)
+    b1 = (s1 * an1 - u1 * ad, s1 * an2 - v1 * ad, s1 * bd)
+    b2 = (s2 * an1 - u2 * ad, s2 * an2 - v2 * ad, s2 * bd)
+    d1 = b0[0] * b0[0] + b0[1] * b0[1] + b0[2] * b0[2]
+    l10 = b1[0] * b0[0] + b1[1] * b0[1] + b1[2] * b0[2]
+    d2 = d1 * (b1[0] * b1[0] + b1[1] * b1[1] + b1[2] * b1[2]) - l10 * l10
+    l20 = b2[0] * b0[0] + b2[1] * b0[1] + b2[2] * b0[2]
+    l21 = d1 * (b2[0] * b1[0] + b2[1] * b1[1] + b2[2] * b1[2]) - l20 * l10
+    d3 = (d2 * (d1 * (b2[0] * b2[0] + b2[1] * b2[1] + b2[2] * b2[2]) - l20 * l20)
+          - l21 * l21) // d1
     while True:
         # k = 1
         r = (2 * l10 + d1) // (2 * d1)
@@ -361,10 +390,19 @@ def _reduced_lattice(
             b2 = (b2[0] - r * b0[0], b2[1] - r * b0[1], b2[2] - r * b0[2])
             l20 -= r * d1
         if 4 * d3 * d1 >= 3 * d2 * d2 - 4 * l21 * l21:
+            if basis is not None:
+                basis[:] = [_preimage(w, an1, an2, ad, bd) for w in (b0, b1, b2)]
             return (b0, b1, b2), (d1, d2, d3, l10, l20, l21)
         b1, b2 = b2, b1
         l10, l20 = l20, l10
         d2 = (d1 * d3 + l21 * l21) // d2
+
+
+def _preimage(w: tuple[int, int, int], an1: int, an2: int, ad: int, bd: int):
+    """phi^-1(w) = (p1, p2, q) for phi(p1, p2, q) = (q an1 - p1 ad,
+    q an2 - p2 ad, q bd), by exact divisions."""
+    q = w[2] // bd
+    return (q * an1 - w[0]) // ad, (q * an2 - w[1]) // ad, q
 
 
 def _ball_points(
@@ -399,7 +437,9 @@ def _ball_points(
                 yield c0 * x0 + x, c0 * y0 + y, c0 * z0 + z
 
 
-def shortest_vector_reduced(x: RatPoint, T) -> tuple[tuple[int, int, int], Fraction]:
+def shortest_vector_reduced(
+    x: RatPoint, T, basis: list[tuple[int, int, int]] | None = None,
+) -> tuple[tuple[int, int, int], Fraction]:
     """Certified minimum of max(T*|q*x1 - p1|, T*|q*x2 - p2|, |q|) over Z^3.
 
     Same contract as shortest_vector_oracle, but runs in time polynomial in
@@ -416,33 +456,44 @@ def shortest_vector_reduced(x: RatPoint, T) -> tuple[tuple[int, int, int], Fract
     reduced rows.  Any sup minimizer w satisfies ||w||^2 <= 3 ||w||_inf^2
     <= 3 m0^2, so it lies inside the enumerated ball and the exact sup
     comparison over the candidates is a certificate.
+
+    basis, when given, is a list of three (p1, p2, q) rows spanning Z^3:
+    the reduction starts from it and replaces it with its reduced rows,
+    so a caller stepping through rising T carries it from call to call
+    (see _reduced_lattice).  The certified minimum is a property of the
+    lattice, so no start basis can move it; among several vectors that
+    attain it, which one is returned may depend on the start.
     """
     T = Fraction(T)
     if T <= 0:
         raise ValueError("T must be positive")
     a, b = T.numerator, T.denominator
     n1, n2, den = x.common_denominator()
-    basis, gso = _reduced_lattice(n1, n2, den, a, b)
-    best_vec = min(basis, key=lambda w: max(map(abs, w)))
+    rows, gso = _reduced_lattice(n1, n2, den, a, b, basis)
+    best_vec = min(rows, key=lambda w: max(map(abs, w)))
     best = m0 = max(map(abs, best_vec))
-    for w in _ball_points(basis, gso, 3 * m0 * m0):
+    for w in _ball_points(rows, gso, 3 * m0 * m0):
         val = max(abs(w[0]), abs(w[1]), abs(w[2]))
         if val < best:
             best = val
             best_vec = w
 
-    q = best_vec[2] // (b * den)  # invert phi
-    p1 = (a * q * n1 - best_vec[0]) // (a * den)
-    p2 = (a * q * n2 - best_vec[1]) // (a * den)
+    p1, p2, q = _preimage(best_vec, a * n1, a * n2, a * den, b * den)
     if q < 0 or (q == 0 and (p1 < 0 or (p1 == 0 and p2 < 0))):
         p1, p2, q = -p1, -p2, -q
     return (p1, p2, q), Fraction(best, b * den)
 
 
-def _box_heights(n1: int, n2: int, den: int, Q: int, R: int):
+def _box_heights(
+    n1: int, n2: int, den: int, Q: int, R: int,
+    basis: list[tuple[int, int, int]] | None = None,
+):
     """Yield (q, s) for every (p1, p2, q) with 0 < q <= Q and residual
     numerator s = max_i |q n_i - p_i den| <= R, for x = (n1/den, n2/den),
-    Q >= 1 and R >= 1, in unspecified order.
+    Q >= 1 and R >= 1, in unspecified order.  A basis list, as for
+    shortest_vector_reduced, is the start of the reduction and is replaced
+    with its reduced rows when the first point is drawn; the points are
+    the same from any start, only their order may differ.
 
     The phi of shortest_vector_reduced at T = Q den / R = a/b (lowest
     terms) carries these points to the lattice points w with w[2] > 0 and
@@ -456,10 +507,10 @@ def _box_heights(n1: int, n2: int, den: int, Q: int, R: int):
     """
     g = math.gcd(Q * den, R)
     a, b = Q * den // g, R // g
-    basis, gso = _reduced_lattice(n1, n2, den, a, b)
+    rows, gso = _reduced_lattice(n1, n2, den, a, b, basis)
     bd = b * den
     m = Q * bd
-    for w in _ball_points(basis, gso, 3 * m * m):
+    for w in _ball_points(rows, gso, 3 * m * m):
         if 0 < w[2] <= m and abs(w[0]) <= m and abs(w[1]) <= m:
             yield w[2] // bd, max(abs(w[0]), abs(w[1])) // a
 

@@ -154,6 +154,16 @@ def _child_pairs(p: int, q: int, N: int, a_max: int | None = None) -> list[tuple
     return out
 
 
+def diameter_ratios(parent, kids) -> list[tuple[int, int]]:
+    """Each kid's diameter over the parent's, as an integer pair (num,
+    den > 0), for ends (lo num, lo den, hi num, hi den) with positive
+    denominators and a parent with lo < hi.  num / den is the correctly
+    rounded float of the ratio, as float(Fraction(num, den)) is."""
+    lo_n, lo_d, hi_n, hi_d = parent
+    ends, width = lo_d * hi_d, hi_n * lo_d - lo_n * hi_d  # diameter width/ends
+    return [((n1 * d0 - n0 * d1) * ends, d0 * d1 * width) for n0, d0, n1, d1 in kids]
+
+
 def family_faults(parent, kids, rho: Fraction):
     """Conditions (i)-(iii) of `dimension.lower_cert` on one interval
     family, in integers: parent and kids are ends (lo num, lo den, hi num,
@@ -170,10 +180,9 @@ def family_faults(parent, kids, rho: Fraction):
     ends, width = lo_d * hi_d, hi_n * lo_d - lo_n * hi_d  # diameter width/ends
     faults = [] if len(kids) > 1 else [("i", "fewer than 2 children", ())]
     shrink = []
-    for k, (n0, d0, n1, d1) in enumerate(kids):
+    for k, ((n0, d0, n1, d1), (num, den)) in enumerate(zip(kids, diameter_ratios(parent, kids))):
         if not (lo_n * d0 <= n0 * lo_d and n1 * hi_d <= hi_n * d1):
             faults.append(("i", "{} not contained", (k,)))
-        num, den = (n1 * d0 - n0 * d1) * ends, d0 * d1 * width
         if num >= den:
             faults.append(("ii", "{} does not shrink", (k,)))
         shrink.append(num / den)

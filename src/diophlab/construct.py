@@ -36,7 +36,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
-from .bestapprox import MAX_PROFILE_SAMPLES, BestApproxSeq, shortest_vector_reduced, wx_profile
+from .bestapprox import (
+    MAX_PROFILE_SAMPLES, UNIT_ROWS, BestApproxSeq, shortest_vector_reduced, wx_profile)
 from .core import PrimVec, Wedge2, residual, seminorm, wedge
 from .latinv import (
     Invariants,
@@ -483,13 +484,19 @@ def _window_minima(chain: Chain, samples: int):
     """Yield (t, T, M, W) for both chain certificates: t runs evenly over
     the window [tau(v_1), tau(v_{k-1})], T = exp(3t) as an exact dyadic
     rational, M is the reduction-certified minimum over all of Z^3 of
-    max(T * residual, height) at the tip's point, W = ln M - (2/3) ln T."""
+    max(T * residual, height) at the tip's point, W = ln M - (2/3) ln T.
+
+    T rises from sample to sample, so each reduction starts from the
+    basis the previous one reduced (a few swaps, where the unit rows
+    need dozens).  M is the minimum over the lattice, which no basis can
+    move."""
     x = chain.tip.proj()
     t_lo, t_hi = invariants(chain.nodes[1].u).tau, invariants(chain.nodes[-2].u).tau
+    basis = list(UNIT_ROWS)
     for i in range(samples):
         t = t_lo + i * (t_hi - t_lo) / (samples - 1)
         big_t = _exp_fraction(3 * t)
-        m = shortest_vector_reduced(x, big_t)[1]
+        m = shortest_vector_reduced(x, big_t, basis)[1]
         yield t, big_t, m, ln_fraction(m) - 2 * ln_fraction(big_t) / 3
 
 

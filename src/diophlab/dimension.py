@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cfrac import _child_pairs, _interval_ends, family_faults
+from .cfrac import _child_pairs, _interval_ends, diameter_ratios, family_faults
 from .util import ln_fraction
 
 IV_REL_TOL = 1e-9
@@ -33,12 +33,13 @@ MAX_TREE_DEPTH = 12
 
 class CoverNode:
     """A node of a covering tree: the closed interval [lo, hi] with its
-    children.  The endpoints are converted to Fraction; lo < hi is
-    required, so every diameter is positive."""
+    children.  Endpoints that are not yet Fractions are converted; lo < hi
+    is required, so every diameter is positive."""
 
     def __init__(self, id: str, lo, hi):
         self.id = id
-        self.lo, self.hi = Fraction(lo), Fraction(hi)
+        self.lo = lo if isinstance(lo, Fraction) else Fraction(lo)
+        self.hi = hi if isinstance(hi, Fraction) else Fraction(hi)
         if self.hi <= self.lo:
             raise ValueError("empty interval")
         self.children = []
@@ -112,18 +113,18 @@ def _internal_nodes(root: CoverNode):
 
 def covering_s_estimate(tree: CoverNode) -> DimResult:
     """Supremum over internal nodes of the per-node covering exponent.
-    Each distinct tuple of child ratios is solved once."""
+    Each child's ratio is the float of its integer diameter ratio to the
+    parent's (`cfrac.diameter_ratios`), and a ratio of 1 or more raises
+    ValueError.  Each distinct tuple of child ratios is solved once."""
     best, worst_res = 0.0, 0.0
     seen = False
     solved: dict[tuple[float, ...], tuple[float, float]] = {}
     for node in _internal_nodes(tree):
         ratios = []
-        diam = node.diam
-        for c in node.children:
-            r = c.diam / diam
-            if r >= 1:
+        for num, den in diameter_ratios(node.ends, [c.ends for c in node.children]):
+            if num >= den:
                 raise ValueError(f"child ratio >= 1 at node {node.id}")
-            ratios.append(float(r))
+            ratios.append(num / den)
         key = tuple(ratios)
         if key not in solved:
             solved[key] = _solve_sum_pow(ratios)

@@ -74,6 +74,27 @@ def test_tracer_counts_the_edge_predicates():
     assert calls["construct.growth_ok"] == totals["growth_checked"]
 
 
+def test_tracer_counts_one_reduction_per_chain_sample():
+    # the chain carries its reduced basis through the public name the
+    # tracer wraps: 40 samples are 40 traced calls, and the bytes stay golden
+    root = TRACER.parent.parent
+    env = dict(os.environ, PYTHONPATH="src")
+    argv = ["slow-chain", "--seed-vec", "245,631,1255", "--target", "log1p", "--samples", "40"]
+    proc = subprocess.run([sys.executable, str(TRACER), "--", *argv], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1, proc.stdout
+    report = json.loads(lines[0])
+    golden = json.loads((root / "bench" / "golden.json").read_text())[" ".join(argv)]
+    assert report["exit"] == golden["exit"] == 0
+    assert report["sha256"] == golden["sha256"]
+    calls = Counter()
+    for _, name, n, *_ in report["spans"]:
+        calls[name] += n
+    assert calls["bestapprox.shortest_vector_reduced"] == 40
+
+
 def test_tracer_runs_audit_all():
     # the traced audit-all prints the golden bytes, times all 20 items, and
     # shows calls in each layer whose per-layer numbers its speed rests on

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diophlab.bestapprox import (
+    UNIT_ROWS,
+    BestApproxSeq,
     Breakpoint,
     _box_heights,
+    _height_step,
     _reduced_lattice,
     accelerated_subsequence,
     audit_best_inequalities,
@@ -19,6 +22,7 @@ from diophlab.bestapprox import (
     projective_sandwich_ok,
     record_tie_heights,
     shortest_vector_oracle,
+    shortest_vector_reduced,
     wx_profile,
 )
 from diophlab.core import PrimVec, RatPoint, residual
@@ -419,11 +423,17 @@ def _integral_gso(
     return d, lam
 
 
-def general_reduced_lattice(n1, n2, den, a, b):
+def phi(row, n1, n2, den, a, b):
+    """The integer map of shortest_vector_reduced at T = a/b."""
+    p1, p2, q = row
+    return a * (q * n1 - den * p1), a * (q * n2 - den * p2), b * den * q
+
+
+def general_reduced_lattice(n1, n2, den, a, b, start=UNIT_ROWS):
     """The n-row integral LLL that _reduced_lattice unrolls for its one
-    3-row shape: _integral_gso, then the REDI/SWAPI loop, returning the
-    rows and (d, lam) as lists."""
-    basis = [(-a * den, 0, 0), (0, -a * den, 0), (a * n1, a * n2, b * den)]
+    3-row shape: phi of the start rows, _integral_gso, then the REDI/SWAPI
+    loop, returning the rows and (d, lam) as lists."""
+    basis = [phi(row, n1, n2, den, a, b) for row in start]
     d, lam = _integral_gso(basis)
     k = 1
     while k < 3:
@@ -457,35 +467,73 @@ def _scalars(d, lam):
     return d[1], d[2], d[3], lam[1][0], lam[2][0], lam[2][1]
 
 
+def random_unimodular(rng: random.Random, size: int) -> list[tuple[int, int, int]]:
+    """A random basis of Z^3: row additions, a shuffle and a sign flip
+    applied to the unit rows."""
+    rows = [list(r) for r in UNIT_ROWS]
+    for _ in range(6):
+        i, j = rng.sample(range(3), 2)
+        c = rng.randint(-size, size)
+        rows[i] = [u + c * v for u, v in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    rows[0] = [-u for u in rows[0]] if rng.random() < 0.5 else rows[0]
+    return [tuple(r) for r in rows]
+
+
+def reduction_cases(rng: random.Random, digit_choices, count: int):
+    """(n1, n2, den, a, b, start) inputs: cold starts from the unit rows,
+    warm starts from the reduced basis of a smaller T (carried as the
+    chain and the record loop carry it), and random unimodular starts."""
+    cases = []
+    for _ in range(count):
+        digits = rng.choice(digit_choices)
+        d = rng.randint(2, 10**digits)
+        n1, n2 = rng.randrange(d), rng.randrange(d)
+        a, b = rng.randint(1, 10**rng.randint(1, 2 * digits)), rng.randint(1, 1000)
+        cases.append((n1, n2, d, a, b, UNIT_ROWS))
+        carried = list(UNIT_ROWS)
+        _reduced_lattice(n1, n2, d, a, b, carried)
+        for _ in range(3):
+            a = a * rng.randint(1001, 4000) // 1000 + 1
+            cases.append((n1, n2, d, a, b, tuple(carried)))
+            _reduced_lattice(n1, n2, d, a, b, carried)
+        cases.append((n1, n2, d, a, b, tuple(random_unimodular(rng, 10**rng.randint(0, 6)))))
+    return cases
+
+
 def test_reduced_lattice_matches_general_lll():
-    # the unrolled 3-row reduction must take every step of the general one:
-    # the same reduced rows and the same Gram-Schmidt data, so that
-    # _ball_points yields the same points in the same order.  The small
-    # grid holds exact Lovasz ties at k = 1, e.g. x = (1/2, 1/2) at T = 2.
+    # the unrolled 3-row reduction must take every step of the general one,
+    # from every start: the same reduced rows and the same Gram-Schmidt
+    # data, so that _ball_points yields the same points in the same order,
+    # and the carried list must hold the preimages of those rows.  The
+    # small grid holds exact Lovasz ties at k = 1, e.g. x = (1/2, 1/2) at
+    # T = 2.
     rng = random.Random(27)
-    cases = [(n1, n2, d, a, b) for d in range(1, 7) for n1 in range(d)
+    cases = [(n1, n2, d, a, b, UNIT_ROWS) for d in range(1, 7) for n1 in range(d)
              for n2 in range(d) for a in range(1, 5) for b in range(1, 5)]
     for digits in (1, 3, 8, 20, 31):
         for _ in range(200):
             d = rng.randint(2, 10**digits)
             cases.append((rng.randrange(d), rng.randrange(d), d,
-                          rng.randint(1, 10**rng.randint(1, 62)), rng.randint(1, 1000)))
-    for args in cases:
-        basis, dd, lam = general_reduced_lattice(*args)
-        assert _reduced_lattice(*args) == (tuple(basis), _scalars(dd, lam)), args
+                          rng.randint(1, 10**rng.randint(1, 62)), rng.randint(1, 1000),
+                          UNIT_ROWS))
+    cases += reduction_cases(rng, (1, 3, 8, 20, 31), 200)
+    for *args, start in cases:
+        basis, dd, lam = general_reduced_lattice(*args, start)
+        want = (tuple(basis), _scalars(dd, lam))
+        carried = list(start)
+        assert _reduced_lattice(*args, carried) == want, (args, start)
+        assert [phi(row, *args) for row in carried] == basis, (args, start)
+        if start == UNIT_ROWS:
+            assert _reduced_lattice(*args) == want, args
 
 
 def test_reduced_lattice_is_lll_reduced():
     # the in-place REDI/SWAPI data must equal a fresh Gram-Schmidt pass,
     # and that pass must show a size-reduced basis passing the Lovasz test
     rng = random.Random(17)
-    for _ in range(300):
-        digits = rng.choice([1, 3, 8, 20])
-        d = rng.randint(2, 10**digits)
-        x = RatPoint(F(rng.randrange(d), d), F(rng.randrange(d), d))
-        t = F(rng.randint(1, 10**rng.randint(1, 2 * digits)), rng.randint(1, 1000))
-        basis, gso = _reduced_lattice(
-            *x.common_denominator(), t.numerator, t.denominator)
+    for *args, start in reduction_cases(rng, (1, 3, 8, 20), 300):
+        basis, gso = _reduced_lattice(*args, list(start))
         fresh_d, fresh_lam = _integral_gso(basis)
         assert gso == _scalars(fresh_d, fresh_lam)
         for k in range(1, 3):
@@ -493,3 +541,94 @@ def test_reduced_lattice_is_lll_reduced():
                 assert -fresh_d[j + 1] <= 2 * fresh_lam[k][j] < fresh_d[j + 1]
             assert (4 * fresh_d[k + 1] * fresh_d[k - 1]
                     >= 3 * fresh_d[k] ** 2 - 4 * fresh_lam[k][k - 1] ** 2)
+
+
+def test_reduced_lattice_fixes_its_own_reduced_basis():
+    # started from its own reduced basis at the same T, the reduction makes
+    # no step: the same rows, the same six scalars, the same carried list
+    rng = random.Random(39)
+    for *args, start in reduction_cases(rng, (1, 3, 8, 20, 31), 60):
+        carried = list(start)
+        want = _reduced_lattice(*args, carried)
+        again = list(carried)
+        assert _reduced_lattice(*args, again) == want, args
+        assert again == carried, args
+
+
+def test_reduction_refuses_a_start_that_is_no_basis():
+    x = RatPoint(F(2, 5), F(3, 5))
+    for start in ([(1, 0, 0), (0, 1, 0), (0, 0, 2)],
+                  [(1, 0, 0), (1, 0, 0), (0, 0, 1)],
+                  [(0, 0, 0), (0, 1, 0), (0, 0, 1)]):
+        with pytest.raises(ValueError, match="basis of Z\\^3"):
+            _reduced_lattice(2, 3, 5, 7, 1, list(start))
+        with pytest.raises(ValueError, match="basis of Z\\^3"):
+            shortest_vector_reduced(x, 7, list(start))
+
+
+def test_carried_shortest_vector_matches_the_oracle():
+    # the carried basis moves no minimum: along rising T, the score from
+    # the carried start equals the cold one and the scanning oracle's, and
+    # the returned vector attains it
+    rng = random.Random(391)
+    for _ in range(12):
+        den = rng.randint(10**2, 10**5)
+        x = RatPoint(F(rng.randrange(den), den), F(rng.randrange(den), den))
+        carried = list(UNIT_ROWS)
+        for t_val in sorted(F(rng.randint(1, 10**7), rng.randint(1, 50)) for _ in range(6)):
+            (p1, p2, q), m = shortest_vector_reduced(x, t_val, carried)
+            assert m == shortest_vector_reduced(x, t_val)[1] == shortest_vector_oracle(x, t_val)[1]
+            assert max(t_val * abs(q * x.x1 - p1), t_val * abs(q * x.x2 - p2), q) == m
+
+
+def cold_best_approximations(x: RatPoint, height_bound: int) -> BestApproxSeq:
+    """best_approximations with every box reduced from the unit rows, as
+    the record loop ran before it carried the reduced basis."""
+    n1, n2, den = x.common_denominator()
+    num, opts1, opts2 = _height_step(n1, n2, den, 1)
+    items, residuals = [PrimVec(opts1[0], opts2[0], 1)], [F(num, den)]
+    while num:
+        box = _box_heights(n1, n2, den, min(height_bound, 2 * den * den // (num * num)), num)
+        q = min((h for h, s in box if s < num), default=None)
+        if q is None:
+            break
+        num, opts1, opts2 = _height_step(n1, n2, den, q)
+        items.append(PrimVec(opts1[0], opts2[0], q))
+        residuals.append(F(num, den))
+    return BestApproxSeq(x, tuple(items), tuple(residuals), height_bound)
+
+
+def seeded_target(rng: random.Random, digits: int) -> RatPoint:
+    den = rng.randint(10 ** (digits - 1) + 1, 10**digits)
+    return RatPoint(F(rng.randrange(den), den), F(rng.randrange(den), den))
+
+
+def test_carried_records_equal_cold_records():
+    # a record is the least height in its box, and the lattice points in a
+    # box do not depend on the basis that enumerates them
+    # (cold reductions make the long targets slow: one bound each there)
+    rng = random.Random(19)
+    for digits in [*range(1, 21), *range(25, 61, 5)]:
+        x = seeded_target(rng, digits)
+        den = x.common_denominator()[2]
+        for bound in (den, rng.randint(1, den))[:1 if digits > 20 else 2]:
+            assert best_approximations(x, bound) == cold_best_approximations(x, bound), (x, bound)
+
+
+def test_carried_records_equal_the_scan():
+    rng = random.Random(1919)
+    for digits in (1, 2, 3, 4):
+        for _ in range(5):
+            x = seeded_target(rng, digits)
+            den = x.common_denominator()[2]
+            for bound in (den, rng.randint(1, den)):
+                assert best_approximations(x, bound) == best_approximations_scan(x, bound), x
+
+
+def test_carried_records_of_a_long_target_pass_the_inequalities():
+    x = seeded_target(random.Random(200), 200)
+    seq = best_approximations(x, x.common_denominator()[2])
+    assert len(seq.items) > 300 and seq.exact_hit
+    report = audit_best_inequalities(seq)
+    assert report["all_ok"], next(r for r in report["rows"]
+                                  if not (r["lower_ok"] and r["upper_ok"] and r["primitive"]))

@@ -1447,3 +1447,25 @@ def test_reduced_handles_huge_scale():
     vec, minimum = shortest_vector_reduced(x, F(1, 3))
     assert vec[2] == 0 and minimum == F(1, 3)
     _assert_realises(x, F(1, 3), vec, minimum)
+
+
+def cold_window_minima(chain, samples):
+    # _window_minima with every sample reduced from the unit rows, as it ran
+    # before it carried the reduced basis from sample to sample
+    x = chain.tip.proj()
+    t_lo, t_hi = invariants(chain.nodes[1].u).tau, invariants(chain.nodes[-2].u).tau
+    for i in range(samples):
+        t = t_lo + i * (t_hi - t_lo) / (samples - 1)
+        big_t = construct._exp_fraction(3 * t)
+        m = shortest_vector_reduced(x, big_t)[1]
+        yield t, big_t, m, ln_fraction(m) - 2 * ln_fraction(big_t) / 3
+
+
+def test_window_minima_carried_equal_cold(slow15):
+    # M is a minimum over the whole lattice, so no start basis can move it
+    const, _ = slow_chain(pvec(245, 631, 1255), lambda t: -2.0, 1, steps=15, samples=2)
+    log1p, _ = slow_chain(pvec(103, 233, 541), lambda t: -math.log1p(t), 1, steps=15, samples=2)
+    for chain in (slow15[0], const, log1p, sing_chain(SEED, 8)):
+        for samples in (2, 40, 200):
+            got = list(construct._window_minima(chain, samples))
+            assert got == list(cold_window_minima(chain, samples)), (chain.tip, samples)

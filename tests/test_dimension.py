@@ -272,6 +272,63 @@ def test_covering_solves_each_ratio_tuple_once(monkeypatch):
     assert abs(est.s - cantor_exact_dim(F(1, 2)).s) < 1e-10
 
 
+
+def fraction_child_ratios(node) -> list[float]:
+    """The Fraction ratios covering_s_estimate took before it read them
+    from integer ends, verbatim."""
+    ratios = []
+    diam = node.diam
+    for c in node.children:
+        r = c.diam / diam
+        if r >= 1:
+            raise ValueError(f"child ratio >= 1 at node {node.id}")
+        ratios.append(float(r))
+    return ratios
+
+
+def test_covering_ratios_match_the_fraction_ones(monkeypatch):
+    # every ratio tuple handed to the solver is the one the Fraction
+    # division gave, so the estimate cannot move
+    seen = []
+    real = dimension._solve_sum_pow
+
+    def recording(ratios):
+        seen.append(ratios)
+        return real(ratios)
+
+    monkeypatch.setattr(dimension, "_solve_sum_pow", recording)
+    trees = [cantor_tree(delta, 4) for delta in (F(1, 4), F(1, 2), F(3, 4), F(1, 10**30))]
+    trees += [family(F(-7, 3), F(5, 2), ("a", F(-7, 3), F(-2, 1)), ("b", F(1, 10**20), F(2, 1))),
+              dn_tree(F(-7, 3), 72, 2, a_max=216, descend=2),
+              dn_tree(F(55, 89), 1000, 1)]
+    for tree in trees:
+        seen.clear()
+        covering_s_estimate(tree)
+        want = {tuple(fraction_child_ratios(n)) for n in dimension._internal_nodes(tree)}
+        assert {tuple(r) for r in seen} == want
+
+
+def test_dn_tree_builds_each_endpoint_once(monkeypatch):
+    # one Fraction per interval end: 2 per node, where wrapping them again
+    # in CoverNode made 4
+    # (plus the one Fraction(root) that dn_tree reads its root through)
+    count = [0]
+    real = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return real(cls, *args, **kwargs)
+
+    root = F(1, 2)
+    monkeypatch.setattr(F, "__new__", counting)
+    tree = dn_tree(root, 72, 2, a_max=216, descend=2)
+    monkeypatch.undo()
+    nodes, stack = 0, [tree]
+    while stack:
+        nodes += 1
+        stack.extend(stack.pop().children)
+    assert nodes == 1 + 3 * 288 and count[0] == 2 * nodes + 1
+
 def bisect_200(below, lo: float, hi: float) -> float:
     """The _bisect that stopped only after 200 halvings, verbatim."""
     for _ in range(200):
