@@ -359,13 +359,10 @@ def _reduced_lattice(
     b0 = (s0 * an1 - u0 * ad, s0 * an2 - v0 * ad, s0 * bd)
     b1 = (s1 * an1 - u1 * ad, s1 * an2 - v1 * ad, s1 * bd)
     b2 = (s2 * an1 - u2 * ad, s2 * an2 - v2 * ad, s2 * bd)
-    d1 = b0[0] * b0[0] + b0[1] * b0[1] + b0[2] * b0[2]
-    l10 = b1[0] * b0[0] + b1[1] * b0[1] + b1[2] * b0[2]
-    d2 = d1 * (b1[0] * b1[0] + b1[1] * b1[1] + b1[2] * b1[2]) - l10 * l10
-    l20 = b2[0] * b0[0] + b2[1] * b0[1] + b2[2] * b0[2]
-    l21 = d1 * (b2[0] * b1[0] + b2[1] * b1[1] + b2[2] * b1[2]) - l20 * l10
-    d3 = (d2 * (d1 * (b2[0] * b2[0] + b2[1] * b2[1] + b2[2] * b2[2]) - l20 * l20)
-          - l21 * l21) // d1
+    d1, l10, l20 = _dot(b0, b0), _dot(b1, b0), _dot(b2, b0)
+    d2 = d1 * _dot(b1, b1) - l10 * l10
+    l21 = d1 * _dot(b2, b1) - l20 * l10
+    d3 = (d2 * (d1 * _dot(b2, b2) - l20 * l20) - l21 * l21) // d1
     while True:
         # k = 1
         r = (2 * l10 + d1) // (2 * d1)
@@ -396,6 +393,10 @@ def _reduced_lattice(
         b1, b2 = b2, b1
         l10, l20 = l20, l10
         d2 = (d1 * d3 + l21 * l21) // d2
+
+
+def _dot(u: tuple[int, int, int], v: tuple[int, int, int]) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _preimage(w: tuple[int, int, int], an1: int, an2: int, ad: int, bd: int):
